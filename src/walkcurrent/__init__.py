@@ -44,10 +44,12 @@ from .kernel import (
 )
 from .occupancy import OccupancyModel, OccupancyProfile, sample_profile
 from .simulate import (
+    CellTable,
     CurrentField,
     CurrentPmf,
     ExperimentConfig,
     bracket,
+    cell_table,
     exact_current_pmf,
     replica_rng,
     run_ensemble,
@@ -55,6 +57,7 @@ from .simulate import (
     simulate_replica,
     truncation_radius,
     window_bound,
+    window_span,
 )
 from .gaussian import (
     GridGaussian,

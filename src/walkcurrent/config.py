@@ -157,7 +157,7 @@ def load_config(path: str, overrides: Optional[dict] = None,
                 replicas=int(resolved["replicas"]),
                 window_tol=float(resolved["window_tol"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigValidationError(str(exc))
 
     if command in ("rate-table", "rate-empirical", "fidi"):
@@ -194,6 +194,21 @@ def load_config(path: str, overrides: Optional[dict] = None,
         section = resolved.get("limit", {})
         spec.limit = section
 
-    spec.retain_points = tuple(
-        (float(t), float(r)) for t, r in resolved.get("retain_points", []))
+    spec.retain_points = _retain_points(resolved.get("retain_points", []),
+                                        spec.experiment)
     return spec
+
+
+def _retain_points(raw, experiment: Optional[ExperimentConfig]) -> tuple:
+    """(t, r) pairs, each on the experiment's grid when there is one."""
+    try:
+        points = tuple((float(t), float(r)) for t, r in raw)
+    except (TypeError, ValueError):
+        raise ConfigValidationError("retain_points: expected [[t, r], ...]")
+    if experiment is not None:
+        grid = set(experiment.grid_points())
+        for point in points:
+            if point not in grid:
+                raise ConfigValidationError(
+                    f"retain_points: {list(point)} is not a point of t_grid x r_grid")
+    return points

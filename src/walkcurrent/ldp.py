@@ -33,7 +33,14 @@ from .errors import (
 from .kernel import walk_pmf
 from .normal import bvn_cdf, mean_excess, mvn_cdf_3, norm_cdf, norm_logit_cdf, norm_sf
 from .occupancy import OccupancyModel
-from .simulate import TILT_STREAM, ExperimentConfig, bracket, replica_rng, truncation_radius
+from .simulate import (
+    TILT_STREAM,
+    ExperimentConfig,
+    bracket,
+    replica_rng,
+    truncation_radius,
+    window_span,
+)
 
 
 def crossing_log_mgf(lam: float, y: float, kappa2: float, t: float) -> float:
@@ -305,9 +312,7 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     if alpha is None:
         alpha = tilt_for_mean(model, x)
 
-    width = truncation_radius(config)
-    lo = bracket(-config.S * sqrt_n) - width
-    hi = bracket(config.S * sqrt_n) + width
+    lo, hi = window_span(config, truncation_radius(config))
     anchor = bracket(r * sqrt_n)
     line = anchor + bracket(n * config.kernel.v * t)
     sites = np.arange(lo, hi + 1)

@@ -38,7 +38,16 @@ from .ldp import (
     tilt_for_mean,
     tilted_tail_estimate,
 )
-from .simulate import ExperimentConfig, exact_current_pmf, simulate_replica, truncation_radius
+from .simulate import (
+    CellTable,
+    ExperimentConfig,
+    cell_table,
+    exact_current_pmf,
+    replica_field,
+    truncation_radius,
+    window_bound,
+    window_span,
+)
 from .stats import (
     EnsembleAccumulator,
     covariance_report,
@@ -74,13 +83,25 @@ def split_batches(replicas: int, nbatches: int) -> list[range]:
     return out
 
 
+def ensemble_telemetry(config: ExperimentConfig, window: int,
+                       table: Optional[CellTable]) -> dict:
+    """Engine, class count and certified window of one ensemble run."""
+    lo, hi = window_span(config, window)
+    return {
+        "engine": "particles" if table is None else "cells",
+        "classes": None if table is None else int(table.means.size),
+        "window": {"width": int(window), "sites": hi - lo + 1,
+                   "bound": window_bound(config, window)},
+    }
+
+
 def _batch_job(args):
-    config, window, batch, retain_idx, cap = args
+    config, window, table, batch, retain_idx, cap = args
     npts = len(config.grid_points())
     acc = EnsembleAccumulator.empty(npts)
     kept = [[] for _ in retain_idx]
     for i in batch:
-        fieldval = simulate_replica(config, i, window=window)
+        fieldval = replica_field(config, i, window, table)
         flat = fieldval.scaled.ravel()
         acc.add(flat)
         for slot, idx in enumerate(retain_idx):
@@ -92,12 +113,22 @@ def _batch_job(args):
 def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
                          nbatches: int = N_BATCHES,
                          retain_points: Sequence[Tuple[float, float]] = (),
-                         retain_cap: int = RETAIN_CAP):
-    """Run all replicas, returning per-batch accumulators and retained samples."""
+                         retain_cap: int = RETAIN_CAP,
+                         telemetry: Optional[dict] = None):
+    """Run all replicas, returning per-batch accumulators and retained samples.
+
+    Poisson occupancy runs on the cell engine, whose table is built once
+    here and shipped with every batch; other occupancy laws run on the
+    particle engine.  `telemetry`, when given, receives the engine, class
+    count and window of the run.
+    """
     window = truncation_radius(config)
+    table = cell_table(config, window)
+    if telemetry is not None:
+        telemetry.update(ensemble_telemetry(config, window, table))
     points = config.grid_points()
     retain_idx = [points.index((float(t), float(r))) for t, r in retain_points]
-    payloads = [(config, window, batch, retain_idx, retain_cap)
+    payloads = [(config, window, table, batch, retain_idx, retain_cap)
                 for batch in split_batches(config.replicas, nbatches)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -120,7 +151,8 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
                           bands: Optional[dict] = None,
                           check_points: Optional[Sequence[Tuple[float, float]]] = None,
                           retain_points: Sequence[Tuple[float, float]] = (),
-                          nbatches: int = N_BATCHES):
+                          nbatches: int = N_BATCHES,
+                          telemetry: Optional[dict] = None):
     """Ensemble covariance and mean against the limit formulas.
 
     Pass criterion per pair: |empirical - analytic| within
@@ -136,7 +168,8 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
     points = config.grid_points()
     batches, retained = run_ensemble_batches(config, workers=workers,
                                              nbatches=nbatches,
-                                             retain_points=retain_points)
+                                             retain_points=retain_points,
+                                             telemetry=telemetry)
     cov_rep = covariance_report(batches, params, points)
     mean_rep = mean_report(batches, points)
     checked = set((float(t), float(r)) for t, r in (check_points or points))
@@ -198,7 +231,8 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
 
 
 def fbm_experiment(config: ExperimentConfig, workers: int = 1,
-                   bands: Optional[dict] = None, nbatches: int = N_BATCHES):
+                   bands: Optional[dict] = None, nbatches: int = N_BATCHES,
+                   telemetry: Optional[dict] = None):
     """Variance-growth exponent across times at r = 0 vs the analytic 1/2."""
     bands = dict(bands or {})
     lo = bands.get("slope_lo", 0.45)
@@ -207,7 +241,8 @@ def fbm_experiment(config: ExperimentConfig, workers: int = 1,
         raise ValueError("fbm experiment needs r = 0 in the grid")
     params = limit_params(config)
     points = config.grid_points()
-    batches, _ = run_ensemble_batches(config, workers=workers, nbatches=nbatches)
+    batches, _ = run_ensemble_batches(config, workers=workers, nbatches=nbatches,
+                                      telemetry=telemetry)
     total = merge_accumulators(batches)
     cov = total.cov()
     r0 = config.r_grid.index(0.0)
@@ -372,9 +407,10 @@ def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None,
 
 
 def simulate_experiment(config: ExperimentConfig, workers: int = 1,
-                        nbatches: int = N_BATCHES):
+                        nbatches: int = N_BATCHES, telemetry: Optional[dict] = None):
     """Plain ensemble run: summary moments per grid point."""
-    batches, _ = run_ensemble_batches(config, workers=workers, nbatches=nbatches)
+    batches, _ = run_ensemble_batches(config, workers=workers, nbatches=nbatches,
+                                      telemetry=telemetry)
     total = merge_accumulators(batches)
     cov = total.cov()
     rows = []
@@ -438,7 +474,9 @@ def write_json(path: str, obj) -> None:
 
 def write_manifest(out_dir: str, command: str, config_hash: str, seed: int,
                    outputs, started: str, status: str,
-                   overrides: Optional[dict] = None) -> str:
+                   overrides: Optional[dict] = None,
+                   telemetry: Optional[dict] = None,
+                   error: Optional[str] = None) -> str:
     manifest = {
         "schema_version": 1,
         "command": command,
@@ -450,7 +488,10 @@ def write_manifest(out_dir: str, command: str, config_hash: str, seed: int,
         "status": status,
         "outputs": [{"path": p, "kind": k, "row_count": n} for p, k, n in outputs],
         "overrides": overrides or {},
+        "telemetry": telemetry or {},
     }
+    if error is not None:
+        manifest["error"] = error
     path = os.path.join(out_dir, "manifest.json")
     write_json(path, manifest)
     return path

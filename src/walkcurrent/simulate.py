@@ -9,8 +9,14 @@ the line, -1 for one started at or left of the anchor that ends above it.
 Replicas are simulated only inside a certified start-site window; the
 probability that any omitted particle could have affected any measured
 value is bounded by Chernoff tails and kept below an explicit tolerance.
-An exact single-point distribution oracle (convolution over window sites)
-is provided for validation.
+
+Two replica engines share that window and its law.  The particle engine
+(`simulate_replica`) draws every particle and its path.  The cell engine
+(`CellTable`) serves Poisson occupancy: particles then form a Poisson
+process on (start site, path), so the counts in disjoint path classes are
+independent Poisson variables and every grid current is a fixed signed sum
+of them.  An exact single-point distribution oracle (convolution over
+window sites) is provided for validation.
 """
 
 from __future__ import annotations
@@ -112,9 +118,14 @@ def replica_rng(master_seed: int, stream: int, index: int) -> np.random.Generato
 # certified start-site window
 # --------------------------------------------------------------------------
 
+def window_span(config: ExperimentConfig, width: int) -> Tuple[int, int]:
+    """First and last start site of the window of the given width."""
+    return (bracket(-config.S * config.sqrt_n) - width,
+            bracket(config.S * config.sqrt_n) + width)
+
+
 def _window_sites(config: ExperimentConfig, width: int) -> int:
-    lo = bracket(-config.S * config.sqrt_n) - width
-    hi = bracket(config.S * config.sqrt_n) + width
+    lo, hi = window_span(config, width)
     return hi - lo + 1
 
 
@@ -125,7 +136,8 @@ def window_bound(config: ExperimentConfig, width: int) -> float:
     A particle at distance d beyond either window edge must move against
     its own centering by at least d - 1 lattice sites to sit on the wrong
     side of any measured line, at some measured time; union-bound over grid
-    times and both edges.
+    times and both edges.  The whole sum is returned at every width, so the
+    bound is nonincreasing in the width.
     """
     rho0 = config.occupancy.rho0
     if rho0 == 0.0:
@@ -144,8 +156,6 @@ def window_bound(config: ExperimentConfig, width: int) -> float:
                 np.exp(chernoff_log_tail(config.kernel, tau, np.maximum(ds - 1.0, 0.0))),
                 1.0)
             acc += float(terms.sum())
-            if rho0 * 2.0 * acc > config.window_tol:
-                return rho0 * 2.0 * acc  # already failed; no need to finish
             last, prev = terms[-1], terms[-2]
             if last == 0.0:
                 break
@@ -165,15 +175,27 @@ def window_bound(config: ExperimentConfig, width: int) -> float:
 
 
 def truncation_radius(config: ExperimentConfig) -> int:
-    """Smallest window width on a doubling grid meeting window_tol."""
-    width = 16
+    """Smallest window width of at least 16 meeting window_tol.
+
+    Doubles from 16 to the first passing width, then bisects between the
+    last failing doubling width and it; window_bound is nonincreasing in
+    the width, so the result is the smallest passing width.
+    """
+    failing, width = 15, 16
     while True:
         if _window_sites(config, width) > config.max_window_sites:
             raise WindowUnreachableError(
                 f"window would need more than {config.max_window_sites} sites")
         if window_bound(config, width) <= config.window_tol:
-            return width
-        width *= 2
+            break
+        failing, width = width, 2 * width
+    while width - failing > 1:
+        mid = (failing + width) // 2
+        if window_bound(config, mid) <= config.window_tol:
+            width = mid
+        else:
+            failing = mid
+    return width
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +225,7 @@ def simulate_replica(config: ExperimentConfig, replica_index: int,
     if not (0 <= replica_index < config.replicas):
         raise ValueError("replica_index out of range")
     w = truncation_radius(config) if window is None else int(window)
-    lo = bracket(-config.S * config.sqrt_n) - w
-    hi = bracket(config.S * config.sqrt_n) + w
+    lo, hi = window_span(config, w)
     rng = replica_rng(config.master_seed, REPLICA_STREAM, replica_index)
 
     counts = config.occupancy.sample_counts(rng, hi - lo + 1)
@@ -233,12 +254,120 @@ def simulate_replica(config: ExperimentConfig, replica_index: int,
     return fieldval
 
 
+# --------------------------------------------------------------------------
+# cell-count engine for Poisson occupancy
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """Poisson path-class means and their signed weights on the grid.
+
+    A particle's class is (j, c_1, ..., c_K): j anchors lie strictly below
+    its start and c_k time-k lines strictly below its position at grid time
+    k.  The class adds [c_k <= i] - [j <= i] to Y(t_k, r_i); classes whose
+    signs are all zero are left out.  Rows are in lexicographic class order.
+    """
+
+    classes: np.ndarray  # int64, shape (ncls, 1 + len(t_grid))
+    means: np.ndarray    # float, shape (ncls,)
+    signs: np.ndarray    # int64, shape (ncls, len(t_grid) * len(r_grid))
+
+    def replica(self, config: ExperimentConfig, replica_index: int) -> CurrentField:
+        """One replica of the current field from independent class counts.
+
+        Deterministic given (master_seed, replica_index); the draws differ
+        from the particle engine's, the law does not.
+        """
+        if not (0 <= replica_index < config.replicas):
+            raise ValueError("replica_index out of range")
+        rng = replica_rng(config.master_seed, REPLICA_STREAM, replica_index)
+        values = (rng.poisson(self.means) @ self.signs).reshape(
+            len(config.t_grid), len(config.r_grid))
+        return CurrentField(values=values, scaled=values * config.n ** -0.25,
+                            replica_seed=replica_index)
+
+
+def cell_table(config: ExperimentConfig,
+               window: Optional[int] = None) -> Optional[CellTable]:
+    """Exact class means over the certified window, or None for the
+    particle engine.
+
+    Each start interval begins as density rho on its window sites; at every
+    grid time each state is convolved with the exact walk pmf of the time
+    gap and split at that time's lines, and a class mean is the mass of one
+    final state.  Returns None unless occupancy is Poisson, and None when
+    there are more nonempty classes than window sites.
+    """
+    if config.occupancy.kind != "poisson":
+        return None
+    w = truncation_radius(config) if window is None else int(window)
+    lo, hi = window_span(config, w)
+    nsites = hi - lo + 1
+    anchors = np.asarray(config.anchors(), np.int64)
+    rho = config.occupancy.rho0
+
+    # a state is (class prefix, first position, density over positions)
+    sites = np.arange(lo, hi + 1)
+    below = np.searchsorted(anchors, sites, side="left")
+    states = []
+    for j in range(anchors.size + 1):
+        idx = np.flatnonzero(below == j)
+        if idx.size and rho > 0.0:
+            states.append(((j,), int(sites[idx[0]]), np.full(idx.size, rho)))
+
+    prev_t = 0.0
+    for t, shift in zip(config.t_grid, config.line_shifts()):
+        gap = config.n * (t - prev_t)
+        prev_t = t
+        if gap > 0.0:
+            wp = walk_pmf(config.kernel, gap, mass_tol=1e-12)
+            states = [(cls, first + wp.offset_min, np.convolve(dens, wp.masses))
+                      for cls, first, dens in states]
+        lines = anchors + shift
+        split = []
+        for cls, first, dens in states:
+            cuts = np.clip(lines - first + 1, 0, dens.size)
+            bounds = np.concatenate(([0], cuts, [dens.size]))
+            for c in range(anchors.size + 1):
+                a, b = int(bounds[c]), int(bounds[c + 1])
+                piece = dens[a:b]
+                if piece.size and piece.sum() > 0.0:
+                    split.append((cls + (c,), first + a, piece))
+        if len(split) > nsites:
+            return None
+        states = split
+
+    ncols = len(config.t_grid) * anchors.size
+    classes = np.array([cls for cls, _, _ in states], np.int64).reshape(
+        len(states), 1 + len(config.t_grid))
+    means = np.array([dens.sum() for _, _, dens in states], float)
+    idx = np.arange(anchors.size)
+    signs = ((classes[:, 1:, None] <= idx).astype(np.int64)
+             - (classes[:, :1, None] <= idx)).reshape(len(states), ncols)
+    keep = np.any(signs != 0, axis=1)
+    return CellTable(classes=classes[keep], means=means[keep], signs=signs[keep])
+
+
+def replica_field(config: ExperimentConfig, replica_index: int, window: int,
+                  table: Optional[CellTable]) -> CurrentField:
+    """One replica from the cell engine when a table is given, else from
+    the particle engine."""
+    if table is not None:
+        return table.replica(config, replica_index)
+    return simulate_replica(config, replica_index, window=window)
+
+
 def run_ensemble(config: ExperimentConfig,
                  window: Optional[int] = None) -> Iterator[CurrentField]:
-    """Yield all replicas in index order; each depends only on its own seed."""
+    """Yield all replicas in index order; each depends only on its own seed.
+
+    Poisson occupancy runs on the cell engine, any other on the particle
+    engine, exactly as the batched runner does.
+    """
     w = truncation_radius(config) if window is None else int(window)
+    table = cell_table(config, w)
     for i in range(config.replicas):
-        yield simulate_replica(config, i, window=w)
+        yield replica_field(config, i, w, table)
 
 
 # --------------------------------------------------------------------------
@@ -304,8 +433,7 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
     if occ.kind == "geometric":
         raise ValueError("exact pmf needs a finite or Poisson occupancy law")
     w = truncation_radius(config) if window is None else int(window)
-    lo = bracket(-config.S * config.sqrt_n) - w
-    hi = bracket(config.S * config.sqrt_n) + w
+    lo, hi = window_span(config, w)
     anchor = bracket(r * config.sqrt_n)
     line = anchor + bracket(config.n * config.kernel.v * t)
 

@@ -57,3 +57,28 @@ def lattice_chisquare(samples, support, probs, min_expected=5.0):
     exp_arr = np.asarray(bins_exp)
     exp_arr = exp_arr * (obs_arr.sum() / exp_arr.sum())
     return spstats.chisquare(obs_arr, exp_arr).pvalue
+
+
+def lattice_two_sample(a, b, min_expected=5.0):
+    """Chi-square homogeneity p-value of two integer samples.
+
+    Counts both samples on their common integer range, then greedily merges
+    adjacent values left to right so every tested cell of the 2 x bins
+    table carries at least min_expected expected counts.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    values = np.arange(min(a.min(), b.min()), max(a.max(), b.max()) + 1)
+    counts = np.array([[(a == v).sum() for v in values],
+                       [(b == v).sum() for v in values]], float)
+    share = min(a.size, b.size) / (a.size + b.size)
+    bins = []
+    acc = np.zeros(2)
+    for col in counts.T:
+        acc = acc + col
+        if acc.sum() * share >= min_expected:
+            bins.append(acc)
+            acc = np.zeros(2)
+    if acc.sum() > 0.0:
+        bins[-1] = bins[-1] + acc
+    return spstats.chi2_contingency(np.array(bins).T, correction=False).pvalue

@@ -198,3 +198,63 @@ class TestCliCommands:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["overrides"] == {"master_seed": 99}
         assert manifest["seed"] == 99
+
+
+class TestCliFailures:
+    def test_off_grid_retain_points_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, retain_points=[[0.7, 0.0]])
+        with pytest.raises(wc.ConfigValidationError, match="retain_points"):
+            load_config(cfg, command="cov-check")
+        assert main(["cov-check", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+
+    def test_malformed_retain_points_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, retain_points=[[1.0]])
+        with pytest.raises(wc.ConfigValidationError, match="retain_points"):
+            load_config(cfg, command="cov-check")
+
+    def test_unexpected_error_exit_code(self, tmp_path, monkeypatch):
+        from walkcurrent import runner
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "simulate_experiment", boom)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", write_cfg(tmp_path), "--out", out]) == 3
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["status"] == "failed"
+        assert "RuntimeError: boom" in manifest["error"]
+
+
+class TestManifestTelemetry:
+    def run_simulate(self, tmp_path, name, **extra):
+        out = str(tmp_path / name)
+        assert main(["simulate", "--config", write_cfg(tmp_path, name=f"{name}.json",
+                                                       replicas=50, **extra),
+                     "--out", out]) == 0
+        return json.load(open(os.path.join(out, "manifest.json")))["telemetry"]
+
+    def test_cell_engine_recorded(self, tmp_path):
+        tel = self.run_simulate(tmp_path, "cells")
+        assert tel["engine"] == "cells"
+        assert tel["classes"] > 0
+        window = tel["window"]
+        assert window["width"] >= 16
+        # S*sqrt(n) = 2.5, so the window runs from -3 - width to 2 + width
+        assert window["sites"] == 2 * window["width"] + 6
+        assert 0.0 < window["bound"] <= 1e-6
+
+    def test_particle_engine_recorded(self, tmp_path):
+        tel = self.run_simulate(tmp_path, "particles",
+                                occupancy={"type": "deterministic", "count": 1})
+        assert tel["engine"] == "particles"
+        assert tel["classes"] is None
+
+    def test_telemetry_not_in_reports(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["cov-check", "--config", write_cfg(tmp_path, replicas=200),
+                     "--out", out]) == 0
+        for name in ("cov_check.csv", "cov_check.json", "mean_check.csv"):
+            text = open(os.path.join(out, name)).read()
+            assert "engine" not in text and "telemetry" not in text

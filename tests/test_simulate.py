@@ -1,9 +1,13 @@
+import csv
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy import stats as spstats
 
 import walkcurrent as wc
-from conftest import lattice_chisquare
+from conftest import lattice_chisquare, lattice_two_sample
 
 
 def small_config(n=100, replicas=200, t_grid=(0.5, 1.0), r_grid=(0.0,),
@@ -13,6 +17,15 @@ def small_config(n=100, replicas=200, t_grid=(0.5, 1.0), r_grid=(0.0,),
         kernel=kernel or wc.validate_kernel({1: 0.7, -1: 0.3}),
         occupancy=occupancy or wc.OccupancyModel.poisson(1.0),
         master_seed=seed, replicas=replicas, window_tol=window_tol)
+
+
+def acceptance_config(**overrides):
+    args = dict(n=2500, T=1.0, S=0.5, t_grid=(0.5, 1.0), r_grid=(-0.5, 0.0, 0.5),
+                kernel=wc.validate_kernel({1: 0.7, -1: 0.3}),
+                occupancy=wc.OccupancyModel.poisson(1.0),
+                master_seed=20260810, replicas=1)
+    args.update(overrides)
+    return wc.ExperimentConfig(**args)
 
 
 class TestBracket:
@@ -73,6 +86,35 @@ class TestTruncationRadius:
     def test_empty_system_minimal(self):
         cfg = small_config(occupancy=wc.OccupancyModel.custom([(0, 1.0)]))
         assert wc.truncation_radius(cfg) == 16
+
+    def test_bound_monotone_in_width(self):
+        for cfg, widths in ((small_config(), range(16, 400)),
+                            (acceptance_config(), range(16, 700, 7))):
+            bounds = [wc.window_bound(cfg, w) for w in widths]
+            assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+
+    def test_bound_is_full_sum_when_failing(self):
+        # a failing width reports the whole bound, not a partial sum
+        cfg = acceptance_config()
+        for w in (200, 256):
+            total = 0.0
+            for t in cfg.t_grid:
+                ds = np.arange(w + 1, w + 20_000, dtype=float)
+                terms = np.minimum(np.exp(wc.chernoff_log_tail(
+                    cfg.kernel, cfg.n * t, np.maximum(ds - 1, 0))), 1.0)
+                total += 2.0 * cfg.occupancy.rho0 * terms.sum()
+            assert wc.window_bound(cfg, w) == pytest.approx(total, rel=1e-9)
+            assert total > cfg.window_tol
+
+    def test_smallest_certified_width(self):
+        fbm = acceptance_config(T=4.0, S=0.1, t_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
+                                r_grid=(0.0,),
+                                occupancy=wc.OccupancyModel.deterministic(1))
+        for cfg in (small_config(), acceptance_config(), fbm):
+            w = wc.truncation_radius(cfg)
+            assert w > 16
+            assert wc.window_bound(cfg, w) <= cfg.window_tol
+            assert wc.window_bound(cfg, w - 1) > cfg.window_tol
 
     def test_unreachable_window(self):
         cfg = wc.ExperimentConfig(
@@ -159,10 +201,24 @@ class TestSimulateReplica:
         with pytest.raises(ValueError):
             wc.simulate_replica(cfg, 3)
 
+    def test_particle_stream_pinned(self):
+        # the particle engine's draws at a fixed window are part of its contract
+        cfg = small_config(replicas=3, r_grid=(-0.25, 0.0, 0.25), seed=7,
+                           occupancy=wc.OccupancyModel.deterministic(1))
+        got = [wc.simulate_replica(cfg, i, window=40).values.tolist() for i in range(3)]
+        assert got == [[[2, 2, 2], [3, 1, -1]],
+                       [[0, 1, 3], [0, -1, -2]],
+                       [[-2, 0, 3], [-3, -3, -1]]]
+
 
 class TestRunEnsemble:
     def test_single_replica_matches(self):
+        # each engine's ensemble replica is its own direct replica
         cfg = small_config(replicas=1)
+        (only,) = list(wc.run_ensemble(cfg))
+        direct = wc.cell_table(cfg).replica(cfg, 0)
+        assert np.array_equal(only.values, direct.values)
+        cfg = small_config(replicas=1, occupancy=wc.OccupancyModel.deterministic(1))
         (only,) = list(wc.run_ensemble(cfg))
         direct = wc.simulate_replica(cfg, 0)
         assert np.array_equal(only.values, direct.values)
@@ -241,3 +297,101 @@ class TestExactCurrentPmf:
                          for i in range(cfg.replicas)])
         p = lattice_chisquare(vals, pmf.support(), pmf.masses)
         assert p > 0.01
+
+
+class TestCellEngine:
+    def three_by_two(self, n=25, replicas=20_000, seed=5150):
+        # anchors at -2, 0, 2 when n = 25
+        return small_config(n=n, replicas=replicas, r_grid=(-0.4, 0.0, 0.4), S=0.4,
+                            seed=seed)
+
+    def test_moments_match_exact_pmf(self):
+        for cfg in (self.three_by_two(n=100), acceptance_config()):
+            w = wc.truncation_radius(cfg)
+            table = wc.cell_table(cfg, w)
+            mean = table.means @ table.signs
+            var = table.means @ table.signs ** 2
+            for k, (t, r) in enumerate(cfg.grid_points()):
+                pmf = wc.exact_current_pmf(cfg, t, r, window=w)
+                assert abs(mean[k] - pmf.mean()) < 1e-8
+                assert abs(var[k] - pmf.var()) < 1e-8
+
+    def test_class_table_shape(self):
+        cfg = acceptance_config()
+        table = wc.cell_table(cfg)
+        R, K = len(cfg.r_grid), len(cfg.t_grid)
+        rows = [tuple(c) for c in table.classes.tolist()]
+        assert rows == sorted(rows) and len(set(rows)) == len(rows)
+        assert 0 < len(rows) <= (R + 1) ** (K + 1)
+        assert table.signs.shape == (len(rows), K * R)
+        assert np.all(np.any(table.signs != 0, axis=1))
+        assert np.all(table.means > 0.0)
+
+    def test_chisquare_against_exact_pmf(self):
+        cfg = self.three_by_two(seed=1)
+        w = wc.truncation_radius(cfg)
+        table = wc.cell_table(cfg, w)
+        fields = np.stack([table.replica(cfg, i).values for i in range(cfg.replicas)])
+        for k, t in enumerate(cfg.t_grid):
+            pmf = wc.exact_current_pmf(cfg, t, 0.4, window=w)
+            p = lattice_chisquare(fields[:, k, 2], pmf.support(), pmf.masses)
+            assert p > 0.01
+
+    def test_cross_time_difference_matches_particle_engine(self):
+        cfg = self.three_by_two(replicas=10_000)
+        w = wc.truncation_radius(cfg)
+        table = wc.cell_table(cfg, w)
+        cells = np.stack([table.replica(cfg, i).values for i in range(cfg.replicas)])
+        parts = np.stack([wc.simulate_replica(cfg, i, window=w).values
+                          for i in range(cfg.replicas)])
+        p = lattice_two_sample(cells[:, 1, 0] - cells[:, 0, 0],
+                               parts[:, 1, 0] - parts[:, 0, 0])
+        assert p > 0.01
+
+    def test_non_poisson_runs_on_particles(self):
+        for occ in (wc.OccupancyModel.deterministic(1), wc.OccupancyModel.geometric(1.0),
+                    wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)])):
+            assert wc.cell_table(small_config(occupancy=occ)) is None
+
+    def test_falls_back_when_classes_exceed_sites(self):
+        cfg = small_config(n=4, replicas=3, S=1.0, r_grid=(-1.0, -0.5, 0.0, 0.5, 1.0),
+                           t_grid=(0.25, 0.5, 0.75, 1.0))
+        assert wc.cell_table(cfg) is None
+        w = wc.truncation_radius(cfg)
+        for i, fieldval in enumerate(wc.run_ensemble(cfg)):
+            assert np.array_equal(fieldval.values,
+                                  wc.simulate_replica(cfg, i, window=w).values)
+
+    def test_time_zero_row_is_zero(self):
+        cfg = small_config(t_grid=(0.0, 0.5), replicas=5)
+        table = wc.cell_table(cfg)
+        for i in range(cfg.replicas):
+            assert np.all(table.replica(cfg, i).values[0] == 0)
+
+    def test_dump_reproduces_summary(self, tmp_path):
+        from walkcurrent.cli import main
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "n": 100, "T": 1.0, "S": 0.25, "t_grid": [0.5, 1.0],
+            "r_grid": [-0.25, 0.0, 0.25], "kernel": [[1, 0.7], [-1, 0.3]],
+            "occupancy": {"type": "poisson", "rho": 1.0},
+            "replicas": 300, "master_seed": 77}))
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", str(path), "--out", out, "--dump"]) == 0
+
+        def rows(name):
+            with open(os.path.join(out, name)) as fh:
+                next(fh)  # schema comment
+                return list(csv.DictReader(fh))
+
+        dump = {}
+        for row in rows("replicas.csv"):
+            dump.setdefault((row["t"], row["r"]), []).append(float(row["Y_scaled"]))
+        summary = rows("simulate.csv")
+        assert len(summary) == len(dump) == 6
+        for row in summary:
+            vals = np.array(dump[(row["t"], row["r"])])
+            assert vals.size == 300
+            assert float(row["min"]) == vals.min()
+            assert float(row["max"]) == vals.max()
+            assert float(row["mean"]) == pytest.approx(vals.mean(), rel=1e-12, abs=1e-12)
