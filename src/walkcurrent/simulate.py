@@ -312,7 +312,7 @@ def cell_table(config: ExperimentConfig,
     states = []
     for j in range(anchors.size + 1):
         idx = np.flatnonzero(below == j)
-        if idx.size and rho > 0.0:
+        if idx.size:
             states.append(((j,), int(sites[idx[0]]), np.full(idx.size, rho)))
 
     prev_t = 0.0
