@@ -116,10 +116,12 @@ def _run(args, spec, out: str, outputs: list, telemetry: dict) -> bool:
                                   if spec.occupancy.kind == "poisson" else ())
         report, passed = runner.rate_table_experiment(
             spec.occupancy, spec.ldp["kappa2"], float(spec.ldp["t"]),
-            spec.ldp["x_grid"], duality_tol=spec.bands["duality_tol"])
+            spec.ldp["x_grid"], duality_tol=spec.bands["duality_tol"],
+            quad_tol=float(spec.raw["quad_tol"]))
         outputs += _write_report(out, args, "rate_table", report, columns, "rows")
     elif args.command == "rate-empirical":
-        report, passed = runner.rate_empirical_experiment(spec.experiment, spec.ldp)
+        report, passed = runner.rate_empirical_experiment(
+            spec.experiment, spec.ldp, quad_tol=float(spec.raw["quad_tol"]))
         runner.write_json(os.path.join(out, "rate_empirical.json"), report)
         outputs.append((os.path.join(out, "rate_empirical.json"), "json",
                         len(report["rows"])))

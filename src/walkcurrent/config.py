@@ -42,6 +42,55 @@ RUNTIME_KEYS = ("workers", "out", "format")
 
 SIM_KEYS = ("n", "T", "S", "t_grid", "r_grid", "kernel", "occupancy", "replicas")
 
+# Every key a config may hold, per level.  Anything else is a typo that
+# would otherwise run silently and change the hash.
+TOP_KEYS = SIM_KEYS + ("master_seed", "window_tol", "quad_tol", "bands",
+                       "retain_points", "ldp", "fidi", "limit")
+SECTION_KEYS = {
+    "bands": tuple(DEFAULTS["bands"]),
+    "ldp": ("kappa2", "t", "x_grid", "r", "x", "samples", "n_values"),
+    "fidi": ("times", "rho", "kappa2", "x_vectors"),
+    "limit": ("seed", "count", "identity_checks", "pairs", "rho0", "v0", "kappa2"),
+}
+OCCUPANCY_KEYS = {"poisson": ("rho",), "deterministic": ("count",),
+                  "geometric": ("rho",), "custom": ("pmf",)}
+
+# Keys whose values must be integers (n_values: a list of them).
+INTEGER_KEYS = {None: ("n", "replicas", "master_seed"),
+                "ldp": ("samples", "n_values"),
+                "limit": ("seed", "count", "identity_checks")}
+
+
+def _check_known(obj: dict, allowed, where: str) -> None:
+    unknown = sorted(k for k in obj if k not in allowed)
+    if unknown:
+        raise ConfigValidationError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _check_integer(value, key: str) -> None:
+    """Reject a value that is not integral ("n": 100.9 must not run as 100)."""
+    values = value if isinstance(value, list) else [value]
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or (isinstance(v, float) and not v.is_integer())):
+            raise ConfigValidationError(f"{key}: expected an integer, got {value!r}")
+
+
+def validate_keys(resolved: dict) -> None:
+    """Reject unknown keys at every level and non-integral integer keys."""
+    _check_known(resolved, TOP_KEYS, "config")
+    for section, allowed in SECTION_KEYS.items():
+        if section in resolved:
+            if not isinstance(resolved[section], dict):
+                raise ConfigValidationError(f"{section}: expected an object")
+            _check_known(resolved[section], allowed, section)
+    for section, keys in INTEGER_KEYS.items():
+        obj = resolved if section is None else resolved.get(section, {})
+        for key in keys:
+            if key in obj:
+                _check_integer(obj[key], key if section is None else f"{section}.{key}")
+
 
 def build_kernel(pairs) -> JumpKernel:
     from .errors import WalkCurrentError
@@ -58,6 +107,10 @@ def build_occupancy(obj) -> OccupancyModel:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigValidationError("occupancy: expected {'type': ..., ...}")
     kind = obj["type"]
+    if kind in OCCUPANCY_KEYS:
+        _check_known(obj, ("type",) + OCCUPANCY_KEYS[kind], f"occupancy '{kind}'")
+    if "count" in obj:
+        _check_integer(obj["count"], "occupancy.count")
     try:
         if kind == "poisson":
             return OccupancyModel.poisson(float(obj["rho"]))
@@ -121,6 +174,11 @@ def load_config(path: str, overrides: Optional[dict] = None,
         raise ConfigValidationError("config root must be a JSON object")
 
     resolved = dict(raw)
+    if overrides:
+        for k, v in overrides.items():
+            if v is not None:
+                resolved[k] = v
+    validate_keys(resolved)
     for key, val in DEFAULTS.items():
         if key == "bands":
             bands = dict(DEFAULTS["bands"])
@@ -128,10 +186,10 @@ def load_config(path: str, overrides: Optional[dict] = None,
             resolved["bands"] = bands
         else:
             resolved.setdefault(key, val)
-    if overrides:
-        for k, v in overrides.items():
-            if v is not None:
-                resolved[k] = v
+
+    quad_tol = resolved["quad_tol"]
+    if isinstance(quad_tol, bool) or not isinstance(quad_tol, (int, float)) or not quad_tol > 0:
+        raise ConfigValidationError(f"quad_tol: expected a positive number, got {quad_tol!r}")
 
     spec = RunSpec(raw=resolved, config_hash=canonical_hash(resolved),
                    bands=resolved["bands"])

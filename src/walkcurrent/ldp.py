@@ -31,7 +31,18 @@ from .errors import (
     TiltBracketError,
 )
 from .kernel import walk_pmf
-from .normal import bvn_cdf, mean_excess, mvn_cdf_3, norm_cdf, norm_logit_cdf, norm_sf
+from .normal import (
+    bvn_cdf,
+    gauss_panels,
+    mean_excess,
+    mvn_cdf_3,
+    norm_cdf,
+    norm_logit_cdf,
+    norm_sf,
+    panel_rule,
+    quadrature_ok,
+    rule_sum,
+)
 from .occupancy import OccupancyModel
 from .simulate import (
     TILT_STREAM,
@@ -43,22 +54,28 @@ from .simulate import (
 )
 
 
-def crossing_log_mgf(lam: float, y: float, kappa2: float, t: float) -> float:
+def crossing_log_mgf(lam: float, y, kappa2: float, t: float):
     """Per-particle log-MGF of the signed crossing indicator at tilt lam.
 
     A particle starting at macroscopic distance y > 0 right of the line
     crosses (counting +1) with probability sf(y); one at y <= 0 crosses
-    against the count (-1) with probability cdf(y).  Evaluated in log1p
-    form for stability at large |lam| and in the Gaussian tails.
+    against the count (-1) with probability cdf(y) = sf(|y|).  Evaluated
+    in log1p form for stability at large |lam| and in the Gaussian tails;
+    elementwise over an array y (a scalar y gives a float).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if y > 0.0:
-        return math.log1p(math.expm1(lam) * norm_sf(y, kappa2 * t))
-    return math.log1p(math.expm1(-lam) * norm_cdf(y, kappa2 * t))
+    y = np.asarray(y, float)
+    out = _sided_log_mgf(np.where(y > 0.0, lam, -lam), norm_sf(np.abs(y), kappa2 * t))
+    return float(out) if out.ndim == 0 else out
 
 
-def tilted_crossing_prob(alpha: float, y: float, kappa2: float, t: float) -> float:
+def _sided_log_mgf(side_lam, p):
+    """log E exp(side_lam * B) for a Bernoulli(p) crossing indicator B."""
+    return np.log1p(np.expm1(side_lam) * p)
+
+
+def tilted_crossing_prob(alpha: float, y, kappa2: float, t: float):
     """Crossing probability cdf(y) exponentially tilted by alpha.
 
     Equals expit(logit(cdf(y)) - alpha); decreasing in alpha, and the
@@ -66,7 +83,8 @@ def tilted_crossing_prob(alpha: float, y: float, kappa2: float, t: float) -> flo
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    return float(expit(norm_logit_cdf(y, kappa2 * t) - alpha))
+    out = expit(norm_logit_cdf(y, kappa2 * t) - alpha)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def bernoulli_dual(p: float, x: float) -> float:
@@ -85,13 +103,21 @@ def bernoulli_dual(p: float, x: float) -> float:
     return out
 
 
+# Fixed y-rule of the rate quadratures: QUAD_PANELS panels of QUAD_ORDER
+# Gauss-Legendre nodes on [0, y_cut], mirrored to [-y_cut, 0], checked
+# against twice the panels.
+QUAD_PANELS = 16
+QUAD_ORDER = 24
+
+
 @dataclass(frozen=True, eq=False)
 class RateModel:
     """Inputs of the single-point rate apparatus: occupancy law, kappa2, t.
 
     y_cut is the quadrature truncation half-width; when omitted it is
     solved so that a rigorous bound on the discarded Gaussian tails stays
-    below quad_tol for every tilt up to lambda_max.
+    below quad_tol for every tilt up to lambda_max.  The quadrature nodes
+    on [-y_cut, y_cut] are fixed here, once per model.
     """
 
     occupancy: OccupancyModel
@@ -110,6 +136,19 @@ class RateModel:
             raise ValueError("kappa2 and t must be positive")
         if self.y_cut is None:
             object.__setattr__(self, "y_cut", self._solve_y_cut())
+        # nodes on [0, y_cut], then their mirror images; a node's particle
+        # crosses with probability sf(|y|) on either side
+        nodes, w_coarse, w_fine = panel_rule(QUAD_PANELS, QUAD_ORDER)
+        y = self.y_cut * nodes
+        cross = norm_sf(y, self.kappa2 * self.t)
+        object.__setattr__(self, "_y", np.concatenate([y, -y]))
+        object.__setattr__(self, "_side", np.repeat([1.0, -1.0], y.size))
+        object.__setattr__(self, "_cross", np.concatenate([cross, cross]))
+        object.__setattr__(self, "_weights", (self.y_cut * w_coarse, self.y_cut * w_fine))
+
+    def node_theta(self, lam: float) -> np.ndarray:
+        """crossing_log_mgf(lam, y) at the quadrature nodes y."""
+        return _sided_log_mgf(lam * self._side, self._cross)
 
     def _solve_y_cut(self) -> float:
         sd = math.sqrt(self.kappa2 * self.t)
@@ -128,20 +167,19 @@ class RateModel:
                 raise QuadratureConvergenceError("could not certify a quadrature cut")
 
 
-def _quad_two_sided(f, y_cut: float, epsabs: float) -> float:
-    """Integrate f over [-y_cut, y_cut] split at the y = 0 kink.
-
-    The error gate is absolute near zero but relative for huge integrals
-    (extreme tilts reach magnitudes ~e^40, where absolute targets are
-    meaningless).
-    """
-    hi, err_hi = integrate.quad(f, 0.0, y_cut, epsabs=epsabs, epsrel=1e-12, limit=400)
-    lo, err_lo = integrate.quad(f, -y_cut, 0.0, epsabs=epsabs, epsrel=1e-12, limit=400)
-    err = err_hi + err_lo
-    if err > max(200.0 * epsabs, 1e-9, 1e-8 * (abs(hi) + abs(lo))):
+def _quad_two_sided(vals: np.ndarray, model: RateModel, what: str) -> float:
+    """Integral over [-y_cut, y_cut] of an integrand given at the model's
+    nodes.  Each side has its own panels, so the y = 0 kink sits on a panel
+    edge and no node lies on it."""
+    m = vals.size // 2
+    w_coarse, w_fine = model._weights
+    hi, err_hi = rule_sum(vals[:m], w_coarse, w_fine)
+    lo, err_lo = rule_sum(vals[m:], w_coarse, w_fine)
+    epsabs = model.quad_tol / 4.0
+    if not quadrature_ok(err_hi + err_lo, epsabs, abs(hi) + abs(lo)):
         raise QuadratureConvergenceError(
-            f"quadrature error {err:.2e} above target {epsabs:.2e}")
-    return hi + lo
+            f"{what}: quadrature error {err_hi + err_lo:.2e} above target {epsabs:.2e}")
+    return float(hi + lo)
 
 
 def current_log_mgf(model: RateModel, lam: float) -> float:
@@ -151,39 +189,25 @@ def current_log_mgf(model: RateModel, lam: float) -> float:
         raise ValueError(f"|lambda| must be <= {model.lambda_max}")
     if lam == 0.0:
         return 0.0
-    occ = model.occupancy
-
-    def f(y):
-        return occ.log_mgf(crossing_log_mgf(lam, y, model.kappa2, model.t))
-
-    return _quad_two_sided(f, model.y_cut, model.quad_tol / 4.0)
+    return _quad_two_sided(model.occupancy.log_mgf(model.node_theta(lam)), model, "log-MGF")
 
 
 def current_log_mgf_prime(model: RateModel, lam: float) -> float:
     """Derivative of the limiting log-MGF: the tilted mean current.
 
-    Integrand: tilted occupancy mean times the tilted crossing probability
-    of the favorable side (differentiation under the integral sign).
+    Integrand: tilted occupancy mean times the tilted probability that a
+    particle crosses, negative on the left (differentiation under the
+    integral sign).  A crossing of probability p tilted by e^(+-lam) has
+    probability p e^(+-lam) / (1 + (e^(+-lam) - 1) p) = p e^(+-lam - theta),
+    with theta the crossing log-MGF.
     """
     if abs(lam) > model.lambda_max:
         raise ValueError(f"|lambda| must be <= {model.lambda_max}")
-    occ = model.occupancy
-    k2, t = model.kappa2, model.t
-
-    def f_right(y):
-        gp = occ.log_mgf_prime(crossing_log_mgf(lam, y, k2, t))
-        return gp * (1.0 - tilted_crossing_prob(lam, y, k2, t))
-
-    def f_left(y):
-        gp = occ.log_mgf_prime(crossing_log_mgf(lam, y, k2, t))
-        return gp * tilted_crossing_prob(lam, y, k2, t)
-
-    eps = model.quad_tol / 4.0
-    hi, err_hi = integrate.quad(f_right, 0.0, model.y_cut, epsabs=eps, epsrel=1e-12, limit=400)
-    lo, err_lo = integrate.quad(f_left, -model.y_cut, 0.0, epsabs=eps, epsrel=1e-12, limit=400)
-    if err_hi + err_lo > max(200.0 * eps, 1e-9, 1e-8 * (abs(hi) + abs(lo))):
-        raise QuadratureConvergenceError("log-MGF derivative quadrature did not converge")
-    return hi - lo
+    side_lam = lam * model._side
+    theta = _sided_log_mgf(side_lam, model._cross)
+    tilted = model._cross * np.exp(side_lam - theta)
+    vals = model.occupancy.log_mgf_prime(theta) * model._side * tilted
+    return _quad_two_sided(vals, model, "log-MGF derivative")
 
 
 def tilt_for_mean(model: RateModel, x: float, tol: float = 1e-10) -> float:
@@ -208,9 +232,13 @@ def tilt_for_mean(model: RateModel, x: float, tol: float = 1e-10) -> float:
     return float(alpha)
 
 
-def rate_legendre(model: RateModel, x: float) -> float:
-    """Rate function as the Legendre dual, evaluated at the optimal tilt."""
-    alpha = tilt_for_mean(model, x)
+def rate_legendre(model: RateModel, x: float, alpha: Optional[float] = None) -> float:
+    """Rate function as the Legendre dual, evaluated at the optimal tilt.
+
+    alpha, when given, must be tilt_for_mean(model, x); it saves the solve.
+    """
+    if alpha is None:
+        alpha = tilt_for_mean(model, x)
     return alpha * x - current_log_mgf(model, alpha)
 
 
@@ -223,43 +251,34 @@ class RateParts:
     total: float
 
 
-def rate_decomposed(model: RateModel, x: float) -> RateParts:
+def rate_decomposed(model: RateModel, x: float,
+                    alpha: Optional[float] = None) -> RateParts:
     """Rate function split into its two mechanisms, by direct quadrature.
 
     The occupancy part integrates the occupancy convex dual of the tilted
     per-site mean; the crossing part integrates that mean times the
     Bernoulli relative entropy between tilted and untilted crossing
-    probabilities.  The sum must agree with rate_legendre.
+    probabilities.  The sum must agree with rate_legendre.  alpha, when
+    given, must be tilt_for_mean(model, x); it saves the solve.
     """
-    alpha = tilt_for_mean(model, x)
+    if alpha is None:
+        alpha = tilt_for_mean(model, x)
     occ = model.occupancy
-    k2, t = model.kappa2, model.t
-    sd = math.sqrt(k2 * t)
-    vmax = None
+    # tilted occupancy mean per node
+    w = occ.log_mgf_prime(model.node_theta(alpha))
     if occ.kind == "custom":
-        vmax = float(occ._values[-1])
+        w = np.clip(w, float(occ._values[0]), float(occ._values[-1]))
+    i1 = _quad_two_sided(occ.log_mgf_dual(w), model, "occupancy cost")
 
-    def occupancy_integrand(y):
-        w = occ.log_mgf_prime(crossing_log_mgf(alpha, y, k2, t))
-        if vmax is not None:
-            w = min(max(w, float(occ._values[0])), vmax)
-        return occ.log_mgf_dual(w)
-
-    def crossing_integrand(y):
-        z = y / sd
-        logit_p = log_ndtr(z) - log_ndtr(-z)
-        log_f = log_expit(logit_p - alpha)
-        log_1mf = log_expit(alpha - logit_p)
-        fv = math.exp(log_f)
-        ent = 0.0
-        if fv > 0.0:
-            ent += fv * (log_f - log_ndtr(z))
-        if fv < 1.0:
-            ent += (1.0 - fv) * (log_1mf - log_ndtr(-z))
-        return occ.log_mgf_prime(crossing_log_mgf(alpha, y, k2, t)) * ent
-
-    i1 = _quad_two_sided(occupancy_integrand, model.y_cut, model.quad_tol / 4.0)
-    i2 = _quad_two_sided(crossing_integrand, model.y_cut, model.quad_tol / 4.0)
+    # Bernoulli relative entropy of the tilted crossing indicator
+    z = model._y / math.sqrt(model.kappa2 * model.t)
+    log_cdf, log_sf = log_ndtr(z), log_ndtr(-z)
+    logit_p = log_cdf - log_sf
+    log_f = log_expit(logit_p - alpha)
+    log_1mf = log_expit(alpha - logit_p)
+    fv = np.exp(log_f)
+    ent = fv * (log_f - log_cdf) + (1.0 - fv) * (log_1mf - log_sf)
+    i2 = _quad_two_sided(w * ent, model, "crossing cost")
     return RateParts(occupancy_cost=i1, crossing_cost=i2, total=i1 + i2)
 
 
@@ -308,15 +327,16 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
         raise ValueError("tilted sampling supports Poisson or deterministic occupancy")
     n = config.n
     sqrt_n = config.sqrt_n
-    model = RateModel(occupancy=occ, kappa2=config.kernel.kappa2, t=t)
     if alpha is None:
-        alpha = tilt_for_mean(model, x)
+        alpha = tilt_for_mean(RateModel(occupancy=occ, kappa2=config.kernel.kappa2, t=t), x)
 
     lo, hi = window_span(config, truncation_radius(config))
     anchor = bracket(r * sqrt_n)
     line = anchor + bracket(n * config.kernel.v * t)
     sites = np.arange(lo, hi + 1)
     right = sites > anchor
+    # the sites right of the anchor are the suffix sites[split:]
+    split = int(np.clip(anchor + 1 - lo, 0, sites.size))
 
     wp = walk_pmf(config.kernel, n * t, mass_tol=1e-12)
     p_cross = np.where(right,
@@ -334,11 +354,11 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
 
     # occupancy tilt via the limiting Gaussian crossing log-MGF
     y_sites = sites / sqrt_n - r
-    theta = np.array([crossing_log_mgf(alpha, y, config.kernel.kappa2, t)
-                      for y in y_sites])
+    theta = crossing_log_mgf(alpha, y_sites, config.kernel.kappa2, t)
     if occ.kind == "poisson":
         prop_mean = occ.rho0 * np.exp(theta)
         log_const = float(occ.rho0 * np.sum(np.expm1(theta)))
+        log_ratio = log_m - theta
     else:
         base_counts = np.full(sites.size, int(occ.rho0), np.int64)
         log_const = float(np.dot(base_counts, log_m))
@@ -354,9 +374,10 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
         else:
             counts = np.broadcast_to(base_counts, (b, sites.size))
         crossers = rng.binomial(counts, tilted_p[None, :])
-        y_val = crossers[:, right].sum(axis=1) - crossers[:, ~right].sum(axis=1)
+        y_val = crossers[:, split:].sum(axis=1) - crossers[:, :split].sum(axis=1)
+        del crossers
         if occ.kind == "poisson":
-            logw = log_const - counts @ theta + counts @ log_m - alpha * y_val
+            logw = log_const + counts @ log_ratio - alpha * y_val
         else:
             logw = log_const - alpha * y_val
         hits = y_val >= threshold
@@ -404,12 +425,15 @@ class MultiTimeSpec:
     beta_rates: np.ndarray
 
 
-def _pattern_orthant_prob(x: float, times, u, kappa2, invert: bool) -> float:
+def _pattern_orthant_prob(x, times, u, kappa2, invert: bool,
+                          memo: Optional[dict] = None):
     """P over a Brownian path of the crossing pattern u at distance x.
 
     invert=False: ones mean {B(kappa2 t_j) <= -x}, zeros the complement.
     invert=True: ones mean {B(kappa2 t_j) > x}, zeros {<= x} (mirror side).
     Duplicated times collapse; inconsistent patterns have probability zero.
+    Elementwise over an array x.  `memo`, when given, keeps the orthant
+    CDFs for reuse by other patterns evaluated at the same x and times.
     """
     groups: dict[float, int] = {}
     red_times = []
@@ -426,17 +450,27 @@ def _pattern_orthant_prob(x: float, times, u, kappa2, invert: bool) -> float:
     var = [kappa2 * tj for tj in red_times]
     cov = np.array([[kappa2 * min(a, b) for b in red_times] for a in red_times])
 
-    def subset_cdf(idx: Sequence[int], limits: Sequence[float]) -> float:
+    def subset_cdf(idx: Sequence[int], limit):
+        """P(B(kappa2 t_j) <= limit for every j in idx)."""
         if len(idx) == 0:
             return 1.0
+        if memo is None:
+            return orthant_cdf(idx, limit)
+        key = (tuple(idx), invert)
+        if key not in memo:
+            memo[key] = orthant_cdf(idx, limit)
+        return memo[key]
+
+    def orthant_cdf(idx: Sequence[int], limit):
         if len(idx) == 1:
-            return float(norm_cdf(limits[0], var[idx[0]]))
+            return norm_cdf(limit, var[idx[0]])
         sub = cov[np.ix_(idx, idx)]
         sds = np.sqrt(np.diag(sub))
-        z = np.asarray(limits, float) / sds
+        z = np.multiply.outer(limit, 1.0 / sds)
         if len(idx) == 2:
             rho_ = sub[0, 1] / (sds[0] * sds[1])
-            return bvn_cdf(z[0], z[1], rho_)
+            # [()] turns a scalar limit's 0-d slices into scalars
+            return bvn_cdf(z[..., 0][()], z[..., 1][()], rho_)
         corr = sub / np.outer(sds, sds)
         return mvn_cdf_3(z, corr)
 
@@ -458,7 +492,7 @@ def _pattern_orthant_prob(x: float, times, u, kappa2, invert: bool) -> float:
     for mask in range(1 << len(flip)):
         chosen = [flip[j] for j in range(len(flip)) if (mask >> j) & 1]
         idx = sorted(base + chosen)
-        total += (-1.0) ** len(chosen) * subset_cdf(idx, [limit] * len(idx))
+        total = total + (-1.0) ** len(chosen) * subset_cdf(idx, limit)
     return total
 
 
@@ -477,6 +511,7 @@ def build_multi_time_spec(times: Sequence[float], rho: float, kappa2: float,
     x_max = 10.0 * math.sqrt(kappa2 * max(times))
     alpha_rates = []
     beta_rates = []
+    memo: dict = {}
     for u in patterns:
         for invert, dest in ((False, alpha_rates), (True, beta_rates)):
             if k <= 2:
@@ -488,14 +523,10 @@ def build_multi_time_spec(times: Sequence[float], rho: float, kappa2: float,
             else:
                 # trivariate CDFs are costly; fixed Gauss-Legendre panels hit
                 # the 1e-5 target comfortably for these smooth integrands
-                nodes, weights = np.polynomial.legendre.leggauss(16)
-                val = 0.0
-                edges = np.linspace(0.0, x_max, 9)
-                for a, b in zip(edges[:-1], edges[1:]):
-                    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-                    for xg, wg in zip(nodes, weights):
-                        val += half * wg * _pattern_orthant_prob(
-                            mid + half * xg, times, u, kappa2, invert)
+                nodes, weights = gauss_panels(8, 16)
+                probs = _pattern_orthant_prob(x_max * nodes, times, u, kappa2,
+                                              invert, memo)
+                val = x_max * float(np.sum(weights * probs))
             dest.append(rho * val)
     return MultiTimeSpec(times=times, rho=rho, kappa2=kappa2,
                          patterns=tuple(patterns),

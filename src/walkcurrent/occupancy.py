@@ -15,12 +15,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .errors import MgfDomainError
+from .errors import MgfDomainError, NewtonConvergenceError
 
 INF = math.inf
+
+
+def _result(arr: np.ndarray):
+    """A 0-d result as a Python float, any other as the array itself."""
+    return float(arr) if arr.ndim == 0 else arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,74 +105,124 @@ class OccupancyModel:
             return -math.log(self._s)
         return INF
 
-    def log_mgf(self, theta: float) -> float:
-        """log E exp(theta * count)."""
-        th = float(theta)
+    def log_mgf(self, theta):
+        """log E exp(theta * count), elementwise over an array of tilts."""
+        th = np.asarray(theta, float)
         if self.kind == "poisson":
-            return self.rho0 * math.expm1(th)
-        if self.kind == "deterministic":
-            return self.rho0 * th
-        if self.kind == "geometric":
-            if th >= self.mgf_radius:
+            out = self.rho0 * np.expm1(th)
+        elif self.kind == "deterministic":
+            out = self.rho0 * th
+        elif self.kind == "geometric":
+            if np.any(th >= self.mgf_radius):
+                bad = float(np.max(th))
                 raise MgfDomainError(
-                    f"geometric occupancy log-MGF diverges at theta={th:.6g} "
+                    f"geometric occupancy log-MGF diverges at theta={bad:.6g} "
                     f"(radius {self.mgf_radius:.6g})")
-            return math.log1p(-self._s) - math.log1p(-self._s * math.exp(th))
-        return float(logsumexp(th * self._values, b=self._probs))
+            out = math.log1p(-self._s) - np.log1p(-self._s * np.exp(th))
+        else:
+            out = logsumexp(th[..., None] * self._values, b=self._probs, axis=-1)
+        return _result(out)
 
-    def log_mgf_prime(self, theta: float) -> float:
+    def log_mgf_prime(self, theta):
         """d/dtheta log_mgf = mean of the law tilted by exp(theta * count)."""
-        th = float(theta)
+        th = np.asarray(theta, float)
         if self.kind == "poisson":
-            return self.rho0 * math.exp(th)
-        if self.kind == "deterministic":
-            return self.rho0
-        if self.kind == "geometric":
-            if th >= self.mgf_radius:
+            out = self.rho0 * np.exp(th)
+        elif self.kind == "deterministic":
+            out = np.full(th.shape, self.rho0)
+        elif self.kind == "geometric":
+            if np.any(th >= self.mgf_radius):
                 raise MgfDomainError("geometric occupancy tilt beyond MGF radius")
-            se = self._s * math.exp(th)
-            return se / (1.0 - se)
-        ext = th * self._values.astype(float)
-        m = ext.max()
-        w = self._probs * np.exp(ext - m)
-        return float(np.dot(self._values, w) / w.sum())
+            se = self._s * np.exp(th)
+            out = se / (1.0 - se)
+        else:
+            out = self._tilted_weights(th) @ self._values.astype(float)
+        return _result(out)
 
-    def log_mgf_dual(self, x: float) -> float:
+    def _tilted_weights(self, th: np.ndarray) -> np.ndarray:
+        """Probabilities of the custom law tilted by exp(th * count), over a
+        new last axis that runs along the sorted support."""
+        vals = self._values.astype(float)
+        top = np.where(th >= 0.0, th * vals[-1], th * vals[0])
+        w = self._probs * np.exp(th[..., None] * vals - top[..., None])
+        return w / w.sum(axis=-1, keepdims=True)
+
+    def log_mgf_dual(self, x):
         """Convex dual sup_theta {theta*x - log_mgf(theta)} for x >= 0.
 
         Returns math.inf where the dual diverges (values the law cannot
         tilt to), e.g. any x != c for a deterministic count c.
         """
-        x = float(x)
-        if x < 0.0:
+        x = np.asarray(x, float)
+        if np.any(x < 0.0):
             raise ValueError("occupancy dual is defined for x >= 0")
+        pos = x > 0.0
+        xp = np.where(pos, x, 1.0)
         if self.kind == "poisson":
             rho = self.rho0
-            if x == 0.0:
-                return rho
-            return x * math.log(x / rho) - x + rho
-        if self.kind == "deterministic":
-            return 0.0 if x == self.rho0 else INF
-        if self.kind == "geometric":
+            out = np.where(pos, xp * np.log(xp / rho) - xp + rho, rho)
+        elif self.kind == "deterministic":
+            out = np.where(x == self.rho0, 0.0, INF)
+        elif self.kind == "geometric":
             s = self._s
-            if x == 0.0:
-                return -math.log1p(-s)
-            th = math.log(x) - math.log(s) - math.log1p(x)
-            return th * x - self.log_mgf(th)
-        return self._custom_dual(x)
+            th = np.log(xp) - math.log(s) - np.log1p(xp)
+            out = np.where(pos, th * xp - self.log_mgf(th), -math.log1p(-s))
+        else:
+            out = self._custom_dual(x)
+        return _result(out)
 
-    def _custom_dual(self, x: float) -> float:
+    def _custom_dual(self, x: np.ndarray) -> np.ndarray:
         vmin = float(self._values[0])
         vmax = float(self._values[-1])
-        if x < vmin or x > vmax:
-            return INF
-        if x == vmin:
-            return -math.log(self._probs[0])
-        if x == vmax:
-            return -math.log(self._probs[-1])
-        th = brentq(lambda t: self.log_mgf_prime(t) - x, -200.0, 200.0,
-                    xtol=1e-13, rtol=8.9e-16, maxiter=200)
-        return th * x - self.log_mgf(th)
+        out = np.full(x.shape, INF)
+        out[x == vmin] = -math.log(self._probs[0])
+        out[x == vmax] = -math.log(self._probs[-1])
+        inner = (x > vmin) & (x < vmax)
+        if np.any(inner):
+            xi = x[inner]
+            th = self._tilt_for_mean(xi)
+            out[inner] = th * xi - self.log_mgf(th)
+        return out
+
+    def _tilt_for_mean(self, x: np.ndarray) -> np.ndarray:
+        """Tilts whose custom tilted means are x, for vmin < x < vmax.
+
+        Solves logit((mean - vmin) / (vmax - vmin)) = logit of x, which is
+        linear in the tilt for a two-point law and asymptotically linear at
+        both ends for any finite support.  Safeguarded Newton, elementwise:
+        a step that leaves the bracket [-200, 200] (narrowed at every
+        iterate) or fails to halve the previous step is replaced by
+        bisection (rtsafe, Numerical Recipes 9.4).
+        """
+        vals = self._values.astype(float)
+        vmin, vmax = vals[0], vals[-1]
+        target = np.log(x - vmin) - np.log(vmax - x)
+        lo = np.full(x.shape, -200.0)
+        hi = np.full(x.shape, 200.0)
+        th = np.zeros(x.shape)
+        step_old = hi - lo
+        done = np.zeros(x.shape, bool)
+        for _ in range(200):
+            w = self._tilted_weights(th)
+            above = w @ (vals - vmin)
+            below = w @ (vmax - vals)
+            var = (w * (vals - (vmin + above)[..., None]) ** 2).sum(axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = np.log(above) - np.log(below) - target
+                newton = th - f / (var / above + var / below)
+            lo = np.where(f < 0.0, th, lo)
+            hi = np.where(f > 0.0, th, hi)
+            use_newton = ((newton >= lo) & (newton <= hi)
+                          & (np.abs(2.0 * f) <= np.abs(step_old) * (var / above + var / below)))
+            new = np.where(use_newton, newton, 0.5 * (lo + hi))
+            step_old = np.abs(new - th)
+            # a converged tilt stays put: rounding noise in f would fail the
+            # halving test and send it back to bisection
+            th = np.where(done | (f == 0.0), th, new)
+            done |= (step_old <= 1e-13 + 4e-16 * np.abs(new)) | (f == 0.0)
+            if np.all(done):
+                return th
+        raise NewtonConvergenceError("custom occupancy dual tilt did not converge")
 
     # ------------------------------------------------------------- sampling
     def sample_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:

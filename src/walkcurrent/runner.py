@@ -269,16 +269,19 @@ def fbm_experiment(config: ExperimentConfig, workers: int = 1,
 
 
 def rate_table_experiment(occupancy, kappa2: float, t: float, x_grid,
-                          duality_tol: float = 1e-6):
-    """Rate-function table with the duality residual column."""
-    model = RateModel(occupancy=occupancy, kappa2=kappa2, t=t)
+                          duality_tol: float = 1e-6, quad_tol: float = 1e-10):
+    """Rate-function table with the duality residual column.
+
+    One tilt solve per x serves both rate routes.
+    """
+    model = RateModel(occupancy=occupancy, kappa2=kappa2, t=t, quad_tol=quad_tol)
     rows = []
     worst = 0.0
     for x in x_grid:
         x = float(x)
         alpha = tilt_for_mean(model, x)
-        parts = rate_decomposed(model, x)
-        dual = rate_legendre(model, x)
+        parts = rate_decomposed(model, x, alpha)
+        dual = rate_legendre(model, x, alpha)
         resid = abs(parts.total - dual)
         worst = max(worst, resid)
         row = {"x": x, "alpha": alpha,
@@ -294,15 +297,22 @@ def rate_table_experiment(occupancy, kappa2: float, t: float, x_grid,
     return report, passed
 
 
-def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict):
-    """Tilted tail estimates across n, with the exact-pmf oracle when cheap."""
+def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
+                              quad_tol: float = 1e-10):
+    """Tilted tail estimates across n, with the exact-pmf oracle when cheap.
+
+    The limiting tilt depends on the model and x only, so one solve serves
+    the analytic rate and every n.
+    """
     t = float(ldp_section["t"])
     r = float(ldp_section["r"])
     x = float(ldp_section["x"])
     samples = int(ldp_section["samples"])
     n_values = [int(n) for n in ldp_section["n_values"]]
-    model = RateModel(occupancy=config.occupancy, kappa2=config.kernel.kappa2, t=t)
-    analytic = rate_legendre(model, x)
+    model = RateModel(occupancy=config.occupancy, kappa2=config.kernel.kappa2, t=t,
+                      quad_tol=quad_tol)
+    alpha = tilt_for_mean(model, x)
+    analytic = rate_legendre(model, x, alpha)
 
     rows = []
     oracle_ok = True
@@ -312,7 +322,7 @@ def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict):
             r_grid=config.r_grid, kernel=config.kernel,
             occupancy=config.occupancy, master_seed=config.master_seed,
             replicas=config.replicas, window_tol=config.window_tol)
-        est = tilted_tail_estimate(cfg_n, t, r, x, samples)
+        est = tilted_tail_estimate(cfg_n, t, r, x, samples, alpha=alpha)
         row = {"n": n, "x": x, "p_hat": est.p_hat, "se": est.p_hat * est.relative_se,
                "relative_se": est.relative_se, "empirical_rate": est.empirical_rate,
                "analytic_rate": analytic, "ess": est.ess, "threshold": est.threshold}

@@ -258,3 +258,111 @@ class TestManifestTelemetry:
         for name in ("cov_check.csv", "cov_check.json", "mean_check.csv"):
             text = open(os.path.join(out, name)).read()
             assert "engine" not in text and "telemetry" not in text
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("extra, key", [
+        ({"replicaz": 5}, "replicaz"),
+        ({"workers": 2}, "workers"),
+        ({"ldp": {"t": 1.0, "x_grid": [0.5], "x_gird": [1.0]}}, "x_gird"),
+        ({"fidi": {"times": [1.0], "rho": 1.0, "kappa2": 1.0, "x_vectors": [[0.5]],
+                   "tims": [1.0]}}, "tims"),
+        ({"limit": {"count": 4, "sead": 3}}, "sead"),
+        ({"bands": {"cov_zz": 4.0}}, "cov_zz"),
+        ({"occupancy": {"type": "poisson", "rho": 1.0, "count": 2}}, "count"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, extra, key):
+        cfg = write_cfg(tmp_path, **extra)
+        with pytest.raises(wc.ConfigValidationError, match=key):
+            load_config(cfg, command="simulate")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"n": 100.9}, "n"),
+        ({"n": True}, "n"),
+        ({"replicas": 20.5}, "replicas"),
+        ({"master_seed": "7"}, "master_seed"),
+        ({"ldp": {"t": 1.0, "x_grid": [0.5], "samples": 100.5}}, "samples"),
+        ({"ldp": {"t": 1.0, "x_grid": [0.5], "n_values": [100, 400.5]}}, "n_values"),
+        ({"limit": {"count": 2.5}}, "count"),
+        ({"occupancy": {"type": "deterministic", "count": 1.5}}, "count"),
+    ])
+    def test_non_integer_rejected(self, tmp_path, extra, key):
+        cfg = write_cfg(tmp_path, **extra)
+        with pytest.raises(wc.ConfigValidationError, match=key):
+            load_config(cfg, command="simulate")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_integral_float_accepted(self, tmp_path):
+        spec = load_config(write_cfg(tmp_path, n=100.0, replicas=2000.0),
+                           command="simulate")
+        assert spec.experiment.n == 100
+        assert spec.experiment.replicas == 2000
+
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-10, "1e-10"])
+    def test_bad_quad_tol_rejected(self, tmp_path, quad_tol):
+        with pytest.raises(wc.ConfigValidationError, match="quad_tol"):
+            load_config(write_cfg(tmp_path, quad_tol=quad_tol), command="simulate")
+
+    @pytest.mark.parametrize("workload", ["particles", "rates"])
+    def test_benchmark_configs_load(self, tmp_path, workload):
+        import importlib.util
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for i, (command, cfg) in enumerate(workloads.build(workload, seed=1)):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(cfg))
+            assert load_config(str(path), command=command).config_hash
+
+
+class TestRateCommands:
+    def count_tilts(self, monkeypatch):
+        from walkcurrent import ldp, runner
+        calls = []
+        original = ldp.tilt_for_mean
+
+        def counted(model, x, *args, **kwargs):
+            calls.append(x)
+            return original(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(ldp, "tilt_for_mean", counted)
+        monkeypatch.setattr(runner, "tilt_for_mean", counted)
+        return calls
+
+    def test_rate_table_one_tilt_per_x(self, monkeypatch):
+        from walkcurrent import runner
+        calls = self.count_tilts(monkeypatch)
+        x_grid = [-1.0, 0.0, 0.5, 2.0]
+        report, passed = runner.rate_table_experiment(
+            wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]), 1.0, 1.0, x_grid)
+        assert passed
+        assert calls == x_grid
+
+    def test_rate_empirical_one_tilt(self, tmp_path, monkeypatch):
+        from walkcurrent import runner
+        calls = self.count_tilts(monkeypatch)
+        spec = load_config(write_cfg(tmp_path), command="simulate")
+        report, _ = runner.rate_empirical_experiment(
+            spec.experiment, {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000,
+                              "n_values": [100, 400]})
+        assert calls == [1.0]
+        assert len(report["rows"]) == 2
+
+    def test_quad_tol_reaches_model(self, tmp_path, monkeypatch):
+        from walkcurrent import ldp, runner
+        seen = []
+
+        def recording(**kwargs):
+            seen.append(kwargs.get("quad_tol"))
+            return ldp.RateModel(**kwargs)
+
+        monkeypatch.setattr(runner, "RateModel", recording)
+        ldp_section = {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000,
+                       "n_values": [100], "x_grid": [0.5]}
+        cfg = write_cfg(tmp_path, quad_tol=1e-8, ldp=ldp_section)
+        for command in ("rate-table", "rate-empirical"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert seen == [1e-8, 1e-8]
+

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
+import quad_oracles
 import walkcurrent as wc
 from walkcurrent.normal import bvn_cdf, mvn_cdf_3
 
@@ -142,6 +145,47 @@ class TestBivariateNormal:
         assert bvn_cdf(0.0, 0.0, 0.5) == pytest.approx(0.25 + math.asin(0.5) / (2 * math.pi))
         assert bvn_cdf(1.0, 2.0, 1.0) == pytest.approx(spstats.norm.cdf(1.0))
         assert bvn_cdf(1.0, -1.0, -1.0) == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(-8.0, 8.0)),
+        st.one_of(st.just(0.0), st.floats(-8.0, 8.0)),
+        st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-0.999, 0.999))),
+        min_size=1, max_size=20))
+    def test_array_matches_scalar(self, points):
+        h, k, rho = (np.array(col) for col in zip(*points))
+        got = bvn_cdf(h, k, rho)
+        ref = [bvn_cdf(*p) for p in points]
+        assert all(isinstance(v, float) for v in ref)
+        # only np.arcsin (h = k = 0) may differ from math.asin, by an ulp
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
+
+    def test_trivariate_against_quad_oracle(self, rng):
+        for _ in range(20):
+            a = rng.normal(size=(3, 3))
+            cov = a @ a.T + 0.3 * np.eye(3)
+            u = rng.normal(size=3) * np.sqrt(np.diag(cov))
+            assert mvn_cdf_3(u, cov) == pytest.approx(quad_oracles.mvn_cdf_3(u, cov),
+                                                      abs=1e-12)
+
+    def test_trivariate_batch_and_close_times(self):
+        # B at times (1, 1.001, 2): the conditional law of the second
+        # coordinate is narrow, which the panel doubling has to resolve
+        times = [1.0, 1.001, 2.0]
+        cov = np.minimum.outer(times, times)
+        upper = np.array([[0.3, 0.2, -0.4], [-1.0, 0.5, 1.0], [2.0, 2.0, 0.0]])
+        batch = mvn_cdf_3(upper, cov)
+        assert batch.shape == (3,)
+        for u, val in zip(upper, batch):
+            assert mvn_cdf_3(u, cov) == pytest.approx(val, rel=1e-13)
+            assert val == pytest.approx(quad_oracles.mvn_cdf_3(u, cov), abs=1e-12)
+
+    def test_trivariate_panel_cap_raises(self, monkeypatch):
+        from walkcurrent import normal
+        monkeypatch.setattr(normal, "MVN_MAX_PANELS", normal.MVN_PANELS)
+        cov = np.minimum.outer([1.0, 1.001, 2.0], [1.0, 1.001, 2.0])
+        with pytest.raises(wc.QuadratureConvergenceError):
+            mvn_cdf_3([0.3, 0.2, -0.4], cov)
 
     def test_trivariate_against_scipy(self, rng):
         cov = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import quad_oracles
 import walkcurrent as wc
 from walkcurrent import OccupancyModel
 
@@ -144,6 +145,50 @@ class TestCurrentLogMgfPrime:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+class TestFixedRule:
+    """The fixed panel rule against the adaptive-quad oracle."""
+
+    LAMS = (0.0, 0.5, -0.5, 5.0, -5.0, 40.0, -40.0)
+
+    @pytest.mark.parametrize("occupancy", LDP_MODELS)
+    def test_log_mgf_and_derivative(self, occupancy):
+        model = wc.RateModel(occupancy=occupancy, kappa2=1.0, t=1.0)
+        for lam in self.LAMS:
+            for fast, slow in ((wc.current_log_mgf, quad_oracles.current_log_mgf),
+                               (wc.current_log_mgf_prime,
+                                quad_oracles.current_log_mgf_prime)):
+                ref = slow(model, lam)
+                assert fast(model, lam) == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("occupancy", LDP_MODELS)
+    def test_rate_parts(self, occupancy):
+        model = wc.RateModel(occupancy=occupancy, kappa2=1.3, t=0.8)
+        for x in (-2.0, 0.5, 3.0):
+            alpha = wc.tilt_for_mean(model, x)
+            parts = wc.rate_decomposed(model, x, alpha)
+            occ_cost, cross_cost = quad_oracles.rate_parts(model, alpha)
+            assert parts.occupancy_cost == pytest.approx(occ_cost, rel=1e-12, abs=1e-14)
+            assert parts.crossing_cost == pytest.approx(cross_cost, rel=1e-12, abs=1e-14)
+
+    def test_coarse_rule_raises(self, monkeypatch):
+        from walkcurrent import ldp
+        monkeypatch.setattr(ldp, "QUAD_PANELS", 1)
+        monkeypatch.setattr(ldp, "QUAD_ORDER", 3)
+        model = wc.RateModel(occupancy=OccupancyModel.poisson(1.0), kappa2=1.0, t=1.0)
+        with pytest.raises(wc.QuadratureConvergenceError):
+            wc.current_log_mgf(model, 5.0)
+        with pytest.raises(wc.QuadratureConvergenceError):
+            wc.current_log_mgf_prime(model, 5.0)
+
+    def test_array_crossing_log_mgf(self):
+        y = np.array([-3.0, -0.5, 0.0, 0.25, 4.0])
+        got = wc.crossing_log_mgf(1.7, y, 1.3, 0.7)
+        for yi, gi in zip(y, got):
+            assert gi == pytest.approx(quad_oracles.crossing_log_mgf(1.7, yi, 1.3, 0.7),
+                                       rel=1e-14, abs=1e-16)
+        assert isinstance(wc.crossing_log_mgf(1.7, 0.3, 1.3, 0.7), float)
+
+
 class TestTiltForMean:
     def test_zero(self, poisson_unit_model):
         assert wc.tilt_for_mean(poisson_unit_model, 0.0) == 0.0
@@ -199,6 +244,14 @@ class TestRateLegendre:
 
 
 class TestRateDecomposed:
+    def test_given_tilt_matches_solved(self):
+        model = wc.RateModel(occupancy=OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
+                             kappa2=1.0, t=1.0)
+        x = 1.3
+        alpha = wc.tilt_for_mean(model, x)
+        assert wc.rate_decomposed(model, x, alpha) == wc.rate_decomposed(model, x)
+        assert wc.rate_legendre(model, x, alpha) == wc.rate_legendre(model, x)
+
     def test_zero_triple(self, poisson_unit_model):
         parts = wc.rate_decomposed(poisson_unit_model, 0.0)
         assert parts.occupancy_cost == pytest.approx(0.0, abs=1e-10)
@@ -284,6 +337,19 @@ class TestTiltedTailEstimate:
         cfg = tail_config()
         with pytest.raises(wc.DegenerateWeightsError):
             wc.tilted_tail_estimate(cfg, 1.0, 0.0, 3.0, samples=120)
+
+    @pytest.mark.parametrize("occupancy, p_hat, ess", [
+        (OccupancyModel.poisson(1.0), 0.0005614095899808283, 2741.139526837757),
+        (OccupancyModel.deterministic(1), 2.3716366107230992e-05, 252.1343858462382),
+    ])
+    def test_stream_golden(self, occupancy, p_hat, ess):
+        # pins the proposal draws: a change to the sampler's random stream
+        # or its likelihood ratio moves these values
+        cfg = tail_config(seed=5, occupancy=occupancy)
+        est = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 1.0, samples=20_000, alpha=0.8)
+        assert est.threshold == 10
+        assert est.p_hat == pytest.approx(p_hat, rel=1e-12)
+        assert est.ess == pytest.approx(ess, rel=1e-12)
 
     def test_geometric_rejected(self):
         cfg = tail_config(occupancy=OccupancyModel.geometric(1.0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import quad_oracles
 import walkcurrent as wc
 from walkcurrent import OccupancyModel
 
@@ -105,6 +106,44 @@ class TestLogMgfDual:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             OccupancyModel.poisson(1.0).log_mgf_dual(-0.5)
+
+
+class TestArrayCumulants:
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_array_matches_scalar(self, model):
+        hi = 0.6 if model.kind == "geometric" else 3.0
+        th = np.linspace(-3.0, hi, 13)
+        for fn in (model.log_mgf, model.log_mgf_prime):
+            arr = fn(th)
+            assert arr.shape == th.shape
+            assert isinstance(fn(0.25), float)
+            for t, a in zip(th, arr):
+                assert a == fn(float(t))
+        x = np.append(model.log_mgf_prime(th), [0.0, model.rho0])
+        if model.kind == "custom":
+            x = np.clip(x, model._values[0], model._values[-1])
+        duals = model.log_mgf_dual(x)
+        for xi, d in zip(x, duals):
+            assert d == pytest.approx(model.log_mgf_dual(float(xi)), rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("pmf", [
+        [(0, 0.5), (2, 0.5)],
+        [(0, 0.25), (1, 0.5), (4, 0.25)],
+        [(1, 0.1), (3, 0.2), (7, 0.3), (20, 0.4)],
+    ])
+    def test_custom_dual_against_brent_oracle(self, pmf):
+        model = OccupancyModel.custom(pmf)
+        lo, hi = pmf[0][0], pmf[-1][0]
+        x = np.concatenate([np.linspace(lo, hi, 101), lo + np.logspace(-12, -1, 12),
+                            hi - np.logspace(-12, -1, 12), [lo - 0.5, hi + 0.5]])
+        x = x[x >= 0.0]
+        duals = model.log_mgf_dual(x)
+        for xi, d in zip(x, duals):
+            ref = quad_oracles.custom_dual(model, float(xi))
+            if math.isinf(ref):
+                assert d == ref
+            else:
+                assert d == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
 
 class TestInvariants:
