@@ -75,7 +75,7 @@ def _sided_log_mgf(side_lam, p):
     return np.log1p(np.expm1(side_lam) * p)
 
 
-def tilted_crossing_prob(alpha: float, y, kappa2: float, t: float):
+def tilted_crossing_prob(alpha: float, y: float, kappa2: float, t: float) -> float:
     """Crossing probability cdf(y) exponentially tilted by alpha.
 
     Equals expit(logit(cdf(y)) - alpha); decreasing in alpha, and the
@@ -83,8 +83,7 @@ def tilted_crossing_prob(alpha: float, y, kappa2: float, t: float):
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    out = expit(norm_logit_cdf(y, kappa2 * t) - alpha)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(expit(norm_logit_cdf(y, kappa2 * t) - alpha))
 
 
 def bernoulli_dual(p: float, x: float) -> float:
