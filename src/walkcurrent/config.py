@@ -77,7 +77,7 @@ def _check_integer(value, key: str) -> None:
             raise ConfigValidationError(f"{key}: expected an integer, got {value!r}")
 
 
-def validate_keys(resolved: dict) -> None:
+def _validate_keys(resolved: dict) -> None:
     """Reject unknown keys at every level and non-integral integer keys."""
     _check_known(resolved, TOP_KEYS, "config")
     for section, allowed in SECTION_KEYS.items():
@@ -178,7 +178,7 @@ def load_config(path: str, overrides: Optional[dict] = None,
         for k, v in overrides.items():
             if v is not None:
                 resolved[k] = v
-    validate_keys(resolved)
+    _validate_keys(resolved)
     for key, val in DEFAULTS.items():
         if key == "bands":
             bands = dict(DEFAULTS["bands"])

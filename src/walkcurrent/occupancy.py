@@ -209,11 +209,12 @@ class OccupancyModel:
             var = (w * (vals - (vmin + above)[..., None]) ** 2).sum(axis=-1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 f = np.log(above) - np.log(below) - target
-                newton = th - f / (var / above + var / below)
+                slope = var / above + var / below
+                newton = th - f / slope
             lo = np.where(f < 0.0, th, lo)
             hi = np.where(f > 0.0, th, hi)
             use_newton = ((newton >= lo) & (newton <= hi)
-                          & (np.abs(2.0 * f) <= np.abs(step_old) * (var / above + var / below)))
+                          & (np.abs(2.0 * f) <= step_old * slope))
             new = np.where(use_newton, newton, 0.5 * (lo + hi))
             step_old = np.abs(new - th)
             # a converged tilt stays put: rounding noise in f would fail the
