@@ -33,7 +33,7 @@ from .errors import (
 )
 from .kernel import (
     JumpKernel,
-    WalkPmf,
+    LatticePmf,
     chernoff_log_tail,
     chernoff_tail,
     gillespie_displacement,
@@ -42,11 +42,10 @@ from .kernel import (
     validate_kernel,
     walk_pmf,
 )
-from .occupancy import OccupancyModel, OccupancyProfile, sample_profile
+from .occupancy import OccupancyModel
 from .simulate import (
     CellTable,
     CurrentField,
-    CurrentPmf,
     ExperimentConfig,
     bracket,
     cell_table,
@@ -74,17 +73,15 @@ from .gaussian import (
     initial_cov_quadrature,
     limit_cov,
     limit_cov_matrix,
-    normal_mean_excess,
     sample_limit_process,
-    sample_stochastic_integral,
 )
+from .normal import mean_excess
 from .stats import (
     ComparisonReport,
     EnsembleAccumulator,
     MeanReport,
     NormalityReport,
     covariance_report,
-    fbm_variance_slope,
     mean_report,
     merge_accumulators,
     normality_diagnostics,

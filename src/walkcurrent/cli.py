@@ -63,80 +63,73 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_report(out: str, args, kind: str, report: dict, columns, rows_key: str):
-    """Primary artifact in the chosen format, plus row count for the manifest."""
-    outputs = []
-    if args.format == "csv":
-        path = os.path.join(out, f"{kind}.csv")
-        n = runner.write_csv(path, kind, columns, report[rows_key])
-        outputs.append((path, "csv", n))
-    else:
-        path = os.path.join(out, f"{kind}.json")
-        runner.write_json(path, report)
-        outputs.append((path, "json", len(report[rows_key])))
-    return outputs
+# What each command writes: (report kind, CSV columns, rows key).  The
+# report goes out in the --format, but a kind without CSV columns only as
+# JSON, and a kind in ALWAYS_JSON as JSON in either format.  Each EXTRA_CSV
+# table (same triple) is written as CSV whatever the format.
+REPORTS = {
+    "simulate": ("simulate", SIM_COLUMNS, "rows"),
+    "cov-check": ("cov_check", COV_COLUMNS, "covariance"),
+    "fbm-check": ("fbm_check", FBM_COLUMNS, "rows"),
+    "rate-table": ("rate_table", RATE_COLUMNS, "rows"),
+    "rate-empirical": ("rate_empirical", None, "rows"),
+    "fidi": ("fidi", None, "rows"),
+    "limit-tables": ("limit_tables", LIMIT_COLUMNS, "rows"),
+}
+ALWAYS_JSON = ("cov_check", "fbm_check")
+EXTRA_CSV = {"cov-check": (("mean_check", MEAN_COLUMNS, "means"),)}
 
 
-def _run(args, spec, out: str, outputs: list, telemetry: dict) -> bool:
-    """Run one command, appending its artifacts to `outputs`."""
-    if args.command == "simulate":
-        report, passed = runner.simulate_experiment(spec.experiment,
-                                                    workers=args.workers,
-                                                    telemetry=telemetry)
-        outputs += _write_report(out, args, "simulate", report, SIM_COLUMNS, "rows")
-        if args.dump:
-            path = os.path.join(out, "replicas.csv")
-            n = runner.write_csv(path, "replica_dump",
-                                 ("replica", "t", "r", "Y", "Y_scaled"),
-                                 runner.replica_dump_rows(spec.experiment))
-            outputs.append((path, "csv", n))
-    elif args.command == "cov-check":
-        report, passed = runner.covariance_experiment(
+def _experiment(args, spec, telemetry: dict):
+    """Run one command's experiment: (report, passed)."""
+    cmd = args.command
+    if cmd == "simulate":
+        return runner.simulate_experiment(spec.experiment, workers=args.workers,
+                                          telemetry=telemetry)
+    if cmd == "cov-check":
+        return runner.covariance_experiment(
             spec.experiment, workers=args.workers, bands=spec.bands,
             retain_points=spec.retain_points, telemetry=telemetry)
-        outputs += _write_report(out, args, "cov_check", report,
-                                 COV_COLUMNS, "covariance")
-        path = os.path.join(out, "mean_check.csv")
-        n = runner.write_csv(path, "mean_check", MEAN_COLUMNS, report["means"])
-        outputs.append((path, "csv", n))
-        path = os.path.join(out, "cov_check.json")
-        runner.write_json(path, report)
-        outputs.append((path, "json", len(report["covariance"])))
-    elif args.command == "fbm-check":
-        report, passed = runner.fbm_experiment(spec.experiment,
-                                               workers=args.workers,
-                                               bands=spec.bands,
-                                               telemetry=telemetry)
-        outputs += _write_report(out, args, "fbm_check", report, FBM_COLUMNS, "rows")
-        runner.write_json(os.path.join(out, "fbm_check.json"), report)
-        outputs.append((os.path.join(out, "fbm_check.json"), "json",
-                        len(report["rows"])))
-    elif args.command == "rate-table":
-        columns = RATE_COLUMNS + (("rate_closed",)
-                                  if spec.occupancy.kind == "poisson" else ())
-        report, passed = runner.rate_table_experiment(
+    if cmd == "fbm-check":
+        return runner.fbm_experiment(spec.experiment, workers=args.workers,
+                                     bands=spec.bands, telemetry=telemetry)
+    if cmd == "rate-table":
+        return runner.rate_table_experiment(
             spec.occupancy, spec.ldp["kappa2"], float(spec.ldp["t"]),
             spec.ldp["x_grid"], duality_tol=spec.bands["duality_tol"],
             quad_tol=float(spec.raw["quad_tol"]))
-        outputs += _write_report(out, args, "rate_table", report, columns, "rows")
-    elif args.command == "rate-empirical":
-        report, passed = runner.rate_empirical_experiment(
+    if cmd == "rate-empirical":
+        return runner.rate_empirical_experiment(
             spec.experiment, spec.ldp, quad_tol=float(spec.raw["quad_tol"]))
-        runner.write_json(os.path.join(out, "rate_empirical.json"), report)
-        outputs.append((os.path.join(out, "rate_empirical.json"), "json",
-                        len(report["rows"])))
-    elif args.command == "fidi":
-        report, passed = runner.fidi_experiment(spec.fidi)
-        runner.write_json(os.path.join(out, "fidi.json"), report)
-        outputs.append((os.path.join(out, "fidi.json"), "json",
-                        len(report["rows"])))
-    elif args.command == "limit-tables":
-        report, passed = runner.limit_tables_experiment(
+    if cmd == "fidi":
+        return runner.fidi_experiment(spec.fidi)
+    if cmd == "limit-tables":
+        return runner.limit_tables_experiment(
             spec.limit, occupancy=spec.occupancy, kernel=spec.kernel)
-        outputs += _write_report(out, args, "limit_tables", report,
-                                 LIMIT_COLUMNS, "rows")
-    else:  # pragma: no cover
-        raise AssertionError(args.command)
+    raise AssertionError(cmd)  # pragma: no cover
+
+
+def _run(args, spec, out: str, outputs: list, telemetry: dict) -> bool:
+    """Run one command, appending its artifacts to `outputs` as they are
+    written."""
+    report, passed = _experiment(args, spec, telemetry)
+    kind, columns, rows_key = REPORTS[args.command]
+    if kind == "rate_table" and spec.occupancy.kind == "poisson":
+        columns += ("rate_closed",)
+    tables = [(kind, columns, rows_key)] if columns and args.format == "csv" else []
+    for name, cols, key in tables + list(EXTRA_CSV.get(args.command, ())):
+        path = os.path.join(out, f"{name}.csv")
+        outputs.append((path, "csv", runner.write_csv(path, name, cols, report[key])))
+    if not tables or kind in ALWAYS_JSON:
+        path = os.path.join(out, f"{kind}.json")
+        runner.write_json(path, report)
+        outputs.append((path, "json", len(report[rows_key])))
+    if args.command == "simulate" and args.dump:
+        path = os.path.join(out, "replicas.csv")
+        n = runner.write_csv(path, "replica_dump",
+                             ("replica", "t", "r", "Y", "Y_scaled"),
+                             runner.replica_dump_rows(spec.experiment))
+        outputs.append((path, "csv", n))
     return passed
 
 

@@ -24,14 +24,9 @@ import numpy as np
 from scipy import integrate
 
 from .errors import CovarianceNotPSDError, MeshTooCoarseError, QuadratureConvergenceError
-from .normal import bvn_cdf, mean_excess, mean_excess_grid, norm_cdf
+from .normal import bvn_cdf, mean_excess, norm_cdf
 
 Point = Tuple[float, float]  # (t, r)
-
-
-def normal_mean_excess(sigma2: float, x) -> float:
-    """E(N - x)^+ for N ~ Normal(0, sigma2), x >= 0; 0 at sigma2 == 0."""
-    return mean_excess(sigma2, x)
 
 
 def dynamic_cov(s: float, q: float, t: float, r: float, kappa2: float) -> float:
@@ -87,10 +82,9 @@ def limit_cov_matrix(params: LimitCovariance, points: Sequence[Point]) -> np.nda
     d = np.abs(rs[:, None] - rs[None, :])
     sum_t = ts[:, None] + ts[None, :]
     diff_t = np.abs(ts[:, None] - ts[None, :])
-    dyn = mean_excess_grid(k2 * sum_t, d) - mean_excess_grid(k2 * diff_t, d)
-    ini = (mean_excess_grid(k2 * ts[:, None] * np.ones_like(d), d)
-           + mean_excess_grid(k2 * ts[None, :] * np.ones_like(d), d)
-           - mean_excess_grid(k2 * sum_t, d))
+    dyn = mean_excess(k2 * sum_t, d) - mean_excess(k2 * diff_t, d)
+    ini = (mean_excess(k2 * ts[:, None], d) + mean_excess(k2 * ts[None, :], d)
+           - mean_excess(k2 * sum_t, d))
     cov = params.rho0 * dyn + params.v0 * ini
     return 0.5 * (cov + cov.T)
 
@@ -254,19 +248,15 @@ def default_mesh(points: Sequence[Point], kappa2: float) -> Mesh:
     return Mesh(dt=dt, dz=dz, z_max=z_max)
 
 
-def _gauss_legendre(n=12):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 class StochasticIntegralSampler:
     """Riemann discretization of the limit field's stochastic-integral form.
 
     The dynamical part integrates the heat kernel against space-time white
     noise over [0, t] x R; the initial part integrates a signed crossing
-    probability against a spatial white noise.  Cell noise within each time
-    slice is aggregated in closed form (the slice Gram matrix), which leaves
-    the sampled law identical to drawing every cell weight individually.
+    probability against a spatial white noise.  Cell noises are independent
+    Gaussians, so their sum has the summed Gram matrix as its covariance:
+    one factor of it draws the whole dynamical part, and one the initial
+    part, with the law of drawing every cell weight individually.
 
     Cell coefficients use the cell root-mean-square of the heat kernel, so
     single-point variances equal the mesh-restricted integral exactly; the
@@ -304,8 +294,8 @@ class StochasticIntegralSampler:
             edges = np.concatenate((edges, [t_max]))
         z_edges = np.arange(-mesh.z_max, mesh.z_max + mesh.dz * 0.5, mesh.dz)
 
-        gl_x, gl_w = _gauss_legendre(12)
-        grams = []
+        gl_x, gl_w = np.polynomial.legendre.leggauss(12)
+        gram_w = np.zeros((npts, npts))
         for lo, hi in zip(edges[:-1], edges[1:]):
             coeff = np.zeros((npts, z_edges.size - 1))
             for kp, (t_k, r_k) in enumerate(self.points):
@@ -327,9 +317,7 @@ class StochasticIntegralSampler:
                     inner = (cdf_half[:-1] - cdf_half[1:]) / (2.0 * math.sqrt(math.pi * sig2))
                     cell_var += wg * half * 2.0 * w * inner
                 coeff[kp] = np.sqrt(np.maximum(cell_var, 0.0) * k2 * params.rho0)
-            g = coeff @ coeff.T
-            if np.any(np.diag(g) > 0.0):
-                grams.append(g)
+            gram_w += coeff @ coeff.T
 
         # initial-noise line integral: z cells split at every r so the signed
         # crossing profile is smooth inside each cell
@@ -354,9 +342,9 @@ class StochasticIntegralSampler:
         bcoef *= math.sqrt(params.v0)
         gram_b = bcoef @ bcoef.T
 
-        self._w_factors = [self._psd_factor(g) for g in grams]
+        self._w_factor = self._psd_factor(gram_w)
         self._b_factor = self._psd_factor(gram_b)
-        self.mesh_cov = sum(grams, np.zeros((npts, npts))) + gram_b
+        self.mesh_cov = gram_w + gram_b
 
     @staticmethod
     def _psd_factor(g: np.ndarray) -> np.ndarray:
@@ -369,20 +357,11 @@ class StochasticIntegralSampler:
                split_parts: bool = False):
         """Draw `size` field vectors; optionally return (dynamic, initial) parts."""
         npts = len(self.points)
-        w_part = np.zeros((size, npts))
-        for fac in self._w_factors:
-            w_part += rng.standard_normal((size, npts)) @ fac.T
+        w_part = rng.standard_normal((size, npts)) @ self._w_factor.T
         b_part = rng.standard_normal((size, npts)) @ self._b_factor.T
         if split_parts:
             return w_part, b_part
         return w_part + b_part
-
-
-def sample_stochastic_integral(params: LimitCovariance, points: Sequence[Point],
-                               mesh: Mesh, rng: np.random.Generator,
-                               draws: int = 1) -> np.ndarray:
-    """Convenience wrapper: build the discretized-integral sampler and draw."""
-    return StochasticIntegralSampler(params, points, mesh).sample(rng, size=draws)
 
 
 # --------------------------------------------------------------------------

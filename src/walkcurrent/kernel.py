@@ -179,16 +179,16 @@ def gillespie_displacement(kernel: JumpKernel, tau: float, rng: np.random.Genera
 
 
 @dataclass(frozen=True, eq=False)
-class WalkPmf:
-    """Exact displacement pmf on offset_min .. offset_min+len(masses)-1.
+class LatticePmf:
+    """Pmf of an integer variable on offset_min .. offset_min+len(masses)-1.
 
-    `deficit` is the Poisson jump-count tail mass dropped by truncation; the
-    stored masses sum to 1 - deficit.
+    `deficit` is the mass dropped by truncation: the Poisson jump-count
+    tail of a walk pmf, and for a current pmf that of its walk pmf plus the
+    per-site Poisson occupancy tails.
     """
 
     offset_min: int
     masses: np.ndarray
-    elapsed: float
     deficit: float
 
     def support(self) -> np.ndarray:
@@ -216,8 +216,13 @@ class WalkPmf:
         idx = np.clip(k - self.offset_min + 1, 0, self.masses.size)
         return rev[idx][()]
 
+    def tail_geq(self, k: int) -> float:
+        """P(X >= k) for one k, summed over the masses from k up."""
+        idx = max(0, int(k) - self.offset_min)
+        return float(self.masses[idx:].sum())
 
-def walk_pmf(kernel: JumpKernel, tau: float, mass_tol: float = 1e-12) -> WalkPmf:
+
+def walk_pmf(kernel: JumpKernel, tau: float, mass_tol: float = 1e-12) -> LatticePmf:
     """Exact displacement pmf at time tau by Poisson-weighted convolution.
 
     The jump count is truncated at the smallest J whose Poisson(tau) tail is
@@ -228,7 +233,7 @@ def walk_pmf(kernel: JumpKernel, tau: float, mass_tol: float = 1e-12) -> WalkPmf
     if not (0.0 < mass_tol < 1e-6):
         raise ValueError("mass_tol must lie in (0, 1e-6)")
     if tau == 0.0:
-        return WalkPmf(offset_min=0, masses=np.array([1.0]), elapsed=0.0, deficit=0.0)
+        return LatticePmf(offset_min=0, masses=np.array([1.0]), deficit=0.0)
 
     j_max = int(stats.poisson.isf(mass_tol, tau)) + 1
     while stats.poisson.sf(j_max, tau) >= mass_tol:
@@ -261,8 +266,7 @@ def walk_pmf(kernel: JumpKernel, tau: float, mass_tol: float = 1e-12) -> WalkPmf
 
     nz = np.nonzero(acc)[0]
     lo, hi = int(nz[0]), int(nz[-1])
-    return WalkPmf(offset_min=total_min + lo, masses=acc[lo:hi + 1],
-                   elapsed=float(tau), deficit=deficit)
+    return LatticePmf(offset_min=total_min + lo, masses=acc[lo:hi + 1], deficit=deficit)
 
 
 def chernoff_log_tail(kernel: JumpKernel, tau: float, deltas) -> np.ndarray:

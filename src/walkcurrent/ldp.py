@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import expit, log_expit, log_ndtr, logsumexp
 
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
 from .kernel import walk_pmf
 from .normal import (
     bvn_cdf,
-    gauss_panels,
+    gated_rule,
     mean_excess,
     mvn_cdf_3,
     norm_cdf,
@@ -473,19 +473,10 @@ def _pattern_orthant_prob(x, times, u, kappa2, invert: bool,
         corr = sub / np.outer(sds, sds)
         return mvn_cdf_3(z, corr)
 
-    if not invert:
-        ones = [j for j in range(k) if red_u[j] == 1]
-        zeros = [j for j in range(k) if red_u[j] == 0]
-        flip = zeros
-        base = ones
-        limit = -x
-    else:
-        # mirror side: expand over the ones set against {B <= x} margins
-        ones = [j for j in range(k) if red_u[j] == 1]
-        zeros = [j for j in range(k) if red_u[j] == 0]
-        flip = ones
-        base = zeros
-        limit = x
+    ones = [j for j in range(k) if red_u[j] == 1]
+    zeros = [j for j in range(k) if red_u[j] == 0]
+    # mirror side: expand over the ones set against {B <= x} margins
+    base, flip, limit = (zeros, ones, x) if invert else (ones, zeros, -x)
 
     total = 0.0
     for mask in range(1 << len(flip)):
@@ -495,8 +486,17 @@ def _pattern_orthant_prob(x, times, u, kappa2, invert: bool,
     return total
 
 
-def build_multi_time_spec(times: Sequence[float], rho: float, kappa2: float,
-                          quad_tol: float = 1e-11) -> MultiTimeSpec:
+# Fixed x-rule of the pattern intensities on [0, x_max], per number of
+# times: panels of Gauss-Legendre nodes, checked against twice the panels
+# and doubled up to SPEC_MAX_PANELS.  Three times need trivariate CDFs at
+# every node, so they start on fewer, lower-order panels.
+SPEC_RULES = {1: (2, 48), 2: (2, 48), 3: (4, 16)}
+SPEC_MAX_PANELS = 64
+SPEC_TOL = 1e-11
+
+
+def build_multi_time_spec(times: Sequence[float], rho: float,
+                          kappa2: float) -> MultiTimeSpec:
     """Compute the Poisson pattern intensities for k <= 3 ascending times."""
     times = tuple(float(t) for t in times)
     k = len(times)
@@ -508,29 +508,21 @@ def build_multi_time_spec(times: Sequence[float], rho: float, kappa2: float,
         raise ValueError("rho and kappa2 must be positive")
     patterns = [tuple((i >> j) & 1 for j in range(k)) for i in range(1, 1 << k)]
     x_max = 10.0 * math.sqrt(kappa2 * max(times))
-    alpha_rates = []
-    beta_rates = []
-    memo: dict = {}
-    for u in patterns:
-        for invert, dest in ((False, alpha_rates), (True, beta_rates)):
-            if k <= 2:
-                val, err = integrate.quad(
-                    lambda x: _pattern_orthant_prob(x, times, u, kappa2, invert),
-                    0.0, x_max, epsabs=quad_tol, epsrel=1e-12, limit=300)
-                if err > 1e-8:
-                    raise QuadratureConvergenceError("pattern rate quadrature failed")
-            else:
-                # trivariate CDFs are costly; fixed Gauss-Legendre panels hit
-                # the 1e-5 target comfortably for these smooth integrands
-                nodes, weights = gauss_panels(8, 16)
-                probs = _pattern_orthant_prob(x_max * nodes, times, u, kappa2,
-                                              invert, memo)
-                val = x_max * float(np.sum(weights * probs))
-            dest.append(rho * val)
+
+    def pattern_probs(nodes):
+        # (pattern, side, node); the orthant CDFs are shared across patterns
+        x = x_max * nodes
+        memo: dict = {}
+        return np.array([[np.broadcast_to(
+            _pattern_orthant_prob(x, times, u, kappa2, invert, memo), x.shape)
+            for invert in (False, True)] for u in patterns])
+
+    panels, order = SPEC_RULES[k]
+    rates = rho * gated_rule(pattern_probs, panels, order, SPEC_TOL,
+                             SPEC_MAX_PANELS, "pattern rate", scale=x_max)
     return MultiTimeSpec(times=times, rho=rho, kappa2=kappa2,
                          patterns=tuple(patterns),
-                         alpha_rates=np.asarray(alpha_rates),
-                         beta_rates=np.asarray(beta_rates))
+                         alpha_rates=rates[:, 0], beta_rates=rates[:, 1])
 
 
 def multi_time_rate(spec: MultiTimeSpec, x: Sequence[float]) -> float:

@@ -53,41 +53,26 @@ def norm_logit_cdf(x, var):
 
 
 def mean_excess(var, x):
-    """E(N - x)^+ for N ~ Normal(0, var) and x >= 0.
+    """E(N - x)^+ for N ~ Normal(0, var) and x >= 0, broadcast over both.
 
-    Equals var*pdf(x) - x*(1 - cdf(x)); by convention 0 for all x when
+    Equals var*pdf(x) - x*(1 - cdf(x)); by convention 0 for all x where
     var == 0 (the pointwise limit).  This is the building block of both
     limit covariances, and its negative derivative in x is the survival
     function, which the quadrature modules use for tail bounds.
     """
-    x_arr = np.asarray(x, float)
-    if var < 0.0:
-        raise ValueError("variance must be nonnegative")
-    if np.any(x_arr < 0.0):
-        raise ValueError("mean_excess is defined for x >= 0")
-    if var == 0.0:
-        return np.zeros_like(x_arr)[()]
-    sd = math.sqrt(var)
-    z = x_arr / sd
-    return (sd * np.exp(-0.5 * z * z) / SQRT_2PI - x_arr * ndtr(-z))[()]
-
-
-def mean_excess_grid(var, x):
-    """Vectorized mean_excess where `var` and `x` are broadcastable arrays.
-
-    Entries with var == 0 return 0; used to fill covariance matrices in one
-    shot.
-    """
     var = np.asarray(var, float)
     x = np.asarray(x, float)
-    var_b, x_b = np.broadcast_arrays(var, x)
-    out = np.zeros(var_b.shape, float)
-    pos = var_b > 0.0
-    if np.any(pos):
-        sd = np.sqrt(var_b[pos])
-        z = x_b[pos] / sd
-        out[pos] = sd * np.exp(-0.5 * z * z) / SQRT_2PI - x_b[pos] * ndtr(-z)
-    return out
+    if np.any(var < 0.0):
+        raise ValueError("variance must be nonnegative")
+    if np.any(x < 0.0):
+        raise ValueError("mean_excess is defined for x >= 0")
+    var, x = np.broadcast_arrays(var, x)
+    out = np.zeros(var.shape)
+    pos = var > 0.0
+    sd = np.sqrt(var[pos])
+    z = x[pos] / sd
+    out[pos] = sd * np.exp(-0.5 * z * z) / SQRT_2PI - x[pos] * ndtr(-z)
+    return out[()]
 
 
 def bvn_cdf(h, k, rho):
@@ -187,6 +172,28 @@ def quadrature_ok(err, epsabs: float, magnitude) -> bool:
     return bool(np.all(np.asarray(err) <= limit))
 
 
+def gated_rule(values_at, panels: int, order: int, epsabs: float,
+               max_panels: int, what: str, scale=1.0):
+    """scale times the integral over [0, 1] of a panel-rule integrand.
+
+    values_at(nodes) gives the integrand at the panel_rule nodes on its
+    last axis.  Until the doubling error estimate, times scale, meets
+    quadrature_ok, the panels double, up to max_panels; then it raises
+    QuadratureConvergenceError.
+    """
+    while True:
+        nodes, w_coarse, w_fine = panel_rule(panels, order)
+        val, err = rule_sum(values_at(nodes), w_coarse, w_fine)
+        val, err = val * scale, err * scale
+        if quadrature_ok(err, epsabs, np.abs(val)):
+            return val
+        if panels >= max_panels:
+            raise QuadratureConvergenceError(
+                f"{what}: quadrature error {float(np.max(err)):.2e} "
+                f"at {panels} panels")
+        panels *= 2
+
+
 # Fixed rule of mvn_cdf_3: MVN_PANELS panels of MVN_ORDER Gauss-Legendre
 # nodes, checked against twice the panels.  Nearly equal times make the
 # integrand steep; then the panels double, up to MVN_MAX_PANELS.
@@ -217,18 +224,13 @@ def mvn_cdf_3(upper, cov):
 
     lo = -9.0 * sd1
     span = np.maximum(np.minimum(upper[..., 0], 9.0 * sd1) - lo, 0.0)
-    panels = MVN_PANELS
-    while True:
-        nodes, w_coarse, w_fine = panel_rule(panels, MVN_ORDER)
+
+    def values_at(nodes):
         z = lo + span[..., None] * nodes
         h = (upper[..., 1:2] - slope[0] * z) / sd2
         k = (upper[..., 2:3] - slope[1] * z) / sd3
-        val, err = rule_sum(norm_pdf(z, s11) * bvn_cdf(h, k, rho), w_coarse, w_fine)
-        val, err = val * span, err * span
-        if quadrature_ok(err, 1e-12, np.abs(val)):
-            return float(val) if val.ndim == 0 else val
-        if panels >= MVN_MAX_PANELS:
-            raise QuadratureConvergenceError(
-                f"trivariate normal CDF: quadrature error {float(np.max(err)):.2e} "
-                f"at {panels} panels")
-        panels *= 2
+        return norm_pdf(z, s11) * bvn_cdf(h, k, rho)
+
+    val = gated_rule(values_at, MVN_PANELS, MVN_ORDER, 1e-12, MVN_MAX_PANELS,
+                     "trivariate normal CDF", scale=span)
+    return float(val) if val.ndim == 0 else val

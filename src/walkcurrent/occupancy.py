@@ -237,27 +237,3 @@ class OccupancyModel:
             # numpy's geometric counts trials >= 1; subtract for support {0,1,...}
             return (rng.geometric(1.0 - self._s, size=size) - 1).astype(np.int64)
         return rng.choice(self._values, size=size, p=self._probs).astype(np.int64)
-
-
-@dataclass(frozen=True, eq=False)
-class OccupancyProfile:
-    """A sampled stretch of the lattice: counts[i] particles at site_min + i."""
-
-    site_min: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.counts < 0):
-            raise ValueError("occupancy counts must be nonnegative")
-
-    def sites(self) -> np.ndarray:
-        return np.arange(self.site_min, self.site_min + self.counts.size)
-
-
-def sample_profile(model: OccupancyModel, site_min: int, site_count: int,
-                   rng: np.random.Generator) -> OccupancyProfile:
-    """Draw i.i.d. occupancies for site_count sites starting at site_min."""
-    if site_count < 0:
-        raise ValueError("site_count must be >= 0")
-    return OccupancyProfile(site_min=int(site_min),
-                            counts=model.sample_counts(rng, site_count))

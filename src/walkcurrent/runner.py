@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
+from .config import DEFAULTS
 from .gaussian import (
     LimitCovariance,
     covariance_table,
@@ -160,10 +161,10 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
     |mean| <= mean_ratio * SE.  Optionally retains raw samples at chosen
     points and runs normality diagnostics on them.
     """
-    bands = dict(bands or {})
-    z_band = bands.get("cov_z", 4.0)
-    rel_band = bands.get("cov_rel", 0.10)
-    mean_band = bands.get("mean_ratio", 3.0)
+    bands = {**DEFAULTS["bands"], **(bands or {})}
+    z_band = bands["cov_z"]
+    rel_band = bands["cov_rel"]
+    mean_band = bands["mean_ratio"]
     params = limit_params(config)
     points = config.grid_points()
     batches, retained = run_ensemble_batches(config, workers=workers,
@@ -208,9 +209,9 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
             diag = normality_diagnostics(
                 samples, params_var, lattice=lattice,
                 rng=np.random.default_rng(config.master_seed + 1))
-            ok = (abs(diag.skewness) <= bands.get("skew_band", 0.1)
-                  and abs(diag.excess_kurtosis) <= bands.get("kurt_band", 0.2)
-                  and diag.ks_p > bands.get("ks_p_min", 0.01))
+            ok = (abs(diag.skewness) <= bands["skew_band"]
+                  and abs(diag.excess_kurtosis) <= bands["kurt_band"]
+                  and diag.ks_p > bands["ks_p_min"])
             norm_ok = norm_ok and ok
             normality[f"{pt[0]:g},{pt[1]:g}"] = {
                 "skewness": diag.skewness, "excess_kurtosis": diag.excess_kurtosis,
@@ -234,9 +235,9 @@ def fbm_experiment(config: ExperimentConfig, workers: int = 1,
                    bands: Optional[dict] = None, nbatches: int = N_BATCHES,
                    telemetry: Optional[dict] = None):
     """Variance-growth exponent across times at r = 0 vs the analytic 1/2."""
-    bands = dict(bands or {})
-    lo = bands.get("slope_lo", 0.45)
-    hi = bands.get("slope_hi", 0.55)
+    bands = {**DEFAULTS["bands"], **(bands or {})}
+    lo = bands["slope_lo"]
+    hi = bands["slope_hi"]
     if 0.0 not in config.r_grid:
         raise ValueError("fbm experiment needs r = 0 in the grid")
     params = limit_params(config)
@@ -245,7 +246,6 @@ def fbm_experiment(config: ExperimentConfig, workers: int = 1,
                                       telemetry=telemetry)
     total = merge_accumulators(batches)
     cov = total.cov()
-    r0 = config.r_grid.index(0.0)
     tvals = [t for t in config.t_grid if t > 0.0]
     emp_vars = []
     ana_vars = []
@@ -269,7 +269,8 @@ def fbm_experiment(config: ExperimentConfig, workers: int = 1,
 
 
 def rate_table_experiment(occupancy, kappa2: float, t: float, x_grid,
-                          duality_tol: float = 1e-6, quad_tol: float = 1e-10):
+                          duality_tol: float = DEFAULTS["bands"]["duality_tol"],
+                          quad_tol: float = DEFAULTS["quad_tol"]):
     """Rate-function table with the duality residual column.
 
     One tilt solve per x serves both rate routes.
@@ -298,7 +299,7 @@ def rate_table_experiment(occupancy, kappa2: float, t: float, x_grid,
 
 
 def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
-                              quad_tol: float = 1e-10):
+                              quad_tol: float = DEFAULTS["quad_tol"]):
     """Tilted tail estimates across n, with the exact-pmf oracle when cheap.
 
     The limiting tilt depends on the model and x only, so one solve serves

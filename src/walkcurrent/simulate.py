@@ -29,7 +29,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import TruncationBudgetError, WindowUnreachableError
-from .kernel import JumpKernel, chernoff_log_tail, sample_displacement, walk_pmf
+from .kernel import JumpKernel, LatticePmf, chernoff_log_tail, sample_displacement, walk_pmf
 from .occupancy import OccupancyModel
 
 REPLICA_STREAM = 0
@@ -374,31 +374,6 @@ def run_ensemble(config: ExperimentConfig,
 # exact single-point distribution oracle
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CurrentPmf:
-    """Exact pmf of Y_n(t, r) on offset_min .. offset_min+len(masses)-1."""
-
-    offset_min: int
-    masses: np.ndarray
-    deficit: float
-
-    def support(self) -> np.ndarray:
-        return np.arange(self.offset_min, self.offset_min + self.masses.size)
-
-    def mean(self) -> float:
-        return float(np.dot(self.support(), self.masses))
-
-    def var(self) -> float:
-        s = self.support().astype(float)
-        m = self.mean()
-        return float(np.dot((s - m) ** 2, self.masses))
-
-    def tail_geq(self, k: int) -> float:
-        """P(Y >= k), summed from the top of the support."""
-        idx = max(0, int(k) - self.offset_min)
-        return float(self.masses[idx:].sum())
-
-
 def _poisson_site_pmf(mu: float, tail_tol: float) -> tuple[np.ndarray, float]:
     if mu == 0.0:
         return np.array([1.0]), 0.0
@@ -420,7 +395,7 @@ def _finite_site_pmf(values: np.ndarray, probs: np.ndarray, p: float) -> np.ndar
 
 def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
                       site_tail_tol: float = 1e-14,
-                      window: Optional[int] = None) -> CurrentPmf:
+                      window: Optional[int] = None) -> LatticePmf:
     """Exact distribution of Y_n(t, r) by convolution over window sites.
 
     Site m > anchor contributes +Binomial(count, p_m) and site m <= anchor
@@ -480,5 +455,5 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
 
     nz = np.nonzero(acc)[0]
     lo_i, hi_i = int(nz[0]), int(nz[-1])
-    return CurrentPmf(offset_min=acc_min + lo_i, masses=acc[lo_i:hi_i + 1],
+    return LatticePmf(offset_min=acc_min + lo_i, masses=acc[lo_i:hi_i + 1],
                       deficit=float(deficit))

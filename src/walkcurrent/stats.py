@@ -231,15 +231,3 @@ def normality_diagnostics(samples: np.ndarray, analytic_var: float,
         x = x + rng.uniform(-0.5 * lattice, 0.5 * lattice, size=x.size)
     ks = spstats.kstest(x, "norm", args=(0.0, math.sqrt(analytic_var)))
     return NormalityReport(skewness=skew, excess_kurtosis=kurt, ks_p=float(ks.pvalue))
-
-
-def fbm_variance_slope(params: LimitCovariance, t_values: Sequence[float],
-                       r: float = 0.0) -> float:
-    """Slope of the analytic limit variance across times at fixed r.
-
-    The limit variance is proportional to sqrt(t), so this returns 0.5 up
-    to float round-off; kept as the no-sampling reference route.
-    """
-    variances = [limit_cov_matrix(params, [(t, r)])[0, 0] for t in t_values]
-    slope, _ = scaling_exponent(t_values, variances)
-    return slope

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import log_expit, log_ndtr
 
+from walkcurrent.ldp import _pattern_orthant_prob
 from walkcurrent.normal import bvn_cdf, norm_cdf, norm_pdf, norm_sf
 
 
@@ -127,3 +128,20 @@ def mvn_cdf_3(upper, cov):
         return 0.0
     val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)
     return val
+
+
+def pattern_rates(times, rho, kappa2):
+    """build_multi_time_spec intensities, (pattern, side), by one adaptive
+    quad per pattern and side over the same x range."""
+    times = tuple(float(t) for t in times)
+    k = len(times)
+    patterns = [tuple((i >> j) & 1 for j in range(k)) for i in range(1, 1 << k)]
+    x_max = 10.0 * math.sqrt(kappa2 * max(times))
+    out = np.empty((len(patterns), 2))
+    for i, u in enumerate(patterns):
+        for side, invert in enumerate((False, True)):
+            val, _ = integrate.quad(
+                lambda x: float(_pattern_orthant_prob(x, times, u, kappa2, invert)),
+                0.0, x_max, epsabs=1e-14, epsrel=1e-13, limit=400)
+            out[i, side] = rho * val
+    return out

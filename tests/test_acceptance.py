@@ -7,6 +7,7 @@ The heavy ensemble is shared by the criteria that reference the same run.
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_criterion_06_mean_excess_oracle():
             draws = rng.normal(0.0, math.sqrt(sigma2), size=1_000_000)
             excess = np.maximum(draws - x, 0.0)
             se = excess.std() / math.sqrt(draws.size)
-            gap = abs(wc.normal_mean_excess(sigma2, x) - excess.mean())
+            gap = abs(wc.mean_excess(sigma2, x) - excess.mean())
             assert gap < 4.0 * se
             worst_z = max(worst_z, gap / se)
     note(6, f"mean-excess matches E(N-x)+ by MC at 9 parameter pairs "
@@ -263,7 +264,7 @@ def test_criterion_13_determinism(tmp_path):
         assert main(["cov-check", "--config", str(cfg_path), "--out", out,
                      "--workers", str(workers)]) == 0
         payloads[workers] = {
-            name: open(os.path.join(out, name), "rb").read()
+            name: Path(os.path.join(out, name)).read_bytes()
             for name in ("cov_check.csv", "cov_check.json", "mean_check.csv")
         }
     assert payloads[1] == payloads[3]

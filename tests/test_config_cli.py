@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -103,7 +104,7 @@ class TestCliCommands:
         with open(os.path.join(out, "replicas.csv")) as fh:
             rows = [line for line in fh if line[0] not in "#r"]  # skip schema+header
         assert len(rows) == 50 * 2  # replicas x grid points
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
         assert manifest["status"] == "ok"
         assert manifest["outputs"]
 
@@ -112,8 +113,24 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         code = main(["cov-check", "--config", cfg, "--out", out])
         assert code == 0
-        report = json.load(open(os.path.join(out, "cov_check.json")))
+        report = json.loads(Path(os.path.join(out, "cov_check.json")).read_text())
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("command, extra", [
+        ("cov-check", {}),
+        ("fbm-check", {"T": 2.0, "t_grid": [0.25, 0.5, 1.0, 2.0]}),
+    ])
+    def test_json_format_lists_each_file_once(self, tmp_path, command, extra):
+        out = str(tmp_path / "out")
+        code = main([command, "--config", write_cfg(tmp_path, **extra),
+                     "--out", out, "--format", "json"])
+        assert code == 0
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
+        paths = [o["path"] for o in manifest["outputs"]]
+        assert len(paths) == len(set(paths))
+        assert all(os.path.exists(p) for p in paths)
+        kind = command.replace("-", "_")
+        assert os.path.join(out, f"{kind}.json") in paths
 
     def test_worker_count_invariance(self, tmp_path):
         # same seed, different worker counts: byte-identical payloads
@@ -124,8 +141,8 @@ class TestCliCommands:
         assert main(["cov-check", "--config", cfg, "--out", out2,
                      "--workers", "3"]) == 0
         for name in ("cov_check.csv", "cov_check.json", "mean_check.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(os.path.join(out1, name)).read_bytes()
+            b = Path(os.path.join(out2, name)).read_bytes()
             assert a == b, f"{name} differs across worker counts"
 
     def test_rerun_identical(self, tmp_path):
@@ -133,8 +150,8 @@ class TestCliCommands:
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         main(["simulate", "--config", cfg, "--out", out1])
         main(["simulate", "--config", cfg, "--out", out2])
-        a = open(os.path.join(out1, "simulate.csv"), "rb").read()
-        b = open(os.path.join(out2, "simulate.csv"), "rb").read()
+        a = Path(os.path.join(out1, "simulate.csv")).read_bytes()
+        b = Path(os.path.join(out2, "simulate.csv")).read_bytes()
         assert a == b
 
     def test_rate_table_spot_value(self, tmp_path):
@@ -145,7 +162,7 @@ class TestCliCommands:
         code = main(["rate-table", "--config", cfg, "--out", out,
                      "--format", "json"])
         assert code == 0
-        report = json.load(open(os.path.join(out, "rate_table.json")))
+        report = json.loads(Path(os.path.join(out, "rate_table.json")).read_text())
         row = report["rows"][0]
         assert row["rate"] == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-6)
         assert row["residual"] < 1e-6
@@ -158,7 +175,7 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         code = main(["rate-empirical", "--config", cfg, "--out", out])
         assert code == 0
-        report = json.load(open(os.path.join(out, "rate_empirical.json")))
+        report = json.loads(Path(os.path.join(out, "rate_empirical.json")).read_text())
         assert report["rows"][0]["oracle_ok"] is True
 
     def test_fidi_command(self, tmp_path):
@@ -169,7 +186,7 @@ class TestCliCommands:
         out = str(tmp_path / "out")
         code = main(["fidi", "--config", cfg, "--out", out])
         assert code == 0
-        report = json.load(open(os.path.join(out, "fidi.json")))
+        report = json.loads(Path(os.path.join(out, "fidi.json")).read_text())
         assert report["intensities"]["ok"] is True
         assert all(r["ok"] for r in report["rows"])
 
@@ -195,7 +212,7 @@ class TestCliCommands:
         cfg = write_cfg(tmp_path, replicas=50)
         out = str(tmp_path / "out")
         main(["simulate", "--config", cfg, "--out", out, "--seed", "99"])
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
         assert manifest["overrides"] == {"master_seed": 99}
         assert manifest["seed"] == 99
 
@@ -222,7 +239,7 @@ class TestCliFailures:
         monkeypatch.setattr(runner, "simulate_experiment", boom)
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", write_cfg(tmp_path), "--out", out]) == 3
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
         assert manifest["status"] == "failed"
         assert "RuntimeError: boom" in manifest["error"]
 
@@ -233,7 +250,7 @@ class TestManifestTelemetry:
         assert main(["simulate", "--config", write_cfg(tmp_path, name=f"{name}.json",
                                                        replicas=50, **extra),
                      "--out", out]) == 0
-        return json.load(open(os.path.join(out, "manifest.json")))["telemetry"]
+        return json.loads(Path(os.path.join(out, "manifest.json")).read_text())["telemetry"]
 
     def test_cell_engine_recorded(self, tmp_path):
         tel = self.run_simulate(tmp_path, "cells")
@@ -256,7 +273,7 @@ class TestManifestTelemetry:
         assert main(["cov-check", "--config", write_cfg(tmp_path, replicas=200),
                      "--out", out]) == 0
         for name in ("cov_check.csv", "cov_check.json", "mean_check.csv"):
-            text = open(os.path.join(out, name)).read()
+            text = Path(os.path.join(out, name)).read_text()
             assert "engine" not in text and "telemetry" not in text
 
 

@@ -15,14 +15,14 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class TestNormalMeanExcess:
     def test_at_zero(self):
-        assert wc.normal_mean_excess(1.0, 0.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-15)
+        assert wc.mean_excess(1.0, 0.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-15)
 
     def test_far_tail(self):
-        assert wc.normal_mean_excess(1.0, 10.0) < 1e-20
+        assert wc.mean_excess(1.0, 10.0) < 1e-20
 
     def test_degenerate_variance(self):
-        assert wc.normal_mean_excess(0.0, 0.0) == 0.0
-        assert wc.normal_mean_excess(0.0, 2.0) == 0.0
+        assert wc.mean_excess(0.0, 0.0) == 0.0
+        assert wc.mean_excess(0.0, 2.0) == 0.0
 
     def test_monte_carlo_oracle(self, rng):
         # the function must equal E(N - x)^+ computed by plain averaging
@@ -30,20 +30,45 @@ class TestNormalMeanExcess:
         draws = rng.normal(0.0, math.sqrt(sigma2), size=1_000_000)
         excess = np.maximum(draws - x, 0.0)
         se = excess.std() / math.sqrt(draws.size)
-        assert abs(wc.normal_mean_excess(sigma2, x) - excess.mean()) < 4 * se
+        assert abs(wc.mean_excess(sigma2, x) - excess.mean()) < 4 * se
 
     def test_convex_in_x(self):
         xs = np.arange(0.0, 5.0, 1e-3)
-        vals = wc.normal_mean_excess(1.0, xs)
+        vals = wc.mean_excess(1.0, xs)
         second = np.diff(vals, 2)
         assert second.min() > -1e-6
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
-            wc.normal_mean_excess(-1.0, 0.0)
+            wc.mean_excess(-1.0, 0.0)
         with pytest.raises(ValueError):
-            wc.normal_mean_excess(1.0, -0.1)
+            wc.mean_excess(1.0, -0.1)
 
+
+    def test_broadcast_matches_scalar_path(self):
+        # the scalar-variance formula, one variance at a time, must agree
+        # bit for bit with the broadcast call, zero variances included
+        from scipy.special import ndtr
+
+        var = np.array([0.0, 1e-300, 0.37, 1.0, 4.0, 0.0, 12.5])[:, None]
+        x = np.array([0.0, 1e-8, 0.3, 1.0, 2.5, 9.0, 40.0])
+        got = wc.mean_excess(var, x)
+        assert got.shape == (var.size, x.size)
+        for row, v in zip(got, var[:, 0]):
+            if v == 0.0:
+                expect = np.zeros_like(x)
+            else:
+                sd = math.sqrt(v)
+                z = x / sd
+                expect = sd * np.exp(-0.5 * z * z) / SQRT_2PI - x * ndtr(-z)
+            assert np.array_equal(row, expect)
+            assert np.array_equal(row, wc.mean_excess(float(v), x))
+        assert np.array_equal(wc.mean_excess(var[:, 0], 0.7),
+                              [wc.mean_excess(float(v), 0.7) for v in var[:, 0]])
+        with pytest.raises(ValueError):
+            wc.mean_excess(np.array([1.0, -1e-12]), 0.0)
+        with pytest.raises(ValueError):
+            wc.mean_excess(np.array([1.0, 2.0]), np.array([0.1, -0.1]))
 
 class TestCovarianceComponents:
     def test_dynamic_vanishes_at_s_zero(self):
@@ -127,8 +152,8 @@ class TestIntegralForms:
     def test_initial_diagonal_identity(self):
         t, k2 = 1.2, 0.9
         lhs = wc.initial_cov_quadrature(t, 0.0, t, 0.0, k2)
-        rhs = (2.0 * wc.normal_mean_excess(k2 * t, 0.0)
-               - wc.normal_mean_excess(2.0 * k2 * t, 0.0))
+        rhs = (2.0 * wc.mean_excess(k2 * t, 0.0)
+               - wc.mean_excess(2.0 * k2 * t, 0.0))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

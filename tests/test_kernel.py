@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
 import walkcurrent as wc
@@ -165,6 +167,44 @@ class TestWalkPmf:
         ks = np.arange(-20, 25)
         total = np.asarray(pmf.cdf(ks)) + np.asarray(pmf.sf(ks))
         assert np.abs(total - (1.0 - pmf.deficit)).max() < 1e-14
+
+
+SMALL_KERNELS = st.dictionaries(st.integers(-3, 3), st.floats(0.05, 1.0),
+                                min_size=1, max_size=4)
+
+
+def check_lattice_identities(pmf, missing: float):
+    """Mass accounting and tail identities of a LatticePmf whose masses
+    sum to 1 - missing."""
+    assert abs(pmf.masses.sum() + missing - 1.0) <= 1e-12
+    ks = np.arange(pmf.offset_min - 2, pmf.offset_min + pmf.masses.size + 2)
+    assert np.max(np.abs(pmf.cdf(ks) + pmf.sf(ks) + missing - 1.0)) <= 1e-12
+    # tail_geq and sf sum the same masses in two orders; masses.size * eps
+    # bounds the rounding gap of the two sums
+    tails = np.array([pmf.tail_geq(int(k)) for k in ks])
+    assert np.max(np.abs(tails - pmf.sf(ks - 1))) <= pmf.masses.size * np.finfo(float).eps
+
+
+class TestLatticePmfProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_KERNELS, st.floats(0.0, 30.0))
+    def test_walk_pmf(self, raw, tau):
+        pmf = wc.walk_pmf(wc.validate_kernel(raw), tau)
+        check_lattice_identities(pmf, pmf.deficit)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 64), st.floats(0.05, 1.0), st.sampled_from(["poisson", "custom"]))
+    def test_exact_current_pmf(self, n, t, kind):
+        occupancy = (wc.OccupancyModel.poisson(1.3) if kind == "poisson"
+                     else wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]))
+        kernel = wc.validate_kernel({1: 0.7, -1: 0.3})
+        cfg = wc.ExperimentConfig(n=n, T=1.0, S=0.25, t_grid=(t,), r_grid=(0.0,),
+                                  kernel=kernel, occupancy=occupancy, master_seed=0)
+        pmf = wc.exact_current_pmf(cfg, t, 0.0)
+        # the walk pmf's truncated tail enters the deficit, but no current
+        # mass is dropped for it: only the Poisson occupancy tails are
+        walk_deficit = wc.walk_pmf(kernel, n * t).deficit
+        check_lattice_identities(pmf, pmf.deficit - walk_deficit)
 
 
 class TestChernoffTail:

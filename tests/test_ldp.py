@@ -388,7 +388,7 @@ class TestMultiTimeRate:
         rho, k2 = 1.3, 0.8
         spec = wc.build_multi_time_spec(times, rho, k2)
         for j, t in enumerate(times):
-            expect = rho * wc.normal_mean_excess(k2 * t, 0.0)
+            expect = rho * wc.mean_excess(k2 * t, 0.0)
             got_a = sum(a for u, a in zip(spec.patterns, spec.alpha_rates) if u[j] == 1)
             got_b = sum(b for u, b in zip(spec.patterns, spec.beta_rates) if u[j] == 1)
             assert got_a == pytest.approx(expect, abs=1e-8)
@@ -398,7 +398,7 @@ class TestMultiTimeRate:
         times = [0.5, 1.0, 2.0]
         spec = wc.build_multi_time_spec(times, 1.0, 1.0)
         for j, t in enumerate(times):
-            expect = wc.normal_mean_excess(t, 0.0)
+            expect = wc.mean_excess(t, 0.0)
             got = sum(a for u, a in zip(spec.patterns, spec.alpha_rates) if u[j] == 1)
             assert got == pytest.approx(expect, abs=1e-4)
 
@@ -423,6 +423,22 @@ class TestMultiTimeRate:
         grid_sup = float(objective.max())
         assert grid_sup <= rate + 1e-9
         assert rate - grid_sup < 1e-3  # grid resolution bound
+
+    @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0), (1.0, 1.001),
+                                       (0.5, 2.0), (1.0, 1.0)])
+    def test_gated_rule_matches_quad_oracle(self, times):
+        spec = wc.build_multi_time_spec(times, 1.3, 0.8)
+        ref = quad_oracles.pattern_rates(times, 1.3, 0.8)
+        assert np.max(np.abs(spec.alpha_rates - ref[:, 0])) <= 1e-12
+        assert np.max(np.abs(spec.beta_rates - ref[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0), (0.5, 1.0, 2.0)])
+    def test_one_panel_rule_raises(self, monkeypatch, times):
+        from walkcurrent import ldp
+        monkeypatch.setattr(ldp, "SPEC_RULES", {1: (1, 3), 2: (1, 3), 3: (1, 3)})
+        monkeypatch.setattr(ldp, "SPEC_MAX_PANELS", 1)
+        with pytest.raises(wc.QuadratureConvergenceError, match="pattern rate"):
+            wc.build_multi_time_spec(times, 1.0, 1.0)
 
     def test_too_many_times(self):
         with pytest.raises(ValueError):

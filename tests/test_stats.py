@@ -125,7 +125,6 @@ class TestScalingExponent:
         slope, stderr = wc.scaling_exponent(ts, variances)
         assert abs(slope - 0.5) < 1e-12
         assert stderr < 1e-12
-        assert abs(wc.fbm_variance_slope(params, ts) - 0.5) < 1e-12
 
     def test_sampled_slope_in_band(self, rng):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
