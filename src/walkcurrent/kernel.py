@@ -182,9 +182,10 @@ def gillespie_displacement(kernel: JumpKernel, tau: float, rng: np.random.Genera
 class LatticePmf:
     """Pmf of an integer variable on offset_min .. offset_min+len(masses)-1.
 
-    `deficit` is the mass dropped by truncation: the Poisson jump-count
-    tail of a walk pmf, and for a current pmf that of its walk pmf plus the
-    per-site Poisson occupancy tails.
+    `deficit` is the truncation budget.  A walk pmf drops its Poisson
+    jump-count tail, so its masses sum to 1 - deficit.  A current pmf drops
+    the per-site Poisson occupancy tails, and its deficit adds those to the
+    deficit of the walk pmf it was built from.
     """
 
     offset_min: int

@@ -155,7 +155,7 @@ class RateModel:
         y = 8.0 * sd
         while True:
             # |integrand| <= gamma'(z_cap) * (e^|lam| - 1) * sf(y) out there,
-            # and the sf integrates to the mean-excess at the cut
+            # and the integral of the sf beyond the cut is the mean-excess
             z_cap = min(1.0, amp * float(norm_sf(y, self.kappa2 * self.t)))
             gp = self.occupancy.log_mgf_prime(z_cap)
             tail = 4.0 * amp * max(gp, 1e-300) * float(mean_excess(self.kappa2 * self.t, y))
@@ -254,9 +254,9 @@ def rate_decomposed(model: RateModel, x: float,
                     alpha: Optional[float] = None) -> RateParts:
     """Rate function split into its two mechanisms, by direct quadrature.
 
-    The occupancy part integrates the occupancy convex dual of the tilted
-    per-site mean; the crossing part integrates that mean times the
-    Bernoulli relative entropy between tilted and untilted crossing
+    The occupancy part is the y-integral of the occupancy convex dual of
+    the tilted per-site mean; the crossing part that of the same mean times
+    the Bernoulli relative entropy between tilted and untilted crossing
     probabilities.  The sum must agree with rate_legendre.  alpha, when
     given, must be tilt_for_mean(model, x); it saves the solve.
     """
