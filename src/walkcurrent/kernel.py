@@ -4,7 +4,7 @@ A walk jumps at unit rate; each jump displaces by an integer offset drawn
 from a finitely supported probability kernel.  This module validates
 kernels, samples displacements two independent ways (a compound-Poisson
 shortcut and an event-driven reference), computes the exact displacement
-pmf by convolution, and produces rigorous Chernoff tail bounds.
+pmf from the marking theorem, and produces rigorous Chernoff tail bounds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from .errors import (
 # the search range only loosens, never breaks, the bound
 MGF_THETA_CAP = 50.0
 CHERNOFF_GRID = 256
+CHERNOFF_ROWS = 32
 PMF_LENGTH_CAP = 50_000_000
+# total mass a walk pmf may drop
+WALK_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +48,6 @@ class JumpKernel:
     v: float
     kappa2: float
     mgf_radius: float
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(o): float(p) for o, p in zip(self.offsets, self.probs)}
 
     def log_mgf(self, theta):
         """log E exp(theta * xi) for a single jump xi; theta may be an array."""
@@ -182,10 +182,10 @@ def gillespie_displacement(kernel: JumpKernel, tau: float, rng: np.random.Genera
 class LatticePmf:
     """Pmf of an integer variable on offset_min .. offset_min+len(masses)-1.
 
-    `deficit` is the truncation budget.  A walk pmf drops its Poisson
-    jump-count tail, so its masses sum to 1 - deficit.  A current pmf drops
-    the per-site Poisson occupancy tails, and its deficit adds those to the
-    deficit of the walk pmf it was built from.
+    `deficit` is the probability mass left out of `masses`, so
+    masses.sum() + deficit == 1 up to rounding.  A walk pmf and a Poisson
+    current pmf leave out the tails of their Poisson factors; a current pmf
+    under a finite occupancy law leaves out nothing.
     """
 
     offset_min: int
@@ -223,51 +223,62 @@ class LatticePmf:
         return float(self.masses[idx:].sum())
 
 
-def walk_pmf(kernel: JumpKernel, tau: float, mass_tol: float = 1e-12) -> LatticePmf:
-    """Exact displacement pmf at time tau by Poisson-weighted convolution.
+def _poisson_window(mu: float, tol: float) -> tuple[int, np.ndarray, float]:
+    """(a, masses, tail): Poisson(mu) masses on a window [a, b] whose two
+    tails are each at most tol/2, rescaled so that masses plus tail is 1.
 
-    The jump count is truncated at the smallest J whose Poisson(tau) tail is
-    below mass_tol; the dropped mass is reported as the deficit.
+    Bernstein's inequalities, P(N <= mu - d) <= exp(-d^2 / (2 mu)) and
+    P(N >= mu + d) <= exp(-d^2 / (2 (mu + d/3))), place the window; the
+    masses come from the ratio recurrence out from the mode.
     """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError("tau must be finite and nonnegative")
-    if not (0.0 < mass_tol < 1e-6):
-        raise ValueError("mass_tol must lie in (0, 1e-6)")
-    if tau == 0.0:
-        return LatticePmf(offset_min=0, masses=np.array([1.0]), deficit=0.0)
+    log_t = math.log(2.0 / tol)
+    a = max(0, math.floor(mu - math.sqrt(2.0 * log_t * mu)))
+    b = math.ceil(mu + log_t / 3.0 + math.sqrt(log_t ** 2 / 9.0 + 2.0 * log_t * mu))
+    mode = math.floor(mu)
+    down = np.cumprod(np.arange(mode, a, -1) / mu)
+    up = np.cumprod(mu / np.arange(mode + 1, b + 1))
+    raw = np.concatenate((down[::-1], [1.0], up))
+    tail = float(stats.poisson.cdf(a - 1, mu) + stats.poisson.sf(b, mu))
+    return a, raw * ((1.0 - tail) / math.fsum(raw)), tail
 
-    j_max = int(stats.poisson.isf(mass_tol, tau)) + 1
-    while stats.poisson.sf(j_max, tau) >= mass_tol:
-        j_max += 1
-    while j_max > 0 and stats.poisson.sf(j_max - 1, tau) < mass_tol:
-        j_max -= 1
-    off_lo = int(kernel.offsets[0])
-    off_hi = int(kernel.offsets[-1])
-    length = (off_hi - off_lo) * j_max + 1
+
+def marked_poisson_pmf(offsets, means, tol: float) -> LatticePmf:
+    """Pmf of sum_o o * N_o for independent N_o ~ Poisson(means[o]).
+
+    Each of the K nonzero offsets contributes one Poisson window with tails
+    of at most tol / K, dilated by its offset; the windows are convolved.
+    The deficit is the mass outside their product, 1 - prod(1 - tail_o).
+    """
+    moves = np.asarray(offsets) != 0
+    offsets = np.asarray(offsets)[moves].tolist()
+    windows = [_poisson_window(float(mu), tol / len(offsets))
+               for mu in np.asarray(means, float)[moves]]
+    length = 1 + sum(abs(o) * (w.size - 1) for o, (_, w, _) in zip(offsets, windows))
     if length > PMF_LENGTH_CAP:
         raise TruncationBudgetError(
             f"pmf support of {length} values exceeds the cap {PMF_LENGTH_CAP}")
 
-    weights = stats.poisson.pmf(np.arange(j_max + 1), tau)
-    deficit = float(stats.poisson.sf(j_max, tau))
-
-    # dense single-jump pmf over off_lo..off_hi (holes stay zero)
-    kvec = np.zeros(off_hi - off_lo + 1)
-    kvec[kernel.offsets - off_lo] = kernel.probs
-
-    total_min = min(0, off_lo * j_max)
-    total_max = max(0, off_hi * j_max)
-    acc = np.zeros(total_max - total_min + 1)
-    acc[-total_min] += weights[0]
-    cur = np.array([1.0])  # j-fold convolution, support j*off_lo .. j*off_hi
-    for j in range(1, j_max + 1):
-        cur = np.convolve(cur, kvec)
-        start = j * off_lo - total_min
-        acc[start:start + cur.size] += weights[j] * cur
+    acc = np.ones(1)
+    acc_min = 0
+    for o, (a, w, _) in zip(offsets, windows):
+        dilated = np.zeros(abs(o) * (w.size - 1) + 1)
+        dilated[::abs(o)] = w if o > 0 else w[::-1]
+        acc = np.convolve(acc, dilated)
+        acc_min += min(o * a, o * (a + w.size - 1))
+    kept = float(np.prod([1.0 - tail for _, _, tail in windows]))
 
     nz = np.nonzero(acc)[0]
     lo, hi = int(nz[0]), int(nz[-1])
-    return LatticePmf(offset_min=total_min + lo, masses=acc[lo:hi + 1], deficit=deficit)
+    return LatticePmf(offset_min=acc_min + lo, masses=acc[lo:hi + 1], deficit=1.0 - kept)
+
+
+def walk_pmf(kernel: JumpKernel, tau: float) -> LatticePmf:
+    """Exact displacement pmf at time tau: by the marking theorem the
+    offsets' jump counts are independent Poisson(tau * p_o), so this is a
+    marked_poisson_pmf dropping at most WALK_MASS_TOL."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError("tau must be finite and nonnegative")
+    return marked_poisson_pmf(kernel.offsets, tau * kernel.probs, WALK_MASS_TOL)
 
 
 def chernoff_log_tail(kernel: JumpKernel, tau: float, deltas) -> np.ndarray:
@@ -283,9 +294,13 @@ def chernoff_log_tail(kernel: JumpKernel, tau: float, deltas) -> np.ndarray:
     mg_minus = np.sum(kernel.probs * np.exp(np.outer(-theta, kernel.offsets)), axis=1)
     base_hi = tau * (mg_plus - 1.0) - theta * kernel.v * tau   # log E e^{th(X-v tau)}
     base_lo = tau * (mg_minus - 1.0) + theta * kernel.v * tau  # log E e^{-th(X-v tau)}
-    ext = theta[None, :] * deltas[:, None]
-    hi = np.min(base_hi[None, :] - ext, axis=1)
-    lo = np.min(base_lo[None, :] - ext, axis=1)
+    # blocks of CHERNOFF_ROWS deltas keep the (deltas x theta) temporaries small
+    hi = np.empty(deltas.size)
+    lo = np.empty(deltas.size)
+    for s in range(0, deltas.size, CHERNOFF_ROWS):
+        ext = theta[None, :] * deltas[s:s + CHERNOFF_ROWS, None]
+        hi[s:s + CHERNOFF_ROWS] = np.min(base_hi[None, :] - ext, axis=1)
+        lo[s:s + CHERNOFF_ROWS] = np.min(base_lo[None, :] - ext, axis=1)
     return np.logaddexp(hi, lo)
 
 

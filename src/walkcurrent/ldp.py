@@ -337,7 +337,7 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     # the sites right of the anchor are the suffix sites[split:]
     split = int(np.clip(anchor + 1 - lo, 0, sites.size))
 
-    wp = walk_pmf(config.kernel, n * t, mass_tol=1e-12)
+    wp = walk_pmf(config.kernel, n * t)
     p_cross = np.where(right,
                        np.asarray(wp.cdf(line - sites), float),
                        np.asarray(wp.sf(line - sites), float))

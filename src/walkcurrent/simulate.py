@@ -15,8 +15,8 @@ Two replica engines share that window and its law.  The particle engine
 (`CellTable`) serves Poisson occupancy: particles then form a Poisson
 process on (start site, path), so the counts in disjoint path classes are
 independent Poisson variables and every grid current is a fixed signed sum
-of them.  An exact single-point distribution oracle (convolution over
-window sites) is provided for validation.
+of them.  An exact single-point distribution oracle (a Skellam law under
+Poisson occupancy) is provided for validation.
 """
 
 from __future__ import annotations
@@ -29,11 +29,16 @@ import numpy as np
 from scipy import stats
 
 from .errors import TruncationBudgetError, WindowUnreachableError
-from .kernel import JumpKernel, LatticePmf, chernoff_log_tail, sample_displacement, walk_pmf
+from .kernel import (JumpKernel, LatticePmf, chernoff_log_tail, marked_poisson_pmf,
+                     sample_displacement, walk_pmf)
 from .occupancy import OccupancyModel
 
 REPLICA_STREAM = 0
 TILT_STREAM = 1
+
+# Tail mass each Poisson window of the Skellam current pmf may drop: so far
+# below any tail that tail_geq reads that the windows reach the underflow.
+CURRENT_TAIL_TOL = 1e-300
 
 # Floor with a one-sided snap guard: products such as n*v*t that are exact
 # integers in real arithmetic must not floor down on a 1-ulp float error.
@@ -320,7 +325,7 @@ def cell_table(config: ExperimentConfig,
         gap = config.n * (t - prev_t)
         prev_t = t
         if gap > 0.0:
-            wp = walk_pmf(config.kernel, gap, mass_tol=1e-12)
+            wp = walk_pmf(config.kernel, gap)
             states = [(cls, first + wp.offset_min, np.convolve(dens, wp.masses))
                       for cls, first, dens in states]
         lines = anchors + shift
@@ -374,35 +379,28 @@ def run_ensemble(config: ExperimentConfig,
 # exact single-point distribution oracle
 # --------------------------------------------------------------------------
 
-def _poisson_site_pmf(mu: float, tail_tol: float) -> tuple[np.ndarray, float]:
-    if mu == 0.0:
-        return np.array([1.0]), 0.0
-    k_max = int(stats.poisson.isf(tail_tol, mu)) + 1
-    while stats.poisson.sf(k_max, mu) >= tail_tol:
-        k_max += 1
-    pmf = stats.poisson.pmf(np.arange(k_max + 1), mu)
-    return pmf, float(stats.poisson.sf(k_max, mu))
-
-
 def _finite_site_pmf(values: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
-    # law of Binomial(eta, p) with eta drawn from the finite occupancy law
+    # Binomial(eta, p), eta from the finite law; rescaled so rounding cannot build up
     vmax = int(values[-1])
     out = np.zeros(vmax + 1)
     for v, pv in zip(values, probs):
         out[:int(v) + 1] += pv * stats.binom.pmf(np.arange(int(v) + 1), int(v), p)
-    return out
+    return out / math.fsum(out)
 
 
 def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
-                      site_tail_tol: float = 1e-14,
                       window: Optional[int] = None) -> LatticePmf:
-    """Exact distribution of Y_n(t, r) by convolution over window sites.
+    """Exact distribution of Y_n(t, r) over the window sites.
 
     Site m > anchor contributes +Binomial(count, p_m) and site m <= anchor
-    contributes -Binomial(count, q_m), where p_m is the walk's exact
-    probability of ending at or below the reference line and q_m = 1 - p_m.
-    Occupancy must be Poisson (thinned to an exact Poisson contribution,
-    truncated at site_tail_tol per site) or finitely supported.
+    -Binomial(count, q_m), where p_m is the walk's probability of ending at
+    or below the reference line and q_m = 1 - p_m.  Poisson occupancy thins
+    to independent Poisson counts, so Y is Skellam(rho sum_{m > anchor} p_m,
+    rho sum_{m <= anchor} q_m), dropping at most CURRENT_TAIL_TOL; a finite
+    occupancy law is convolved site by site and drops nothing.  The walk
+    pmf's truncation is not dropped mass: it moves each p_m by at most the
+    walk deficit, so this law by at most E[particles in window] * walk
+    deficit in total variation.
     """
     occ = config.occupancy
     if occ.kind == "geometric":
@@ -412,37 +410,22 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
     anchor = bracket(r * config.sqrt_n)
     line = anchor + bracket(config.n * config.kernel.v * t)
 
-    tau = config.n * t
-    if tau > 0.0:
-        wp = walk_pmf(config.kernel, tau, mass_tol=1e-12)
-        walk_deficit = wp.deficit
-    else:
-        wp = None
-        walk_deficit = 0.0
-
     sites = np.arange(lo, hi + 1)
-    if wp is None:
-        p_site = (sites <= line).astype(float)  # X(0) = 0: below iff m <= line
-    else:
-        p_site = np.asarray(wp.cdf(line - sites), float)
+    right = sites > anchor
+    p_site = np.asarray(walk_pmf(config.kernel, config.n * t).cdf(line - sites), float)
+    cross = np.where(right, p_site, 1.0 - p_site)
+    if occ.kind == "poisson":
+        means = occ.rho0 * np.array([cross[right].sum(), cross[~right].sum()])
+        return marked_poisson_pmf([1, -1], means, CURRENT_TAIL_TOL)
 
+    values, probs = ((occ._values, occ._probs) if occ.kind == "custom"
+                     else (np.array([int(occ.rho0)]), np.array([1.0])))
     acc = np.array([1.0])
     acc_min = 0
-    deficit = walk_deficit
-    for m, p in zip(sites, p_site):
-        is_right = m > anchor
-        cross = p if is_right else 1.0 - p
-        if cross <= 0.0:
+    for is_right, c in zip(right, cross):
+        if c <= 0.0:
             continue
-        if occ.kind == "poisson":
-            site_pmf, d = _poisson_site_pmf(occ.rho0 * cross, site_tail_tol)
-            deficit += d
-        else:
-            site_pmf = _finite_site_pmf(occ._values if occ.kind == "custom"
-                                        else np.array([int(occ.rho0)]),
-                                        occ._probs if occ.kind == "custom"
-                                        else np.array([1.0]),
-                                        cross)
+        site_pmf = _finite_site_pmf(values, probs, c)
         if site_pmf.size == 1:
             continue
         if is_right:
@@ -455,5 +438,4 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
 
     nz = np.nonzero(acc)[0]
     lo_i, hi_i = int(nz[0]), int(nz[-1])
-    return LatticePmf(offset_min=acc_min + lo_i, masses=acc[lo_i:hi_i + 1],
-                      deficit=float(deficit))
+    return LatticePmf(offset_min=acc_min + lo_i, masses=acc[lo_i:hi_i + 1], deficit=0.0)

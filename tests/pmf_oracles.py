@@ -1,0 +1,81 @@
+"""Convolution versions of the walk and current pmfs.
+
+The package builds both pmfs from the marking theorem: the walk as a
+convolution of one dilated Poisson pmf per offset, the Poisson current as a
+Skellam law.  The functions here keep the earlier route -- a Poisson(tau)
+mixture of j-fold kernel convolutions, and a convolution of one truncated
+Poisson pmf per window site -- so the tests can compare the two.
+"""
+
+import numpy as np
+from scipy import stats
+
+import walkcurrent as wc
+
+
+def convolution_walk_pmf(kernel, tau):
+    """Displacement pmf as sum_j Poisson(tau)(j) * kernel^{*j}.
+
+    The jump count is truncated at the smallest J whose Poisson(tau) tail
+    is below 1e-12; that tail is returned as the deficit.
+    """
+    mass_tol = 1e-12
+    j_max = int(stats.poisson.isf(mass_tol, tau)) + 1
+    while stats.poisson.sf(j_max, tau) >= mass_tol:
+        j_max += 1
+    while j_max > 0 and stats.poisson.sf(j_max - 1, tau) < mass_tol:
+        j_max -= 1
+    off_lo = int(kernel.offsets[0])
+    off_hi = int(kernel.offsets[-1])
+    weights = stats.poisson.pmf(np.arange(j_max + 1), tau)
+
+    # dense single-jump pmf over off_lo..off_hi (holes stay zero)
+    kvec = np.zeros(off_hi - off_lo + 1)
+    kvec[kernel.offsets - off_lo] = kernel.probs
+
+    total_min = min(0, off_lo * j_max)
+    total_max = max(0, off_hi * j_max)
+    acc = np.zeros(total_max - total_min + 1)
+    acc[-total_min] += weights[0]
+    cur = np.array([1.0])  # j-fold convolution, support j*off_lo .. j*off_hi
+    for j in range(1, j_max + 1):
+        cur = np.convolve(cur, kvec)
+        start = j * off_lo - total_min
+        acc[start:start + cur.size] += weights[j] * cur
+
+    nz = np.nonzero(acc)[0]
+    lo, hi = int(nz[0]), int(nz[-1])
+    return wc.LatticePmf(offset_min=total_min + lo, masses=acc[lo:hi + 1],
+                         deficit=float(stats.poisson.sf(j_max, tau)))
+
+
+def poisson_site_current_pmf(config, t, r, window):
+    """Current pmf under Poisson occupancy, one site at a time.
+
+    Site m contributes +Poisson(rho p_m) right of the anchor and
+    -Poisson(rho q_m) at or left of it, each truncated where its upper tail
+    falls below 1e-14; the masses are convolved over the window.  Only the
+    masses are meant for comparison: the deficit is left at 0.
+    """
+    site_tail_tol = 1e-14
+    lo, hi = wc.window_span(config, window)
+    anchor = wc.bracket(r * config.sqrt_n)
+    line = anchor + wc.bracket(config.n * config.kernel.v * t)
+    sites = np.arange(lo, hi + 1)
+    p_site = np.asarray(wc.walk_pmf(config.kernel, config.n * t).cdf(line - sites), float)
+    acc = np.array([1.0])
+    acc_min = 0
+    for m, p in zip(sites, p_site):
+        mu = config.occupancy.rho0 * (p if m > anchor else 1.0 - p)
+        if mu <= 0.0:
+            continue
+        k_max = int(stats.poisson.isf(site_tail_tol, mu)) + 1
+        while stats.poisson.sf(k_max, mu) >= site_tail_tol:
+            k_max += 1
+        site_pmf = stats.poisson.pmf(np.arange(k_max + 1), mu)
+        if m > anchor:
+            acc = np.convolve(acc, site_pmf)
+        else:
+            acc = np.convolve(acc, site_pmf[::-1])
+            acc_min -= site_pmf.size - 1
+    return wc.LatticePmf(offset_min=acc_min, masses=acc, deficit=0.0)

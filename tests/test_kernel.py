@@ -8,6 +8,8 @@ from scipy import stats as spstats
 
 import walkcurrent as wc
 from conftest import lattice_chisquare
+from pmf_oracles import convolution_walk_pmf
+from walkcurrent import kernel as kernel_module
 
 
 class TestValidateKernel:
@@ -148,7 +150,7 @@ class TestWalkPmf:
 
     def test_moment_identities(self, drift_kernel):
         tau, mass_tol = 50.0, 1e-12
-        pmf = wc.walk_pmf(drift_kernel, tau, mass_tol=mass_tol)
+        pmf = wc.walk_pmf(drift_kernel, tau)
         assert pmf.deficit <= mass_tol
         corrected_mean = pmf.mean() / (1.0 - pmf.deficit)
         assert abs(corrected_mean - drift_kernel.v * tau) < 1e-8
@@ -158,9 +160,30 @@ class TestWalkPmf:
         corrected_var = pmf.var() / (1.0 - pmf.deficit)
         assert abs(corrected_var - drift_kernel.kappa2 * tau) < 10 * mass_tol * lever ** 2
 
-    def test_mass_tol_validation(self, drift_kernel):
-        with pytest.raises(ValueError):
-            wc.walk_pmf(drift_kernel, 1.0, mass_tol=1e-3)
+    def test_support_cap(self, drift_kernel, monkeypatch):
+        monkeypatch.setattr(kernel_module, "PMF_LENGTH_CAP", 100)
+        with pytest.raises(wc.TruncationBudgetError):
+            wc.walk_pmf(drift_kernel, 1e4)
+
+    @pytest.mark.parametrize("raw", [{1: 0.7, -1: 0.3}, {1: 0.4, -1: 0.3, 2: 0.2, -3: 0.1}])
+    @pytest.mark.parametrize("tau", [2500.0, 1e4, 1e5, 1e6])
+    def test_mass_plus_deficit_is_one(self, raw, tau):
+        pmf = wc.walk_pmf(wc.validate_kernel(raw), tau)
+        assert 0.0 <= pmf.deficit <= 1e-12
+        assert abs(pmf.masses.sum() + pmf.deficit - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("raw", [{1: 0.7, -1: 0.3}, {1: 0.4, -1: 0.3, 2: 0.2, -3: 0.1},
+                                     {0: 0.5, 2: 0.5}, {-2: 0.6, 3: 0.4}])
+    @pytest.mark.parametrize("tau", [0.3, 10.0, 300.0, 2500.0])
+    def test_matches_convolution_oracle(self, raw, tau):
+        kernel = wc.validate_kernel(raw)
+        a, b = wc.walk_pmf(kernel, tau), convolution_walk_pmf(kernel, tau)
+        lo = min(a.offset_min, b.offset_min)
+        size = max(a.offset_min + a.masses.size, b.offset_min + b.masses.size) - lo
+        dense = np.zeros((2, size))
+        for row, pmf in zip(dense, (a, b)):
+            row[pmf.offset_min - lo:pmf.offset_min - lo + pmf.masses.size] = pmf.masses
+        assert np.abs(dense[0] - dense[1]).max() <= 1e-13
 
     def test_cdf_sf_complement(self, drift_kernel):
         pmf = wc.walk_pmf(drift_kernel, 10.0)
@@ -201,10 +224,7 @@ class TestLatticePmfProperties:
         cfg = wc.ExperimentConfig(n=n, T=1.0, S=0.25, t_grid=(t,), r_grid=(0.0,),
                                   kernel=kernel, occupancy=occupancy, master_seed=0)
         pmf = wc.exact_current_pmf(cfg, t, 0.0)
-        # the walk pmf's truncated tail enters the deficit, but no current
-        # mass is dropped for it: only the Poisson occupancy tails are
-        walk_deficit = wc.walk_pmf(kernel, n * t).deficit
-        check_lattice_identities(pmf, pmf.deficit - walk_deficit)
+        check_lattice_identities(pmf, pmf.deficit)
 
 
 class TestChernoffTail:
@@ -236,3 +256,18 @@ class TestChernoffTail:
     def test_negative_delta_rejected(self, drift_kernel):
         with pytest.raises(ValueError):
             wc.chernoff_tail(drift_kernel, 1.0, -1)
+
+    @pytest.mark.parametrize("size", [1, 32, 512, 1000])
+    def test_blocked_minimum_is_bit_identical(self, wide_kernel, size):
+        # the theta-minimum taken over the whole (deltas x theta) array at once
+        tau = 300.0
+        deltas = np.arange(size, dtype=float) * 0.75
+        theta = np.logspace(-4, math.log10(wide_kernel.mgf_radius), kernel_module.CHERNOFF_GRID)
+        mg_plus = np.sum(wide_kernel.probs * np.exp(np.outer(theta, wide_kernel.offsets)), axis=1)
+        mg_minus = np.sum(wide_kernel.probs * np.exp(np.outer(-theta, wide_kernel.offsets)), axis=1)
+        base_hi = tau * (mg_plus - 1.0) - theta * wide_kernel.v * tau
+        base_lo = tau * (mg_minus - 1.0) + theta * wide_kernel.v * tau
+        ext = theta[None, :] * deltas[:, None]
+        ref = np.logaddexp(np.min(base_hi[None, :] - ext, axis=1),
+                           np.min(base_lo[None, :] - ext, axis=1))
+        assert np.array_equal(kernel_module.chernoff_log_tail(wide_kernel, tau, deltas), ref)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats as spstats
 
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample
+from pmf_oracles import poisson_site_current_pmf
 
 
 def small_config(n=100, replicas=200, t_grid=(0.5, 1.0), r_grid=(0.0,),
@@ -230,11 +232,38 @@ class TestRunEnsemble:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+OCCUPANCIES = {
+    "poisson": wc.OccupancyModel.poisson(1.3),
+    "custom": wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
+    "deterministic": wc.OccupancyModel.deterministic(2),
+}
+
+
 class TestExactCurrentPmf:
     def test_time_zero_point_mass(self):
-        cfg = small_config(t_grid=(0.0, 1.0))
-        pmf = wc.exact_current_pmf(cfg, 0.0, 0.0)
-        assert pmf.offset_min == 0 and pmf.masses.tolist() == [1.0]
+        for occupancy in (None, OCCUPANCIES["custom"]):
+            cfg = small_config(t_grid=(0.0, 1.0), occupancy=occupancy)
+            pmf = wc.exact_current_pmf(cfg, 0.0, 0.0)
+            assert pmf.offset_min == 0 and pmf.masses.tolist() == [1.0]
+            assert pmf.deficit == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(OCCUPANCIES))
+    @pytest.mark.parametrize("n", [25, 400, 2500])
+    def test_mass_plus_deficit_is_one(self, kind, n):
+        cfg = small_config(n=n, t_grid=(1.0,), occupancy=OCCUPANCIES[kind])
+        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0)
+        assert abs(pmf.masses.sum() + pmf.deficit - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [100, 400, 1600, 2500])
+    def test_skellam_deep_tail(self, n):
+        # P(Y >= sqrt(n)) falls to 3.5e-14 at n = 2500: the Skellam windows
+        # must reach that far into both Poisson tails
+        cfg = small_config(n=n, t_grid=(1.0,))
+        w = wc.truncation_radius(cfg)
+        threshold = math.ceil(math.sqrt(n))
+        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0, window=w)
+        ref = poisson_site_current_pmf(cfg, 1.0, 0.0, w)
+        assert pmf.tail_geq(threshold) == pytest.approx(ref.tail_geq(threshold), rel=1e-8)
 
     def test_empty_system_point_mass(self):
         cfg = small_config(occupancy=wc.OccupancyModel.deterministic(0))
