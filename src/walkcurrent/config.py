@@ -16,14 +16,15 @@ from typing import Optional
 
 from .errors import ConfigParseError, ConfigValidationError
 from .kernel import JumpKernel, validate_kernel
+from .ldp import RateModel
 from .occupancy import OccupancyModel
 from .simulate import ExperimentConfig
 
 SCHEMA_VERSION = 1
 
 DEFAULTS = {
-    "window_tol": 1e-6,
-    "quad_tol": 1e-10,
+    "window_tol": ExperimentConfig.window_tol,
+    "quad_tol": RateModel.quad_tol,
     "master_seed": 0,
     "bands": {
         "cov_z": 4.0,

@@ -7,11 +7,11 @@ the normal mean-excess function.  Along a fixed spatial offset the field is
 fractional Brownian motion with Hurst exponent 1/4.
 
 This module evaluates those closed forms, cross-checks them against their
-independent Brownian-probability integral representations by adaptive
-quadrature, and samples the limit field two ways: exactly from a Cholesky
-factor on a point grid, and approximately through a discretized stochastic
-integral driven by space-time white noise plus an initial-noise line
-integral.
+independent Brownian-probability integral representations by a gated
+Gauss-Legendre panel rule, and samples the limit field two ways: exactly
+from a Cholesky factor on a point grid, and approximately through a
+discretized stochastic integral driven by space-time white noise plus an
+initial-noise line integral.
 """
 
 from __future__ import annotations
@@ -21,29 +21,46 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
+from scipy.special import ndtr
 
-from .errors import CovarianceNotPSDError, MeshTooCoarseError, QuadratureConvergenceError
-from .normal import bvn_cdf, mean_excess, norm_cdf
+from .errors import CovarianceNotPSDError, MeshTooCoarseError
+from .normal import bvn_cdf, gated_rule, mean_excess, norm_cdf
 
 Point = Tuple[float, float]  # (t, r)
 
 
-def dynamic_cov(s: float, q: float, t: float, r: float, kappa2: float) -> float:
-    """Covariance contribution from jump noise between points (s,q), (t,r)."""
-    if s < 0.0 or t < 0.0:
+def _broadcast(s, q, t, r):
+    """(s, q, t, r) as broadcast float arrays; the times must be nonnegative."""
+    s, q, t, r = np.broadcast_arrays(*(np.asarray(v, float) for v in (s, q, t, r)))
+    if np.any(s < 0.0) or np.any(t < 0.0):
         raise ValueError("times must be nonnegative")
-    d = abs(q - r)
-    return float(mean_excess(kappa2 * (t + s), d) - mean_excess(kappa2 * abs(t - s), d))
+    return s, q, t, r
 
 
-def initial_cov(s: float, q: float, t: float, r: float, kappa2: float) -> float:
-    """Covariance contribution from transported initial-occupancy noise."""
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
-    d = abs(q - r)
-    return float(mean_excess(kappa2 * s, d) + mean_excess(kappa2 * t, d)
-                 - mean_excess(kappa2 * (t + s), d))
+def _value(out):
+    """A float for a 0-d result, else the array."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def dynamic_cov(s, q, t, r, kappa2: float):
+    """Covariance contribution from jump noise between points (s,q), (t,r).
+
+    Broadcasts over arrays of (s, q, t, r); scalars give a float.
+    """
+    s, q, t, r = _broadcast(s, q, t, r)
+    d = np.abs(q - r)
+    return _value(mean_excess(kappa2 * (t + s), d) - mean_excess(kappa2 * np.abs(t - s), d))
+
+
+def initial_cov(s, q, t, r, kappa2: float):
+    """Covariance contribution from transported initial-occupancy noise.
+
+    Broadcasts like dynamic_cov.
+    """
+    s, q, t, r = _broadcast(s, q, t, r)
+    d = np.abs(q - r)
+    return _value(mean_excess(kappa2 * s, d) + mean_excess(kappa2 * t, d)
+                  - mean_excess(kappa2 * (t + s), d))
 
 
 @dataclass(frozen=True)
@@ -64,8 +81,11 @@ class LimitCovariance:
             raise ValueError("kappa2 must be finite and > 0")
 
 
-def limit_cov(params: LimitCovariance, a: Point, b: Point) -> float:
-    """E Z(a) Z(b) = rho0 * dynamic + v0 * initial; symmetric in (a, b)."""
+def limit_cov(params: LimitCovariance, a: Point, b: Point):
+    """E Z(a) Z(b) = rho0 * dynamic + v0 * initial; symmetric in (a, b).
+
+    The coordinates of a = (s, q) and b = (t, r) broadcast like dynamic_cov's.
+    """
     s, q = a
     t, r = b
     return (params.rho0 * dynamic_cov(s, q, t, r, params.kappa2)
@@ -76,16 +96,7 @@ def limit_cov_matrix(params: LimitCovariance, points: Sequence[Point]) -> np.nda
     """Covariance matrix of the limit field on a list of (t, r) points."""
     ts = np.asarray([p[0] for p in points], float)
     rs = np.asarray([p[1] for p in points], float)
-    if np.any(ts < 0.0):
-        raise ValueError("times must be nonnegative")
-    k2 = params.kappa2
-    d = np.abs(rs[:, None] - rs[None, :])
-    sum_t = ts[:, None] + ts[None, :]
-    diff_t = np.abs(ts[:, None] - ts[None, :])
-    dyn = mean_excess(k2 * sum_t, d) - mean_excess(k2 * diff_t, d)
-    ini = (mean_excess(k2 * ts[:, None], d) + mean_excess(k2 * ts[None, :], d)
-           - mean_excess(k2 * sum_t, d))
-    cov = params.rho0 * dyn + params.v0 * ini
+    cov = limit_cov(params, (ts[:, None], rs[:, None]), (ts[None, :], rs[None, :]))
     return 0.5 * (cov + cov.T)
 
 
@@ -105,69 +116,81 @@ def fbm_cov(s: float, t: float, rho: float, kappa2: float) -> float:
 # quadrature cross-checks: Brownian crossing-probability integral forms
 # --------------------------------------------------------------------------
 
-def _quad(f, a, b, epsabs, points=None):
-    val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=400,
-                              points=points)
-    if err > max(100.0 * epsabs, 1e-9):
-        raise QuadratureConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds target {epsabs:.3e}")
-    return val
+# Rule of the integral forms: INTEGRAL_PANELS panels of INTEGRAL_ORDER
+# Gauss-Legendre nodes, doubled up to INTEGRAL_MAX_PANELS.  Each window ends
+# INTEGRAL_SDS deviations past a crossing point, where the integrand is below
+# Phi(-10), so a short time beside a long one narrows the window instead.
+INTEGRAL_PANELS = 2
+INTEGRAL_ORDER = 48
+INTEGRAL_MAX_PANELS = 64
+INTEGRAL_SDS = 10.0
 
 
-def dynamic_cov_quadrature(s: float, q: float, t: float, r: float, kappa2: float,
-                           epsabs: float = 1e-11) -> float:
+def _integral(values_at, lo, hi, what: str):
+    """Integrals of values_at(x) over [lo, hi] (broadcast; 0 where hi <= lo)."""
+    span = np.maximum(hi - lo, 0.0)
+
+    def at_nodes(nodes):
+        return values_at(lo[..., None] + span[..., None] * nodes)
+
+    return gated_rule(at_nodes, INTEGRAL_PANELS, INTEGRAL_ORDER, 1e-12,
+                      INTEGRAL_MAX_PANELS, what, scale=span)
+
+
+def dynamic_cov_quadrature(s, q, t, r, kappa2: float):
     """Dynamic covariance via its integral form.
 
     Integrates the covariance of the two crossing indicators of a Brownian
     particle started at x: P(joint) - P(.)P(.), with Cov(B(s), B(t)) =
     min(s, t).  Independent of the closed form, which it is used to verify.
+    |Cov(1_A, 1_B)| <= min(P(A), 1 - P(A)), and the same for B, so x runs
+    only over the starts within INTEGRAL_SDS deviations of q and of r.
+    Broadcasts like dynamic_cov; 0 where s or t is 0.
     """
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
-    if s == 0.0 or t == 0.0:
-        return 0.0
-    sd_s = math.sqrt(kappa2 * s)
-    sd_t = math.sqrt(kappa2 * t)
-    corr = min(s, t) / math.sqrt(s * t)
+    s, q, t, r = _broadcast(s, q, t, r)
+    live = (s > 0.0) & (t > 0.0)  # elsewhere a dummy time 1, its integral discarded
+    sd_s, sd_t = (np.sqrt(kappa2 * np.where(live, v, 1.0)) for v in (s, t))
+    corr = np.minimum(sd_s, sd_t) / np.maximum(sd_s, sd_t)  # min(s, t) / sqrt(s t)
 
     def f(x):
-        h = (q - x) / sd_s
-        k = (r - x) / sd_t
-        return bvn_cdf(h, k, corr) - norm_cdf(q - x, kappa2 * s) * norm_cdf(r - x, kappa2 * t)
+        h = (q[..., None] - x) / sd_s[..., None]
+        k = (r[..., None] - x) / sd_t[..., None]
+        return bvn_cdf(h, k, corr[..., None]) - ndtr(h) * ndtr(k)
 
-    half = 10.0 * math.sqrt(kappa2 * max(s, t))
-    lo = min(q, r) - half
-    hi = max(q, r) + half
-    inner = sorted({q, r})
-    return _quad(f, lo, hi, epsabs, points=inner)
+    val = _integral(f, np.maximum(q - INTEGRAL_SDS * sd_s, r - INTEGRAL_SDS * sd_t),
+                    np.minimum(q + INTEGRAL_SDS * sd_s, r + INTEGRAL_SDS * sd_t),
+                    "dynamic covariance integral")
+    return _value(np.where(live, val, 0.0))
 
 
-def initial_cov_quadrature(s: float, q: float, t: float, r: float, kappa2: float,
-                           epsabs: float = 1e-11) -> float:
+def initial_cov_quadrature(s, q, t, r, kappa2: float):
     """Initial-noise covariance via its integral form.
 
     Piecewise products of one-point crossing probabilities, with the sign
     pattern depending on where the start x sits relative to q and r.
+    Broadcasts like dynamic_cov; 0 where s or t is 0.
     """
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
+    s, q, t, r = _broadcast(s, q, t, r)
+    live = (s > 0.0) & (t > 0.0)
+    sd_s, sd_t = (np.sqrt(kappa2 * np.where(live, v, 1.0)) for v in (s, t))
+    # the form is symmetric in its two points: a is the lower one, b the upper
+    swap = q > r
+    a, b = np.where(swap, r, q), np.where(swap, q, r)
+    sd_a, sd_b = np.where(swap, sd_t, sd_s), np.where(swap, sd_s, sd_t)
+    tail = INTEGRAL_SDS * np.minimum(sd_a, sd_b)
 
-    def cdf_s(x):
-        return norm_cdf(q - x, kappa2 * s)
+    # three pieces on a leading axis: right of both points, left of both,
+    # and between them, where exactly one indicator counts
+    def f(x):
+        cdf_a = ndtr((a[..., None] - x) / sd_a[..., None])
+        cdf_b = ndtr((b[..., None] - x) / sd_b[..., None])
+        return np.stack([cdf_a[0] * cdf_b[0], (1.0 - cdf_a[1]) * (1.0 - cdf_b[1]),
+                         cdf_a[2] * (1.0 - cdf_b[2])])
 
-    def cdf_t(x):
-        return norm_cdf(r - x, kappa2 * t)
-
-    half = 10.0 * math.sqrt(kappa2 * max(s, t, 1e-12))
-    lo_pt, hi_pt = min(q, r), max(q, r)
-    total = _quad(lambda x: cdf_s(x) * cdf_t(x), hi_pt, hi_pt + half, epsabs / 3)
-    total += _quad(lambda x: (1.0 - cdf_s(x)) * (1.0 - cdf_t(x)),
-                   lo_pt - half, lo_pt, epsabs / 3)
-    if r > q:
-        total -= _quad(lambda x: cdf_s(x) * (1.0 - cdf_t(x)), q, r, epsabs / 3)
-    elif q > r:
-        total -= _quad(lambda x: (1.0 - cdf_s(x)) * cdf_t(x), r, q, epsabs / 3)
-    return total
+    lo = np.stack([b, a - tail, np.maximum(a, b - INTEGRAL_SDS * sd_b)])
+    hi = np.stack([b + tail, a, np.minimum(b, a + INTEGRAL_SDS * sd_a)])
+    right, left, between = _integral(f, lo, hi, "initial covariance integral")
+    return _value(np.where(live, right + left - between, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -370,13 +393,10 @@ class StochasticIntegralSampler:
 
 def covariance_table(params: LimitCovariance, pairs) -> list[dict]:
     """Rows of (s, q, t, r, initial, dynamic, cov) for goldens and docs."""
-    rows = []
-    for (s, q), (t, r) in pairs:
-        ini = initial_cov(s, q, t, r, params.kappa2)
-        dyn = dynamic_cov(s, q, t, r, params.kappa2)
-        rows.append({
-            "s": s, "q": q, "t": t, "r": r,
-            "initial_cov": ini, "dynamic_cov": dyn,
-            "cov": params.rho0 * dyn + params.v0 * ini,
-        })
-    return rows
+    s, q, t, r = np.asarray(pairs, float).reshape(-1, 4).T
+    ini = initial_cov(s, q, t, r, params.kappa2).tolist()
+    dyn = dynamic_cov(s, q, t, r, params.kappa2).tolist()
+    cov = limit_cov(params, (s, q), (t, r)).tolist()
+    return [{"s": s, "q": q, "t": t, "r": r,
+             "initial_cov": i, "dynamic_cov": d, "cov": c}
+            for ((s, q), (t, r)), i, d, c in zip(pairs, ini, dyn, cov)]

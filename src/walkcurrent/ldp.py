@@ -209,7 +209,10 @@ def current_log_mgf_prime(model: RateModel, lam: float) -> float:
     return _quad_two_sided(vals, model, "log-MGF derivative")
 
 
-def tilt_for_mean(model: RateModel, x: float, tol: float = 1e-10) -> float:
+TILT_TOL = 1e-10  # largest mean residual of a tilt solve (or 1e-9 |x|)
+
+
+def tilt_for_mean(model: RateModel, x: float) -> float:
     """Solve for the tilt alpha with mean current x (strictly increasing).
 
     Bracketed Brent solve on [-lambda_max, lambda_max]; the convergence
@@ -226,8 +229,8 @@ def tilt_for_mean(model: RateModel, x: float, tol: float = 1e-10) -> float:
     alpha = optimize.brentq(lambda a: current_log_mgf_prime(model, a) - x,
                             -L, L, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     resid = abs(current_log_mgf_prime(model, alpha) - x)
-    if resid > max(tol, 1e-9 * abs(x)):
-        raise NewtonConvergenceError(f"tilt residual {resid:.2e} above {tol:.2e}")
+    if resid > max(TILT_TOL, 1e-9 * abs(x)):
+        raise NewtonConvergenceError(f"tilt residual {resid:.2e} above {TILT_TOL:.2e}")
     return float(alpha)
 
 
@@ -308,10 +311,14 @@ class TailEstimate:
     samples: int
 
 
+# Batch b of the tilted sampler draws TAIL_BATCH samples from the tilt
+# stream's generator b, so this size fixes the random stream.
+TAIL_BATCH = 8192
+TAIL_MIN_ESS = 100.0  # smallest effective sample size of the hits
+
+
 def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
-                         samples: int, alpha: Optional[float] = None,
-                         batch_size: int = 8192,
-                         min_ess: float = 100.0) -> TailEstimate:
+                         samples: int, alpha: Optional[float] = None) -> TailEstimate:
     """Importance-sampling estimate of P(Y_n(t, r) >= x * sqrt(n)).
 
     Site occupancies are tilted through the limiting per-site crossing
@@ -365,8 +372,8 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     threshold = math.ceil(x * sqrt_n - 1e-9)
     total = 0
     hit_logw = []
-    for batch_index in range(0, math.ceil(samples / batch_size)):
-        b = min(batch_size, samples - total)
+    for batch_index in range(0, math.ceil(samples / TAIL_BATCH)):
+        b = min(TAIL_BATCH, samples - total)
         rng = replica_rng(config.master_seed, TILT_STREAM, batch_index)
         if occ.kind == "poisson":
             counts = rng.poisson(prop_mean, size=(b, sites.size))
@@ -390,9 +397,9 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     log_sum = float(logsumexp(lw))
     log_sum2 = float(logsumexp(2.0 * lw))
     ess = math.exp(2.0 * log_sum - log_sum2)
-    if ess < min_ess:
+    if ess < TAIL_MIN_ESS:
         raise DegenerateWeightsError(
-            f"effective sample size {ess:.1f} below {min_ess}")
+            f"effective sample size {ess:.1f} below {TAIL_MIN_ESS}")
     p_hat = math.exp(log_sum - math.log(total))
     second = math.exp(log_sum2 - math.log(total))
     var = max(second - p_hat * p_hat, 0.0)
@@ -468,8 +475,7 @@ def _pattern_orthant_prob(x, times, u, kappa2, invert: bool,
         z = np.multiply.outer(limit, 1.0 / sds)
         if len(idx) == 2:
             rho_ = sub[0, 1] / (sds[0] * sds[1])
-            # [()] turns a scalar limit's 0-d slices into scalars
-            return bvn_cdf(z[..., 0][()], z[..., 1][()], rho_)
+            return bvn_cdf(z[..., 0], z[..., 1], rho_)
         corr = sub / np.outer(sds, sds)
         return mvn_cdf_3(z, corr)
 

@@ -80,41 +80,16 @@ def bvn_cdf(h, k, rho):
 
     Owen's-T identity; accurate to ~1e-15, which the covariance quadrature
     cross-checks rely on.  Degenerate rho = +-1 are handled as hard limits.
-    Scalars take a branch per case and give a float; arrays broadcast and
-    take the same formula elementwise.
+    Arrays broadcast; scalars give a float.
     """
-    if isinstance(h, np.ndarray) or isinstance(k, np.ndarray) or isinstance(rho, np.ndarray):
-        out = _bvn_cdf_array(h, k, rho)
-        return float(out) if out.ndim == 0 else out
-    if rho >= 1.0:
-        return float(min(ndtr(h), ndtr(k)))
-    if rho <= -1.0:
-        return float(max(0.0, ndtr(h) + ndtr(k) - 1.0))
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    if h == 0.0:
-        # reduce to the k == 0 branch by symmetry of the joint law
-        return bvn_cdf(k, h, rho)
-    den = math.sqrt(1.0 - rho * rho)
-    beta = 0.5 if (h * k < 0.0 or (h * k == 0.0 and h + k < 0.0)) else 0.0
-    t_h = owens_t(h, (k - rho * h) / (h * den))
-    if k == 0.0:
-        t_k = math.copysign(0.25, h)  # T(0, +-inf) limit
-    else:
-        t_k = owens_t(k, (h - rho * k) / (k * den))
-    return float(0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - beta)
-
-
-def _bvn_cdf_array(h, k, rho) -> np.ndarray:
-    """bvn_cdf over broadcast arrays, its branches selected by np.where."""
     h, k, rho = np.broadcast_arrays(np.asarray(h, float), np.asarray(k, float),
                                     np.asarray(rho, float))
     swap = h == 0.0
     h, k = np.where(swap, k, h), np.where(swap, h, k)
     r = np.where(np.abs(rho) < 1.0, rho, 0.0)
     den = np.sqrt(1.0 - r * r)
-    hk = h * k
-    beta = np.where((hk < 0.0) | ((hk == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    # signs compared, not h * k, which underflows to 0 for tiny h and k
+    beta = np.where((h < 0.0) != (k < 0.0), 0.5, 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_h = owens_t(h, (k - r * h) / (h * den))
         t_k = np.where(k == 0.0, np.copysign(0.25, h),
@@ -123,7 +98,8 @@ def _bvn_cdf_array(h, k, rho) -> np.ndarray:
     out = 0.5 * (nh + nk) - t_h - t_k - beta
     out = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(r) / (2.0 * math.pi), out)
     out = np.where(rho >= 1.0, np.minimum(nh, nk), out)
-    return np.where(rho <= -1.0, np.maximum(0.0, nh + nk - 1.0), out)
+    out = np.where(rho <= -1.0, np.maximum(0.0, nh + nk - 1.0), out)
+    return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=16)

@@ -9,6 +9,7 @@ are byte-identical for a fixed seed no matter how many workers run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -60,6 +61,9 @@ from .stats import (
 
 N_BATCHES = 50
 RETAIN_CAP = 100_000
+FIDI_CONSISTENCY_TOL = 1e-6  # k = 1 rate against its closed form
+FIDI_SYMMETRY_TOL = 1e-9  # k = 1 intensities against rho sqrt(kappa2 t / 2 pi)
+IDENTITY_TOL = 1e-8  # limit-tables: closed forms against integral forms
 
 
 def limit_params(config: ExperimentConfig) -> LimitCovariance:
@@ -112,9 +116,7 @@ def _batch_job(args):
 
 
 def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
-                         nbatches: int = N_BATCHES,
                          retain_points: Sequence[Tuple[float, float]] = (),
-                         retain_cap: int = RETAIN_CAP,
                          telemetry: Optional[dict] = None):
     """Run all replicas, returning per-batch accumulators and retained samples.
 
@@ -129,8 +131,8 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
         telemetry.update(ensemble_telemetry(config, window, table))
     points = config.grid_points()
     retain_idx = [points.index((float(t), float(r))) for t, r in retain_points]
-    payloads = [(config, window, table, batch, retain_idx, retain_cap)
-                for batch in split_batches(config.replicas, nbatches)]
+    payloads = [(config, window, table, batch, retain_idx, RETAIN_CAP)
+                for batch in split_batches(config.replicas, N_BATCHES)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_job, payloads))
@@ -140,7 +142,7 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
     retained = {}
     for slot, pt in enumerate(retain_points):
         arr = np.concatenate([kept[slot] for _, kept in results]) if results else np.array([])
-        retained[(float(pt[0]), float(pt[1]))] = arr[:retain_cap]
+        retained[(float(pt[0]), float(pt[1]))] = arr[:RETAIN_CAP]
     return batches, retained
 
 
@@ -152,7 +154,6 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
                           bands: Optional[dict] = None,
                           check_points: Optional[Sequence[Tuple[float, float]]] = None,
                           retain_points: Sequence[Tuple[float, float]] = (),
-                          nbatches: int = N_BATCHES,
                           telemetry: Optional[dict] = None):
     """Ensemble covariance and mean against the limit formulas.
 
@@ -168,7 +169,6 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
     params = limit_params(config)
     points = config.grid_points()
     batches, retained = run_ensemble_batches(config, workers=workers,
-                                             nbatches=nbatches,
                                              retain_points=retain_points,
                                              telemetry=telemetry)
     cov_rep = covariance_report(batches, params, points)
@@ -232,8 +232,7 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
 
 
 def fbm_experiment(config: ExperimentConfig, workers: int = 1,
-                   bands: Optional[dict] = None, nbatches: int = N_BATCHES,
-                   telemetry: Optional[dict] = None):
+                   bands: Optional[dict] = None, telemetry: Optional[dict] = None):
     """Variance-growth exponent across times at r = 0 vs the analytic 1/2."""
     bands = {**DEFAULTS["bands"], **(bands or {})}
     lo = bands["slope_lo"]
@@ -242,8 +241,7 @@ def fbm_experiment(config: ExperimentConfig, workers: int = 1,
         raise ValueError("fbm experiment needs r = 0 in the grid")
     params = limit_params(config)
     points = config.grid_points()
-    batches, _ = run_ensemble_batches(config, workers=workers, nbatches=nbatches,
-                                      telemetry=telemetry)
+    batches, _ = run_ensemble_batches(config, workers=workers, telemetry=telemetry)
     total = merge_accumulators(batches)
     cov = total.cov()
     tvals = [t for t in config.t_grid if t > 0.0]
@@ -318,11 +316,7 @@ def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
     rows = []
     oracle_ok = True
     for n in n_values:
-        cfg_n = ExperimentConfig(
-            n=n, T=config.T, S=config.S, t_grid=config.t_grid,
-            r_grid=config.r_grid, kernel=config.kernel,
-            occupancy=config.occupancy, master_seed=config.master_seed,
-            replicas=config.replicas, window_tol=config.window_tol)
+        cfg_n = dataclasses.replace(config, n=n)
         est = tilted_tail_estimate(cfg_n, t, r, x, samples, alpha=alpha)
         row = {"n": n, "x": x, "p_hat": est.p_hat, "se": est.p_hat * est.relative_se,
                "relative_se": est.relative_se, "empirical_rate": est.empirical_rate,
@@ -345,8 +339,7 @@ def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
     return report, passed
 
 
-def fidi_experiment(fidi_section: dict, consistency_tol: float = 1e-6,
-                    rate_symmetry_tol: float = 1e-9):
+def fidi_experiment(fidi_section: dict):
     """Multi-time marginal rates; at k = 1 checks the closed-form collapse."""
     times = [float(t) for t in fidi_section["times"]]
     rho = float(fidi_section["rho"])
@@ -361,7 +354,7 @@ def fidi_experiment(fidi_section: dict, consistency_tol: float = 1e-6,
         if len(times) == 1:
             closed = poisson_rate(xv[0], rho, kappa2, times[0])
             row["rate_closed"] = closed
-            row["ok"] = bool(math.isfinite(rate) and abs(rate - closed) <= consistency_tol)
+            row["ok"] = bool(math.isfinite(rate) and abs(rate - closed) <= FIDI_CONSISTENCY_TOL)
             passed = passed and row["ok"]
         rows.append(row)
     intensities = {
@@ -371,8 +364,8 @@ def fidi_experiment(fidi_section: dict, consistency_tol: float = 1e-6,
     }
     if len(times) == 1:
         expected = rho * math.sqrt(kappa2 * times[0] / (2.0 * math.pi))
-        sym_ok = bool(abs(spec.alpha_rates[0] - expected) <= rate_symmetry_tol
-                      and abs(spec.beta_rates[0] - expected) <= rate_symmetry_tol)
+        sym_ok = bool(abs(spec.alpha_rates[0] - expected) <= FIDI_SYMMETRY_TOL
+                      and abs(spec.beta_rates[0] - expected) <= FIDI_SYMMETRY_TOL)
         intensities["expected_k1"] = expected
         intensities["ok"] = sym_ok
         passed = passed and sym_ok
@@ -382,8 +375,7 @@ def fidi_experiment(fidi_section: dict, consistency_tol: float = 1e-6,
     return report, passed
 
 
-def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None,
-                            identity_tol: float = 1e-8):
+def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None):
     """Covariance golden tables, with the quadrature identity spot-checked."""
     section = limit_section or {}
     rho0 = section.get("rho0", occupancy.rho0 if occupancy else 1.0)
@@ -402,15 +394,13 @@ def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None,
             q, r = rng.uniform(-2.0, 2.0, size=2)
             pairs.append(((float(s), float(q)), (float(t), float(r))))
     rows = covariance_table(params, pairs)
-    worst = 0.0
     ncheck = int(section.get("identity_checks", min(6, len(pairs))))
-    for (s, q), (t, r) in pairs[:ncheck]:
-        worst = max(worst,
-                    abs(dynamic_cov(s, q, t, r, params.kappa2)
-                        - dynamic_cov_quadrature(s, q, t, r, params.kappa2)),
-                    abs(initial_cov(s, q, t, r, params.kappa2)
-                        - initial_cov_quadrature(s, q, t, r, params.kappa2)))
-    passed = worst <= identity_tol
+    s, q, t, r = np.asarray(pairs[:ncheck], float).reshape(-1, 4).T
+    errors = [np.abs(closed(s, q, t, r, params.kappa2) - integral(s, q, t, r, params.kappa2))
+              for closed, integral in ((dynamic_cov, dynamic_cov_quadrature),
+                                       (initial_cov, initial_cov_quadrature))]
+    worst = float(np.max(errors, initial=0.0))
+    passed = worst <= IDENTITY_TOL
     report = {"kind": "limit_tables", "schema_version": 1,
               "rho0": params.rho0, "v0": params.v0, "kappa2": params.kappa2,
               "rows": rows, "identity_max_err": worst, "passed": passed}
@@ -418,10 +408,9 @@ def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None,
 
 
 def simulate_experiment(config: ExperimentConfig, workers: int = 1,
-                        nbatches: int = N_BATCHES, telemetry: Optional[dict] = None):
+                        telemetry: Optional[dict] = None):
     """Plain ensemble run: summary moments per grid point."""
-    batches, _ = run_ensemble_batches(config, workers=workers, nbatches=nbatches,
-                                      telemetry=telemetry)
+    batches, _ = run_ensemble_batches(config, workers=workers, telemetry=telemetry)
     total = merge_accumulators(batches)
     cov = total.cov()
     rows = []

@@ -379,13 +379,15 @@ def run_ensemble(config: ExperimentConfig,
 # exact single-point distribution oracle
 # --------------------------------------------------------------------------
 
-def _finite_site_pmf(values: np.ndarray, probs: np.ndarray, p: float) -> np.ndarray:
-    # Binomial(eta, p), eta from the finite law; rescaled so rounding cannot build up
-    vmax = int(values[-1])
-    out = np.zeros(vmax + 1)
-    for v, pv in zip(values, probs):
-        out[:int(v) + 1] += pv * stats.binom.pmf(np.arange(int(v) + 1), int(v), p)
-    return out / math.fsum(out)
+def _finite_site_pmfs(values: np.ndarray, probs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # row m: Binomial(eta, p[m]), eta from the finite law; each row rescaled
+    # so rounding cannot build up
+    counts = np.arange(int(values[-1]) + 1)
+    binom = stats.binom.pmf(counts, values.astype(np.int64)[:, None, None], p[:, None])
+    out = np.zeros(binom.shape[1:])
+    for pv, pmf in zip(probs, binom):
+        out += pv * pmf
+    return out / np.array([math.fsum(row) for row in out])[:, None]
 
 
 def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
@@ -420,12 +422,10 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
 
     values, probs = ((occ._values, occ._probs) if occ.kind == "custom"
                      else (np.array([int(occ.rho0)]), np.array([1.0])))
+    live = cross > 0.0
     acc = np.array([1.0])
     acc_min = 0
-    for is_right, c in zip(right, cross):
-        if c <= 0.0:
-            continue
-        site_pmf = _finite_site_pmf(values, probs, c)
+    for is_right, site_pmf in zip(right[live], _finite_site_pmfs(values, probs, cross[live])):
         if site_pmf.size == 1:
             continue
         if is_right:

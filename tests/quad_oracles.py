@@ -2,18 +2,41 @@
 
 The package evaluates these integrals by fixed Gauss-Legendre panel rules on
 node arrays.  The functions here keep the earlier route -- scalar integrands
-under adaptive `scipy.integrate.quad`, and a Brent solve per node for the
-custom occupancy dual -- so the tests can compare the two.
+under adaptive `scipy.integrate.quad`, a Brent solve per node for the
+custom occupancy dual, and a branch per case of the bivariate normal CDF --
+so the tests can compare the two.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import log_expit, log_ndtr
+from scipy.special import log_expit, log_ndtr, ndtr, owens_t
 
 from walkcurrent.ldp import _pattern_orthant_prob
-from walkcurrent.normal import bvn_cdf, norm_cdf, norm_pdf, norm_sf
+from walkcurrent.normal import norm_cdf, norm_pdf, norm_sf
+
+
+def bvn_cdf(h, k, rho):
+    """Standard bivariate normal CDF at scalars: Owen's-T identity, one
+    branch per case."""
+    if rho >= 1.0:
+        return float(min(ndtr(h), ndtr(k)))
+    if rho <= -1.0:
+        return float(max(0.0, ndtr(h) + ndtr(k) - 1.0))
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    if h == 0.0:
+        # reduce to the k == 0 branch by symmetry of the joint law
+        return bvn_cdf(k, h, rho)
+    den = math.sqrt(1.0 - rho * rho)
+    beta = 0.5 if (h < 0.0) != (k < 0.0) else 0.0
+    t_h = owens_t(h, (k - rho * h) / (h * den))
+    if k == 0.0:
+        t_k = math.copysign(0.25, h)  # T(0, +-inf) limit
+    else:
+        t_k = owens_t(k, (h - rho * k) / (k * den))
+    return float(0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - beta)
 
 
 def crossing_log_mgf(lam, y, kappa2, t):

@@ -4,6 +4,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkcurrent as wc
 from walkcurrent.cli import main
@@ -88,6 +90,21 @@ class TestCanonicalHash:
         b = load_config(write_cfg(tmp_path, name="b.json", replicas=2001),
                         command="simulate")
         assert a.config_hash != b.config_hash
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_key_order_invariant_in_sections(self, data):
+        full = dict(BASE, window_tol=1e-6,
+                    bands={"cov_z": 4.0, "cov_rel": 0.1, "mean_ratio": 3.0},
+                    ldp={"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000,
+                         "n_values": [100, 400]},
+                    limit={"seed": 7, "count": 12, "rho0": 1.0, "v0": 2.0})
+
+        def reordered(d):
+            keys = data.draw(st.permutations(list(d)))
+            return {k: reordered(d[k]) if isinstance(d[k], dict) else d[k] for k in keys}
+
+        assert canonical_hash(reordered(full)) == canonical_hash(full)
 
     def test_runtime_keys_excluded(self):
         d = dict(BASE, bands=dict(), window_tol=1e-6)
@@ -366,6 +383,22 @@ class TestRateCommands:
                               "n_values": [100, 400]})
         assert calls == [1.0]
         assert len(report["rows"]) == 2
+
+    def test_rate_empirical_keeps_config_fields(self):
+        # the per-n configs differ from the config in n alone: a window cap
+        # too small for n = 100 must stop rate-empirical as it stops
+        # truncation_radius
+        from walkcurrent import runner
+        cfg = wc.ExperimentConfig(
+            n=100, T=1.0, S=0.25, t_grid=(1.0,), r_grid=(0.0,),
+            kernel=wc.validate_kernel({1: 0.7, -1: 0.3}),
+            occupancy=wc.OccupancyModel.poisson(1.0),
+            master_seed=1, max_window_sites=20)
+        with pytest.raises(wc.WindowUnreachableError):
+            wc.truncation_radius(cfg)
+        with pytest.raises(wc.WindowUnreachableError):
+            runner.rate_empirical_experiment(
+                cfg, {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100]})
 
     def test_quad_tol_reaches_model(self, tmp_path, monkeypatch):
         from walkcurrent import ldp, runner

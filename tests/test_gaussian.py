@@ -149,6 +149,37 @@ class TestIntegralForms:
     def test_dynamic_zero_at_s_zero(self):
         assert wc.dynamic_cov_quadrature(0.0, 0.3, 1.0, -0.2, 1.0) == 0.0
 
+    def test_zero_where_a_time_is_zero(self):
+        # the closed forms give 0 too: Y(0, .) = 0
+        s = np.array([0.0, 1.0, 0.0])
+        t = np.array([1.0, 0.0, 0.0])
+        for form in (wc.dynamic_cov_quadrature, wc.initial_cov_quadrature,
+                     wc.dynamic_cov, wc.initial_cov):
+            assert np.array_equal(form(s, 0.4, t, -0.1, 1.3), np.zeros(3))
+
+    def test_short_time_beside_long(self):
+        # a deviation 1e3 times the other's: the windows follow the short one
+        for s, q, t, r in [(1e-6, 0.0, 3.0, 0.0), (3.0, 0.5, 1e-6, 0.0),
+                           (1e-6, -2.0, 3.0, 2.0), (1e-4, 0.3, 2.0, 0.3)]:
+            assert abs(wc.dynamic_cov_quadrature(s, q, t, r, 1.0)
+                       - wc.dynamic_cov(s, q, t, r, 1.0)) <= 1e-12
+            assert abs(wc.initial_cov_quadrature(s, q, t, r, 1.0)
+                       - wc.initial_cov(s, q, t, r, 1.0)) <= 1e-12
+
+    def test_broadcast_matches_scalar(self, rng):
+        s, t = rng.uniform(0.05, 3.0, size=(2, 4, 1))
+        q, r = rng.uniform(-2.0, 2.0, size=(2, 1, 5))
+        for form in (wc.dynamic_cov_quadrature, wc.initial_cov_quadrature,
+                     wc.dynamic_cov, wc.initial_cov):
+            got = form(s, q, t, r, 0.7)
+            assert got.shape == (4, 5)
+            for i in range(4):
+                for j in range(5):
+                    one = form(float(s[i, 0]), float(q[0, j]), float(t[i, 0]),
+                               float(r[0, j]), 0.7)
+                    assert isinstance(one, float)
+                    assert one == pytest.approx(got[i, j], rel=0.0, abs=1e-13)
+
     def test_initial_diagonal_identity(self):
         t, k2 = 1.2, 0.9
         lhs = wc.initial_cov_quadrature(t, 0.0, t, 0.0, k2)
@@ -166,10 +197,22 @@ class TestBivariateNormal:
                                               cov=[[1, rho], [rho, 1]]).cdf([h, k])
             assert bvn_cdf(h, k, rho) == pytest.approx(ref, abs=5e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-0.98, 0.98))
+    def test_against_scipy_property(self, h, k, rho):
+        ref = spstats.multivariate_normal(mean=[0, 0],
+                                          cov=[[1, rho], [rho, 1]]).cdf([h, k])
+        assert bvn_cdf(h, k, rho) == pytest.approx(ref, abs=5e-9)
+
     def test_edge_cases(self):
         assert bvn_cdf(0.0, 0.0, 0.5) == pytest.approx(0.25 + math.asin(0.5) / (2 * math.pi))
         assert bvn_cdf(1.0, 2.0, 1.0) == pytest.approx(spstats.norm.cdf(1.0))
         assert bvn_cdf(1.0, -1.0, -1.0) == pytest.approx(0.0, abs=1e-15)
+        # h * k underflows to -0.0 here; the branch must follow the signs
+        for cdf in (bvn_cdf, quad_oracles.bvn_cdf):
+            assert cdf(1.8e-127, -8.1e-227, 0.0) == pytest.approx(0.25, abs=1e-15)
+            assert cdf(-8.1e-227, 1.8e-127, 0.3) == pytest.approx(
+                0.25 + math.asin(0.3) / (2 * math.pi), abs=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -180,8 +223,9 @@ class TestBivariateNormal:
     def test_array_matches_scalar(self, points):
         h, k, rho = (np.array(col) for col in zip(*points))
         got = bvn_cdf(h, k, rho)
-        ref = [bvn_cdf(*p) for p in points]
+        ref = [quad_oracles.bvn_cdf(*p) for p in points]
         assert all(isinstance(v, float) for v in ref)
+        assert isinstance(bvn_cdf(*points[0]), float)
         # only np.arcsin (h = k = 0) may differ from math.asin, by an ulp
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
 
