@@ -158,7 +158,7 @@ class TestIntegralForms:
             assert np.array_equal(form(s, 0.4, t, -0.1, 1.3), np.zeros(3))
 
     def test_short_time_beside_long(self):
-        # a deviation 1e3 times the other's: the windows follow the short one
+        # deviations 140 to 1,700 times apart: the windows follow the short one
         for s, q, t, r in [(1e-6, 0.0, 3.0, 0.0), (3.0, 0.5, 1e-6, 0.0),
                            (1e-6, -2.0, 3.0, 2.0), (1e-4, 0.3, 2.0, 0.3)]:
             assert abs(wc.dynamic_cov_quadrature(s, q, t, r, 1.0)
