@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -233,6 +234,7 @@ def load_config(path: str, overrides: Optional[dict] = None,
         if command == "rate-empirical":
             _require(section, ("t", "r", "x", "samples", "n_values"),
                      "rate-empirical (ldp section)")
+            _check_tail_section(section, spec)
         if command != "fidi":
             kappa2 = section.get("kappa2")
             if kappa2 is None:
@@ -256,6 +258,35 @@ def load_config(path: str, overrides: Optional[dict] = None,
     spec.retain_points = _retain_points(resolved.get("retain_points", []),
                                         spec.experiment)
     return spec
+
+
+def _check_tail_section(section: dict, spec: RunSpec) -> None:
+    """rate-empirical's inputs: an occupancy law the tilted sampler takes,
+    positive counts, and a point (t, r) of the grid whose window the
+    truncation radius certifies."""
+    kind = spec.occupancy.kind
+    if kind not in ("poisson", "deterministic"):
+        raise ConfigValidationError(
+            f"occupancy: rate-empirical needs poisson or deterministic occupancy, "
+            f"got {kind!r}")
+    for key in ("t", "r", "x"):
+        value = section[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigValidationError(f"ldp.{key}: expected a number, got {value!r}")
+    if not section["t"] > 0.0:
+        raise ConfigValidationError(f"ldp.t: expected a positive time, got {section['t']!r}")
+    if not section["samples"] >= 1:
+        raise ConfigValidationError(
+            f"ldp.samples: expected a positive integer, got {section['samples']!r}")
+    n_values = section["n_values"]
+    if not isinstance(n_values, list) or not n_values or min(n_values) < 1:
+        raise ConfigValidationError(
+            f"ldp.n_values: expected a nonempty list of positive integers, got {n_values!r}")
+    point = (float(section["t"]), float(section["r"]))
+    if point not in spec.experiment.grid_points():
+        raise ConfigValidationError(
+            f"ldp.t, ldp.r: {list(point)} is not a point of t_grid x r_grid")
 
 
 def _retain_points(raw, experiment: Optional[ExperimentConfig]) -> tuple:

@@ -8,9 +8,11 @@ certified quadrature, inverts the derivative to find the tilt realizing a
 target mean, and computes the rate function along two independent routes:
 the Legendre dual, and the decomposition into an occupancy-deviation cost
 plus a crossing-probability relative-entropy cost.  Closed forms for
-Poisson occupancy, an exponentially tilted importance sampler for finite-n
-tail probabilities, and the multi-time marginal rates obtained from
-independent Poisson crossing counts complete the picture.
+Poisson occupancy, an importance sampler for finite-n tail probabilities
+(under Poisson occupancy the current is a difference of two independent
+Poisson crossing counts, whose exact exponential tilt is again Poisson),
+and the multi-time marginal rates obtained from independent Poisson
+crossing counts complete the picture.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .simulate import (
     TILT_STREAM,
     ExperimentConfig,
     bracket,
+    poisson_crossing_means,
     replica_rng,
     truncation_radius,
     window_span,
@@ -317,27 +320,25 @@ TAIL_BATCH = 8192
 TAIL_MIN_ESS = 100.0  # smallest effective sample size of the hits
 
 
-def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
-                         samples: int, alpha: Optional[float] = None) -> TailEstimate:
-    """Importance-sampling estimate of P(Y_n(t, r) >= x * sqrt(n)).
+def skellam_tilt(means, alpha: float) -> Tuple[np.ndarray, float]:
+    """Exact exponential tilt of Y = N_plus - N_minus, N_pm ~ Poisson(means).
 
-    Site occupancies are tilted through the limiting per-site crossing
-    log-MGF at the optimal tilt, crossing indicators through their exact
-    exponential tilt; the likelihood ratio is accumulated exactly in log
-    space, so the estimator is unbiased for any proposal tilt.  Only
-    single-time crossing indicators are needed: the one-point current is a
-    deterministic function of them.
+    Tilting Y by alpha multiplies the means by (e^alpha, e^-alpha).  Returns
+    the tilted means and the constant c of the log likelihood ratio
+    log w(y) = c - alpha y, c = mu_plus expm1(alpha) + mu_minus expm1(-alpha).
     """
-    occ = config.occupancy
-    if occ.kind not in ("poisson", "deterministic"):
-        raise ValueError("tilted sampling supports Poisson or deterministic occupancy")
-    n = config.n
-    sqrt_n = config.sqrt_n
-    if alpha is None:
-        alpha = tilt_for_mean(RateModel(occupancy=occ, kappa2=config.kernel.kappa2, t=t), x)
+    mu_plus, mu_minus = np.asarray(means, float)
+    tilted = np.array([mu_plus * math.exp(alpha), mu_minus * math.exp(-alpha)])
+    return tilted, float(mu_plus * math.expm1(alpha) + mu_minus * math.expm1(-alpha))
 
-    lo, hi = window_span(config, truncation_radius(config))
-    anchor = bracket(r * sqrt_n)
+
+def _site_tilt(config: ExperimentConfig, t: float, r: float, alpha: float,
+               window: int):
+    """Deterministic occupancy: tilt every window site's crossing indicator
+    by e^(+-alpha).  Returns (c, draw) with draw(rng, b) -> b values of Y."""
+    n = config.n
+    lo, hi = window_span(config, window)
+    anchor = bracket(r * config.sqrt_n)
     line = anchor + bracket(n * config.kernel.v * t)
     sites = np.arange(lo, hi + 1)
     right = sites > anchor
@@ -348,7 +349,6 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     p_cross = np.where(right,
                        np.asarray(wp.cdf(line - sites), float),
                        np.asarray(wp.sf(line - sites), float))
-    sign = math.exp(alpha)
     tilt_amt = np.where(right, math.expm1(alpha), math.expm1(-alpha))
     log_m = np.log1p(tilt_amt * p_cross)
     with np.errstate(divide="ignore"):
@@ -357,38 +357,54 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
                                    + np.where(right, alpha, -alpha) - log_m),
                             0.0)
     tilted_p = np.clip(tilted_p, 0.0, 1.0)
+    base_counts = np.full(sites.size, int(config.occupancy.rho0), np.int64)
 
-    # occupancy tilt via the limiting Gaussian crossing log-MGF
-    y_sites = sites / sqrt_n - r
-    theta = crossing_log_mgf(alpha, y_sites, config.kernel.kappa2, t)
+    def draw(rng, b):
+        counts = np.broadcast_to(base_counts, (b, sites.size))
+        crossers = rng.binomial(counts, tilted_p[None, :])
+        return crossers[:, split:].sum(axis=1) - crossers[:, :split].sum(axis=1)
+
+    return float(np.dot(base_counts, log_m)), draw
+
+
+def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
+                         samples: int, alpha: Optional[float] = None,
+                         window: Optional[int] = None) -> TailEstimate:
+    """Importance-sampling estimate of P(Y_n(t, r) >= x * sqrt(n)).
+
+    The proposal is the exact exponential tilt of Y by alpha (by default
+    the limiting tilt with mean x), so the likelihood ratio is
+    exp(c - alpha Y) and the estimator is unbiased for any alpha.  Under
+    Poisson occupancy Y is Skellam: one sample is two Poisson draws with
+    means (mu_plus e^alpha, mu_minus e^-alpha).  Under deterministic
+    occupancy each window site's crossing indicators are tilted.  `window`
+    defaults to the certified truncation radius.
+    """
+    occ = config.occupancy
+    if occ.kind not in ("poisson", "deterministic"):
+        raise ValueError("tilted sampling supports Poisson or deterministic occupancy")
+    if alpha is None:
+        alpha = tilt_for_mean(RateModel(occupancy=occ, kappa2=config.kernel.kappa2, t=t), x)
+    w = truncation_radius(config) if window is None else int(window)
     if occ.kind == "poisson":
-        prop_mean = occ.rho0 * np.exp(theta)
-        log_const = float(occ.rho0 * np.sum(np.expm1(theta)))
-        log_ratio = log_m - theta
-    else:
-        base_counts = np.full(sites.size, int(occ.rho0), np.int64)
-        log_const = float(np.dot(base_counts, log_m))
+        prop_means, log_const = skellam_tilt(poisson_crossing_means(config, t, r, w), alpha)
 
+        def draw(rng, b):
+            counts = rng.poisson(prop_means, size=(b, 2))
+            return counts[:, 0] - counts[:, 1]
+    else:
+        log_const, draw = _site_tilt(config, t, r, alpha, w)
+
+    sqrt_n = config.sqrt_n
     threshold = math.ceil(x * sqrt_n - 1e-9)
     total = 0
     hit_logw = []
     for batch_index in range(0, math.ceil(samples / TAIL_BATCH)):
         b = min(TAIL_BATCH, samples - total)
-        rng = replica_rng(config.master_seed, TILT_STREAM, batch_index)
-        if occ.kind == "poisson":
-            counts = rng.poisson(prop_mean, size=(b, sites.size))
-        else:
-            counts = np.broadcast_to(base_counts, (b, sites.size))
-        crossers = rng.binomial(counts, tilted_p[None, :])
-        y_val = crossers[:, split:].sum(axis=1) - crossers[:, :split].sum(axis=1)
-        del crossers
-        if occ.kind == "poisson":
-            logw = log_const + counts @ log_ratio - alpha * y_val
-        else:
-            logw = log_const - alpha * y_val
+        y_val = draw(replica_rng(config.master_seed, TILT_STREAM, batch_index), b)
         hits = y_val >= threshold
         if np.any(hits):
-            hit_logw.append(np.asarray(logw, float)[hits])
+            hit_logw.append(log_const - alpha * y_val[hits])
         total += b
 
     if not hit_logw:

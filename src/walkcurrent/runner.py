@@ -298,10 +298,11 @@ def rate_table_experiment(occupancy, kappa2: float, t: float, x_grid,
 
 def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
                               quad_tol: float = DEFAULTS["quad_tol"]):
-    """Tilted tail estimates across n, with the exact-pmf oracle when cheap.
+    """Tilted tail estimates across n, each checked against the exact pmf.
 
     The limiting tilt depends on the model and x only, so one solve serves
-    the analytic rate and every n.
+    the analytic rate and every n; one certified window per n serves both
+    the sampler and the oracle.
     """
     t = float(ldp_section["t"])
     r = float(ldp_section["r"])
@@ -317,15 +318,15 @@ def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
     oracle_ok = True
     for n in n_values:
         cfg_n = dataclasses.replace(config, n=n)
-        est = tilted_tail_estimate(cfg_n, t, r, x, samples, alpha=alpha)
-        row = {"n": n, "x": x, "p_hat": est.p_hat, "se": est.p_hat * est.relative_se,
+        window = truncation_radius(cfg_n)
+        est = tilted_tail_estimate(cfg_n, t, r, x, samples, alpha=alpha, window=window)
+        exact = exact_current_pmf(cfg_n, t, r, window=window).tail_geq(est.threshold)
+        se = est.p_hat * est.relative_se
+        row = {"n": n, "x": x, "p_hat": est.p_hat, "se": se,
                "relative_se": est.relative_se, "empirical_rate": est.empirical_rate,
-               "analytic_rate": analytic, "ess": est.ess, "threshold": est.threshold}
-        if n <= 400:
-            exact = exact_current_pmf(cfg_n, t, r).tail_geq(est.threshold)
-            row["p_exact"] = exact
-            row["oracle_ok"] = abs(est.p_hat - exact) <= 3.0 * row["se"]
-            oracle_ok = oracle_ok and row["oracle_ok"]
+               "analytic_rate": analytic, "ess": est.ess, "threshold": est.threshold,
+               "p_exact": exact, "oracle_ok": abs(est.p_hat - exact) <= 3.0 * se}
+        oracle_ok = oracle_ok and row["oracle_ok"]
         rows.append(row)
 
     gaps = [abs(row["empirical_rate"] - analytic) for row in rows]

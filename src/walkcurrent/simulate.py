@@ -390,6 +390,32 @@ def _finite_site_pmfs(values: np.ndarray, probs: np.ndarray, p: np.ndarray) -> n
     return out / np.array([math.fsum(row) for row in out])[:, None]
 
 
+def _site_crossings(config: ExperimentConfig, t: float, r: float,
+                    window: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(right, cross) over the window sites: whether a site lies right of the
+    anchor, and the probability that a particle started there crosses the
+    reference line (p_m on the right, q_m = 1 - p_m on the left)."""
+    w = truncation_radius(config) if window is None else int(window)
+    lo, hi = window_span(config, w)
+    anchor = bracket(r * config.sqrt_n)
+    line = anchor + bracket(config.n * config.kernel.v * t)
+
+    sites = np.arange(lo, hi + 1)
+    right = sites > anchor
+    p_site = np.asarray(walk_pmf(config.kernel, config.n * t).cdf(line - sites), float)
+    return right, np.where(right, p_site, 1.0 - p_site)
+
+
+def poisson_crossing_means(config: ExperimentConfig, t: float, r: float,
+                           window: Optional[int] = None) -> np.ndarray:
+    """Means (mu_plus, mu_minus) of the independent Poisson counts of
+    particles crossing the line under Poisson(rho) occupancy: rho sum_{m >
+    anchor} p_m and rho sum_{m <= anchor} q_m, so Y_n(t, r) = N_plus -
+    N_minus.  `window` defaults to the certified truncation radius."""
+    right, cross = _site_crossings(config, t, r, window)
+    return config.occupancy.rho0 * np.array([cross[right].sum(), cross[~right].sum()])
+
+
 def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
                       window: Optional[int] = None) -> LatticePmf:
     """Exact distribution of Y_n(t, r) over the window sites.
@@ -407,19 +433,11 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
     occ = config.occupancy
     if occ.kind == "geometric":
         raise ValueError("exact pmf needs a finite or Poisson occupancy law")
-    w = truncation_radius(config) if window is None else int(window)
-    lo, hi = window_span(config, w)
-    anchor = bracket(r * config.sqrt_n)
-    line = anchor + bracket(config.n * config.kernel.v * t)
-
-    sites = np.arange(lo, hi + 1)
-    right = sites > anchor
-    p_site = np.asarray(walk_pmf(config.kernel, config.n * t).cdf(line - sites), float)
-    cross = np.where(right, p_site, 1.0 - p_site)
     if occ.kind == "poisson":
-        means = occ.rho0 * np.array([cross[right].sum(), cross[~right].sum()])
-        return marked_poisson_pmf([1, -1], means, CURRENT_TAIL_TOL)
+        return marked_poisson_pmf([1, -1], poisson_crossing_means(config, t, r, window),
+                                  CURRENT_TAIL_TOL)
 
+    right, cross = _site_crossings(config, t, r, window)
     values, probs = ((occ._values, occ._probs) if occ.kind == "custom"
                      else (np.array([int(occ.rho0)]), np.array([1.0])))
     live = cross > 0.0

@@ -261,6 +261,27 @@ class TestCliFailures:
         assert "RuntimeError: boom" in manifest["error"]
 
 
+    @pytest.mark.parametrize("ldp, extra, key", [
+        ({"samples": 0}, {}, "ldp.samples"),
+        ({"samples": -4000}, {}, "ldp.samples"),
+        ({"n_values": []}, {}, "ldp.n_values"),
+        ({"n_values": [0]}, {}, "ldp.n_values"),
+        # t = 0 on the grid: the positivity check, not the grid check
+        ({"t": 0}, {"t_grid": [0.0, 1.0]}, "ldp.t"),
+        ({}, {"occupancy": {"type": "custom", "pmf": [[0, 0.5], [2, 0.5]]}}, "occupancy"),
+        ({"r": 5}, {}, "ldp.r"),
+        ({"t": 0.75}, {}, "ldp.t"),
+    ], ids=["samples-zero", "samples-negative", "n-values-empty", "n-values-zero",
+            "t-zero", "custom-occupancy", "r-off-grid", "t-off-grid"])
+    def test_bad_rate_empirical_input_exits_2(self, tmp_path, capsys, ldp, extra, key):
+        section = {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100]}
+        cfg = write_cfg(tmp_path, ldp=dict(section, **ldp), **extra)
+        out = str(tmp_path / "out")
+        assert main(["rate-empirical", "--config", cfg, "--out", out]) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestManifestTelemetry:
     def run_simulate(self, tmp_path, name, **extra):
         out = str(tmp_path / name)

@@ -6,6 +6,9 @@ import pytest
 import quad_oracles
 import walkcurrent as wc
 from walkcurrent import OccupancyModel
+from walkcurrent.kernel import marked_poisson_pmf
+from walkcurrent.ldp import skellam_tilt
+from walkcurrent.simulate import poisson_crossing_means
 
 TWO_PI = 2.0 * math.pi
 
@@ -339,7 +342,7 @@ class TestTiltedTailEstimate:
             wc.tilted_tail_estimate(cfg, 1.0, 0.0, 3.0, samples=120)
 
     @pytest.mark.parametrize("occupancy, p_hat, ess", [
-        (OccupancyModel.poisson(1.0), 0.0005614095899808283, 2741.139526837757),
+        (OccupancyModel.poisson(1.0), 0.0005494843157866088, 2778.2384866054304),
         (OccupancyModel.deterministic(1), 2.3716366107230992e-05, 252.1343858462382),
     ])
     def test_stream_golden(self, occupancy, p_hat, ess):
@@ -350,6 +353,41 @@ class TestTiltedTailEstimate:
         assert est.threshold == 10
         assert est.p_hat == pytest.approx(p_hat, rel=1e-12)
         assert est.ess == pytest.approx(ess, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-1.5, -0.3, 0.0, 0.8, 1.05, 2.5])
+    def test_likelihood_ratio_undoes_skellam_tilt(self, alpha):
+        # q_alpha(y) * w(y) must be the untilted law of Y, mass by mass
+        cfg = tail_config()
+        tilted, log_const = skellam_tilt(poisson_crossing_means(cfg, 1.0, 0.0), alpha)
+        proposal = marked_poisson_pmf([1, -1], tilted, 1e-300)
+        exact = wc.exact_current_pmf(cfg, 1.0, 0.0)
+        lo = min(proposal.offset_min, exact.offset_min)
+        size = max(proposal.offset_min + proposal.masses.size,
+                   exact.offset_min + exact.masses.size) - lo
+        undone = np.zeros(size)
+        undone[proposal.offset_min - lo:][:proposal.masses.size] = (
+            proposal.masses * np.exp(log_const - alpha * proposal.support()))
+        target = np.zeros(size)
+        target[exact.offset_min - lo:][:exact.masses.size] = exact.masses
+        assert np.max(np.abs(undone - target)) <= 1e-12
+
+    def test_large_n_against_exact_oracle(self):
+        # n = 1e4: P(Y >= 100) is about 1e-26
+        cfg = tail_config(n=10_000)
+        est = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 1.0, samples=40_000)
+        exact = wc.exact_current_pmf(cfg, 1.0, 0.0).tail_geq(est.threshold)
+        assert est.threshold == 100
+        assert abs(est.p_hat - exact) <= 3.0 * est.p_hat * est.relative_se
+
+    @pytest.mark.parametrize("occupancy", [OccupancyModel.poisson(1.0),
+                                           OccupancyModel.deterministic(1)])
+    def test_certified_window_is_the_default(self, occupancy):
+        cfg = tail_config(seed=5, occupancy=occupancy)
+        window = wc.truncation_radius(cfg)
+        default = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 1.0, samples=20_000, alpha=0.8)
+        given = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 1.0, samples=20_000, alpha=0.8,
+                                        window=window)
+        assert default == given
 
     def test_geometric_rejected(self):
         cfg = tail_config(occupancy=OccupancyModel.geometric(1.0))
