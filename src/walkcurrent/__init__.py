@@ -44,16 +44,17 @@ from .kernel import (
 )
 from .occupancy import OccupancyModel
 from .simulate import (
-    CellTable,
+    ClassTable,
     CurrentField,
     ExperimentConfig,
     bracket,
-    cell_table,
+    class_table,
     exact_current_pmf,
     replica_rng,
     run_ensemble,
     signed_crossing_count,
     simulate_replica,
+    split_batches,
     truncation_radius,
     window_bound,
     window_span,

@@ -12,7 +12,7 @@ import os
 import sys
 import traceback
 
-from .errors import ConfigError, WalkCurrentError
+from .errors import ConfigError, ConfigValidationError, WalkCurrentError
 from .config import load_config
 from . import runner
 
@@ -143,6 +143,9 @@ def main(argv=None) -> int:
     telemetry = {}
     out = None
     try:
+        if args.workers < 1:
+            raise ConfigValidationError(
+                f"--workers: expected a positive integer, got {args.workers}")
         spec = load_config(args.config, overrides=overrides, command=args.command)
         out = _out_dir(args)
         passed = _run(args, spec, out, outputs, telemetry)

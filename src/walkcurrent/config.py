@@ -20,6 +20,8 @@ from .kernel import JumpKernel, validate_kernel
 from .ldp import RateModel
 from .occupancy import OccupancyModel
 from .simulate import ExperimentConfig
+from .stats import (MIN_COV_REPLICAS, MIN_NORMALITY_SAMPLES, MIN_REPORT_REPLICAS,
+                    MIN_SCALING_TIMES)
 
 SCHEMA_VERSION = 1
 
@@ -257,7 +259,35 @@ def load_config(path: str, overrides: Optional[dict] = None,
 
     spec.retain_points = _retain_points(resolved.get("retain_points", []),
                                         spec.experiment)
+    if spec.experiment is not None:
+        _check_ensemble(command, spec)
     return spec
+
+
+def _check_ensemble(command: str, spec: RunSpec) -> None:
+    """Ensemble inputs too small for the command's estimators, which would
+    otherwise fail only after every replica had run."""
+    exp = spec.experiment
+    if command == "simulate" and exp.replicas < MIN_COV_REPLICAS:
+        raise ConfigValidationError(
+            f"replicas: simulate needs at least {MIN_COV_REPLICAS}, got {exp.replicas}")
+    if command == "cov-check":
+        if exp.replicas < MIN_REPORT_REPLICAS:
+            raise ConfigValidationError(
+                f"replicas: cov-check needs at least {MIN_REPORT_REPLICAS}, "
+                f"got {exp.replicas}")
+        if spec.retain_points and exp.replicas < MIN_NORMALITY_SAMPLES:
+            raise ConfigValidationError(
+                f"retain_points: the normality diagnostics need at least "
+                f"{MIN_NORMALITY_SAMPLES} replicas, got {exp.replicas}")
+    if command == "fbm-check":
+        if 0.0 not in exp.r_grid:
+            raise ConfigValidationError("r_grid: fbm-check needs r = 0 in the grid")
+        positive = sum(1 for t in exp.t_grid if t > 0.0)
+        if positive < MIN_SCALING_TIMES:
+            raise ConfigValidationError(
+                f"t_grid: fbm-check needs at least {MIN_SCALING_TIMES} positive times, "
+                f"got {positive}")
 
 
 def _check_tail_section(section: dict, spec: RunSpec) -> None:

@@ -88,12 +88,14 @@ def bvn_cdf(h, k, rho):
     h, k = np.where(swap, k, h), np.where(swap, h, k)
     r = np.where(np.abs(rho) < 1.0, rho, 0.0)
     den = np.sqrt(1.0 - r * r)
-    # signs compared, not h * k, which underflows to 0 for tiny h and k
+    # signs compared, not h * k, which underflows to 0 for tiny h and k;
+    # the Owen's-T arguments divide before they subtract, since r * h
+    # rounds to 0 for a subnormal h
     beta = np.where((h < 0.0) != (k < 0.0), 0.5, 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_h = owens_t(h, (k - r * h) / (h * den))
+        t_h = owens_t(h, (k / h - r) / den)
         t_k = np.where(k == 0.0, np.copysign(0.25, h),
-                       owens_t(k, (h - r * k) / (k * den)))
+                       owens_t(k, (h / k - r) / den))
     nh, nk = ndtr(h), ndtr(k)
     out = 0.5 * (nh + nk) - t_h - t_k - beta
     out = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(r) / (2.0 * math.pi), out)

@@ -1,9 +1,10 @@
 """Experiment drivers: parallel replica fan-out, reports, artifacts, manifest.
 
 Replicas are split into a fixed number of contiguous batches (the jackknife
-unit).  A batch is always processed sequentially in replica order, so the
-worker count changes scheduling only, never any arithmetic order; reports
-are byte-identical for a fixed seed no matter how many workers run.
+unit).  A batch is drawn from its own stream and folded into its own
+accumulator, and the batches merge in index order, so the worker count
+changes scheduling only, never any arithmetic order; reports are
+byte-identical for a fixed seed no matter how many workers run.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import datetime
 import json
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence, Tuple
 
@@ -41,11 +43,12 @@ from .ldp import (
     tilted_tail_estimate,
 )
 from .simulate import (
-    CellTable,
+    ClassTable,
     ExperimentConfig,
-    cell_table,
+    batch_currents,
+    class_table,
     exact_current_pmf,
-    replica_field,
+    split_batches,
     truncation_radius,
     window_bound,
     window_span,
@@ -59,7 +62,6 @@ from .stats import (
     scaling_exponent,
 )
 
-N_BATCHES = 50
 RETAIN_CAP = 100_000
 FIDI_CONSISTENCY_TOL = 1e-6  # k = 1 rate against its closed form
 FIDI_SYMMETRY_TOL = 1e-9  # k = 1 intensities against rho sqrt(kappa2 t / 2 pi)
@@ -76,43 +78,27 @@ def limit_params(config: ExperimentConfig) -> LimitCovariance:
 # batched ensemble execution
 # --------------------------------------------------------------------------
 
-def split_batches(replicas: int, nbatches: int) -> list[range]:
-    nbatches = min(nbatches, replicas)
-    base, extra = divmod(replicas, nbatches)
-    out = []
-    start = 0
-    for i in range(nbatches):
-        size = base + (1 if i < extra else 0)
-        out.append(range(start, start + size))
-        start += size
-    return out
-
-
 def ensemble_telemetry(config: ExperimentConfig, window: int,
-                       table: Optional[CellTable]) -> dict:
-    """Engine, class count and certified window of one ensemble run."""
+                       table: Optional[ClassTable], batches: int) -> dict:
+    """Engine, class count, batch count and certified window of one
+    ensemble run."""
     lo, hi = window_span(config, window)
     return {
-        "engine": "particles" if table is None else "cells",
+        "engine": "particles" if table is None else "classes",
         "classes": None if table is None else int(table.means.size),
+        "batches": batches,
         "window": {"width": int(window), "sites": hi - lo + 1,
                    "bound": window_bound(config, window)},
     }
 
 
 def _batch_job(args):
-    config, window, table, batch, retain_idx, cap = args
-    npts = len(config.grid_points())
-    acc = EnsembleAccumulator.empty(npts)
-    kept = [[] for _ in retain_idx]
-    for i in batch:
-        fieldval = replica_field(config, i, window, table)
-        flat = fieldval.scaled.ravel()
-        acc.add(flat)
-        for slot, idx in enumerate(retain_idx):
-            if len(kept[slot]) < cap:
-                kept[slot].append(flat[idx])
-    return acc, [np.asarray(k) for k in kept]
+    config, window, table, index, batch, retain_idx, cap = args
+    scaled = batch_currents(config, window, table, index, batch) * config.n ** -0.25
+    acc = EnsembleAccumulator.empty(scaled.shape[1])
+    acc.add_batch(scaled)
+    # copies, so that the batch's rows are freed with the batch
+    return acc, [scaled[:cap, idx].copy() for idx in retain_idx]
 
 
 def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
@@ -120,30 +106,40 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
                          telemetry: Optional[dict] = None):
     """Run all replicas, returning per-batch accumulators and retained samples.
 
-    Poisson occupancy runs on the cell engine, whose table is built once
-    here and shipped with every batch; other occupancy laws run on the
-    particle engine.  `telemetry`, when given, receives the engine, class
-    count and window of the run.
+    The class table is built once here and shipped with the batches; the
+    particle engine runs when there is none.  `telemetry`, when given,
+    receives the engine, class, batch and window counts of the run, and
+    the seconds spent building the table (`table_s`) and drawing and
+    accumulating the batches (`draw_s`).
     """
     window = truncation_radius(config)
-    table = cell_table(config, window)
+    start = time.perf_counter()
+    table = class_table(config, window)
+    table_s = time.perf_counter() - start
+    batches = split_batches(config.replicas)
     if telemetry is not None:
-        telemetry.update(ensemble_telemetry(config, window, table))
+        telemetry.update(ensemble_telemetry(config, window, table, len(batches)),
+                         table_s=table_s)
     points = config.grid_points()
     retain_idx = [points.index((float(t), float(r))) for t, r in retain_points]
-    payloads = [(config, window, table, batch, retain_idx, RETAIN_CAP)
-                for batch in split_batches(config.replicas, N_BATCHES)]
+    payloads = [(config, window, table, index, batch, retain_idx, RETAIN_CAP)
+                for index, batch in enumerate(batches)]
+    start = time.perf_counter()
     if workers > 1:
+        # one chunk per worker pickles the table once per worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_job, payloads))
+            results = list(pool.map(_batch_job, payloads,
+                                    chunksize=-(-len(payloads) // workers)))
     else:
         results = [_batch_job(p) for p in payloads]
-    batches = [acc for acc, _ in results]
+    if telemetry is not None:
+        telemetry["draw_s"] = time.perf_counter() - start
+    accumulators = [acc for acc, _ in results]
     retained = {}
     for slot, pt in enumerate(retain_points):
         arr = np.concatenate([kept[slot] for _, kept in results]) if results else np.array([])
         retained[(float(pt[0]), float(pt[1]))] = arr[:RETAIN_CAP]
-    return batches, retained
+    return accumulators, retained
 
 
 # --------------------------------------------------------------------------

@@ -10,13 +10,16 @@ Replicas are simulated only inside a certified start-site window; the
 probability that any omitted particle could have affected any measured
 value is bounded by Chernoff tails and kept below an explicit tolerance.
 
-Two replica engines share that window and its law.  The particle engine
-(`simulate_replica`) draws every particle and its path.  The cell engine
-(`CellTable`) serves Poisson occupancy: particles then form a Poisson
-process on (start site, path), so the counts in disjoint path classes are
-independent Poisson variables and every grid current is a fixed signed sum
-of them.  An exact single-point distribution oracle (a Skellam law under
-Poisson occupancy) is provided for validation.
+Two replica engines share that window and its law.  The class engine
+(`ClassTable`) runs every ensemble it can: every grid current is a fixed
+signed sum of the particle counts in path classes, and the table holds each
+start site's class law, so a batch of replicas is one draw -- independent
+Poisson class counts under Poisson occupancy, one class per particle under
+any other law.  The particle engine (`simulate_replica`) draws every
+particle and its path; it is the independent check on the class engine and
+runs the ensembles whose classes outnumber the window sites.  An exact
+single-point distribution oracle (a Skellam law under Poisson occupancy) is
+provided for validation.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ from .occupancy import OccupancyModel
 
 REPLICA_STREAM = 0
 TILT_STREAM = 1
+BATCH_STREAM = 2
+
+# An ensemble's replicas run in this many contiguous batches (fewer when
+# there are fewer replicas), whatever the worker count.
+N_BATCHES = 50
+# (replica, class or site) cells of one class-engine draw call: small
+# enough that its arrays stay in cache and add little to peak memory
+DRAW_CELLS = 1 << 12
+# rows of one pass of the alias-table build, for the same reason
+ALIAS_ROWS = 256
 
 # Tail mass each Poisson window of the Skellam current pmf may drop: so far
 # below any tail that tail_geq reads that the windows reach the underflow.
@@ -260,119 +273,273 @@ def simulate_replica(config: ExperimentConfig, replica_index: int,
 
 
 # --------------------------------------------------------------------------
-# cell-count engine for Poisson occupancy
+# path-class engine
 # --------------------------------------------------------------------------
 
+def split_batches(replicas: int) -> list[range]:
+    """Contiguous replica ranges, as equal as possible: the batches of an
+    ensemble, fixed by the replica count alone."""
+    nbatches = min(N_BATCHES, replicas)
+    base, extra = divmod(replicas, nbatches)
+    out = []
+    start = 0
+    for i in range(nbatches):
+        size = base + (1 if i < extra else 0)
+        out.append(range(start, start + size))
+        start += size
+    return out
+
+
+def _alias_tables(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Walker alias tables (accept, alias), one per row of probs; probs is
+    overwritten and becomes accept.
+
+    Column c of a row is drawn by picking a column uniformly and keeping it
+    with probability accept[c], else taking alias[c].  Vose's pairing runs
+    on ALIAS_ROWS rows at once: each pass settles one underfull column per
+    row against an overfull one.  Columns left when rounding runs out of
+    partners keep accept 1.
+    """
+    k = probs.shape[1]
+    probs *= k
+    alias = np.tile(np.arange(k, dtype=np.min_scalar_type(k - 1)), (probs.shape[0], 1))
+    for start in range(0, probs.shape[0], ALIAS_ROWS):
+        scaled = probs[start:start + ALIAS_ROWS]
+        block = alias[start:start + ALIAS_ROWS]
+        live = np.ones(scaled.shape, bool)
+        for _ in range(k):
+            small = live & (scaled < 1.0)
+            large = live & (scaled >= 1.0)
+            r = np.flatnonzero(small.any(axis=1) & large.any(axis=1))
+            if not r.size:
+                break
+            lo = small[r].argmax(axis=1)
+            hi = large[r].argmax(axis=1)
+            block[r, lo] = hi
+            live[r, lo] = False
+            scaled[r, hi] -= 1.0 - scaled[r, lo]
+        scaled[live] = 1.0
+    return probs, alias
+
+
 @dataclass(frozen=True, eq=False)
-class CellTable:
-    """Poisson path-class means and their signed weights on the grid.
+class ClassTable:
+    """Path classes of the certified window, with each start site's law.
 
     A particle's class is (j, c_1, ..., c_K): j anchors lie strictly below
     its start and c_k time-k lines strictly below its position at grid time
     k.  The class adds [c_k <= i] - [j <= i] to Y(t_k, r_i); classes whose
     signs are all zero are left out.  Rows are in lexicographic class order.
+
+    With pi_m(c) the probability that a particle started at the m-th
+    window site has class c, means[c] = E eta * sum_m pi_m(c) is the
+    expected class count and site_means[m] = sum_c pi_m(c) s_c the site's
+    expected sign vector.  Under any occupancy law other than Poisson,
+    accept and alias are the Walker tables of each pi_m followed by one
+    null class, which takes the zero-sign classes and the walk pmf's
+    deficit.
     """
 
-    classes: np.ndarray  # int64, shape (ncls, 1 + len(t_grid))
-    means: np.ndarray    # float, shape (ncls,)
-    signs: np.ndarray    # int64, shape (ncls, len(t_grid) * len(r_grid))
+    classes: np.ndarray     # int64, shape (ncls, 1 + len(t_grid))
+    signs: np.ndarray       # int64, shape (ncls, len(t_grid) * len(r_grid))
+    means: np.ndarray       # float, shape (ncls,)
+    site_means: np.ndarray  # float, shape (nsites, len(t_grid) * len(r_grid))
+    accept: Optional[np.ndarray] = None  # float, shape (nsites, ncls + 1)
+    alias: Optional[np.ndarray] = None   # unsigned, shape (nsites, ncls + 1)
 
-    def replica(self, config: ExperimentConfig, replica_index: int) -> CurrentField:
-        """One replica of the current field from independent class counts.
+    def draw(self, config: ExperimentConfig, index: int, size: int) -> np.ndarray:
+        """Currents of `size` replicas, one flattened (t, r) row each, all
+        drawn from the batch stream replica_rng(master_seed, BATCH_STREAM,
+        index).
 
-        Deterministic given (master_seed, replica_index); the draws differ
-        from the particle engine's, the law does not.
+        Poisson occupancy thins into independent Poisson class counts.  Any
+        other law draws each site's count, then each particle's class from
+        its site's alias table.  The rows go DRAW_CELLS (replica, class or
+        site) cells at a time, which bounds the memory of one draw.
         """
-        if not (0 <= replica_index < config.replicas):
-            raise ValueError("replica_index out of range")
-        rng = replica_rng(config.master_seed, REPLICA_STREAM, replica_index)
-        values = (rng.poisson(self.means) @ self.signs).reshape(
-            len(config.t_grid), len(config.r_grid))
-        return CurrentField(values=values, scaled=values * config.n ** -0.25,
-                            replica_seed=replica_index)
+        rng = replica_rng(config.master_seed, BATCH_STREAM, index)
+        width = self.means.size if self.accept is None else self.site_means.shape[0]
+        step = max(1, DRAW_CELLS // width)
+        return np.concatenate([self._draw(config, rng, min(step, size - done))
+                               for done in range(0, size, step)])
+
+    def _draw(self, config: ExperimentConfig, rng: np.random.Generator,
+              size: int) -> np.ndarray:
+        if self.accept is None:
+            return rng.poisson(self.means, size=(size, self.means.size)) @ self.signs
+        nsites, k = self.accept.shape
+        counts = config.occupancy.sample_counts(rng, size * nsites)
+        # a particle's cell in the flat alias tables is its site's row plus
+        # the integer part of k u; the fractional part decides the alias
+        cell = np.repeat(np.tile(np.arange(0, nsites * k, k), size), counts)
+        u = rng.random(cell.size)
+        u *= k
+        cls = u.astype(np.int64)  # u < k, so cls <= k - 1
+        u -= cls
+        cell += cls
+        aliased = u >= self.accept.ravel()[cell]
+        cls[aliased] = self.alias.ravel()[cell[aliased]]
+        # then its replica's block of k classes
+        cls += np.repeat(np.arange(0, size * k, k), counts.reshape(size, nsites).sum(axis=1))
+        tally = np.bincount(cls, minlength=size * k).reshape(size, k)
+        return tally[:, :-1] @ self.signs
+
+    def moments(self, occupancy: OccupancyModel) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact mean and covariance of the flattened grid currents under
+        the occupancy law the table was built for.
+
+        The law of a compound sum gives mean sum_m E eta E_m[s] and
+        covariance sum_m (E eta Cov_m(s) + Var eta E_m[s] E_m[s]^T), E_m and
+        Cov_m under pi_m: the Poisson covariance sum_c means[c] s_c s_c^T
+        plus (Var eta - E eta) sum_m E_m[s] E_m[s]^T.
+        """
+        signs = self.signs.astype(float)
+        outer = self.site_means.T @ self.site_means
+        return (self.means @ signs,
+                signs.T @ (self.means[:, None] * signs)
+                + (occupancy.v0 - occupancy.rho0) * outer)
 
 
-def cell_table(config: ExperimentConfig,
-               window: Optional[int] = None) -> Optional[CellTable]:
-    """Exact class means over the certified window, or None for the
-    particle engine.
+def _suffix_laws(config: ExperimentConfig, lo: int, hi: int,
+                 anchors: np.ndarray) -> Optional[dict]:
+    """Class suffix (c_1, ..., c_K) -> (first site, probabilities over the
+    window sites from it), built backward from the last grid time; None when
+    the live suffixes at some time outnumber the window sites.
 
-    Each start interval begins as density rho on its window sites; at every
-    grid time each state is convolved with the exact walk pmf of the time
-    gap and split at that time's lines, and a class mean is the mass of one
-    final state.  Returns None unless occupancy is Poisson, and None when
-    there are more nonempty classes than window sites.
+    A suffix (c_k, ..., c_K) is a function of the position at time k - 1:
+    the probability of going on to that suffix.  At each grid time every
+    suffix function is cut at that time's lines, and each nonzero piece is
+    correlated with the walk pmf of the gap before it (one np.convolve);
+    all-zero pieces are pruned.  Positions are kept to the range reachable
+    from the window.
     """
-    if config.occupancy.kind != "poisson":
-        return None
-    w = truncation_radius(config) if window is None else int(window)
-    lo, hi = window_span(config, w)
-    nsites = hi - lo + 1
-    anchors = np.asarray(config.anchors(), np.int64)
-    rho = config.occupancy.rho0
-
-    # a state is (class prefix, first position, density over positions)
-    sites = np.arange(lo, hi + 1)
-    below = np.searchsorted(anchors, sites, side="left")
-    states = []
-    for j in range(anchors.size + 1):
-        idx = np.flatnonzero(below == j)
-        if idx.size:
-            states.append(((j,), int(sites[idx[0]]), np.full(idx.size, rho)))
-
+    pmfs = []
+    reach = [(lo, hi)]  # positions reachable from the window, per grid time
     prev_t = 0.0
-    for t, shift in zip(config.t_grid, config.line_shifts()):
+    for t in config.t_grid:
         gap = config.n * (t - prev_t)
         prev_t = t
-        if gap > 0.0:
-            wp = walk_pmf(config.kernel, gap)
-            states = [(cls, first + wp.offset_min, np.convolve(dens, wp.masses))
-                      for cls, first, dens in states]
-        lines = anchors + shift
-        split = []
-        for cls, first, dens in states:
-            cuts = np.clip(lines - first + 1, 0, dens.size)
-            bounds = np.concatenate(([0], cuts, [dens.size]))
-            for c in range(anchors.size + 1):
-                a, b = int(bounds[c]), int(bounds[c + 1])
-                piece = dens[a:b]
-                if piece.size and piece.sum() > 0.0:
-                    split.append((cls + (c,), first + a, piece))
-        if len(split) > nsites:
-            return None
-        states = split
+        wp = walk_pmf(config.kernel, gap) if gap > 0.0 else None
+        a, b = reach[-1]
+        if wp is not None:
+            a, b = a + wp.offset_min, b + wp.offset_min + wp.masses.size - 1
+        pmfs.append(wp)
+        reach.append((a, b))
 
-    ncols = len(config.t_grid) * anchors.size
-    classes = np.array([cls for cls, _, _ in states], np.int64).reshape(
-        len(states), 1 + len(config.t_grid))
-    means = np.array([dens.sum() for _, _, dens in states], float)
+    a, b = reach[-1]
+    suffixes = {(): (a, np.ones(b - a + 1))}
+    for k in range(len(pmfs), 0, -1):
+        lines = anchors + config.line_shifts()[k - 1]
+        wp = pmfs[k - 1]
+        a, b = reach[k - 1]
+        split = {}
+        for suffix, (first, vals) in suffixes.items():
+            cuts = np.clip(lines - first + 1, 0, vals.size)
+            bounds = np.concatenate(([0], cuts, [vals.size]))
+            for c in range(anchors.size + 1):
+                piece = vals[bounds[c]:bounds[c + 1]]
+                if not piece.any():
+                    continue
+                start = first + int(bounds[c])
+                if wp is not None:
+                    piece = np.convolve(piece, wp.masses[::-1])
+                    start -= wp.offset_min + wp.masses.size - 1
+                i, j = max(a - start, 0), min(b + 1 - start, piece.size)
+                if i < j and piece[i:j].any():
+                    split[(c,) + suffix] = (start + i, piece[i:j])
+        if len(split) > hi - lo + 1:
+            return None
+        suffixes = split
+    return suffixes
+
+
+def _site_class_laws(config: ExperimentConfig, lo: int, hi: int, extra: int):
+    """(classes, signs, rows) for the nonempty classes with a nonzero sign:
+    rows[m, c] = pi_m(c), followed by `extra` zero columns.  None when the
+    live suffixes or the nonempty classes outnumber the window sites.
+
+    At time 0 a site's start interval j completes its suffix's class.
+    """
+    nsites = hi - lo + 1
+    anchors = np.asarray(config.anchors(), np.int64)
+    suffixes = _suffix_laws(config, lo, hi, anchors)
+    if suffixes is None:
+        return None
+    # the sites of start interval j are window sites edges[j] .. edges[j + 1] - 1
+    edges = np.concatenate(([0], np.clip(anchors - lo + 1, 0, nsites), [nsites]))
+    names, spans = [], []
+    for j in range(anchors.size + 1):
+        for suffix, (first, vals) in sorted(suffixes.items()):
+            a, b = max(first - lo, edges[j]), min(first - lo + vals.size, edges[j + 1])
+            piece = vals[a + lo - first:b + lo - first]
+            if piece.any():
+                names.append((j,) + suffix)
+                spans.append((a, b, piece))
+    if len(names) > nsites:
+        return None
+
+    classes = np.array(names, np.int64)
     idx = np.arange(anchors.size)
     signs = ((classes[:, 1:, None] <= idx).astype(np.int64)
-             - (classes[:, :1, None] <= idx)).reshape(len(states), ncols)
-    keep = np.any(signs != 0, axis=1)
-    return CellTable(classes=classes[keep], means=means[keep], signs=signs[keep])
+             - (classes[:, :1, None] <= idx)).reshape(len(names), -1)
+    keep = np.flatnonzero(np.any(signs != 0, axis=1))
+    rows = np.zeros((nsites, keep.size + extra))
+    for c, i in enumerate(keep):
+        a, b, vals = spans[i]
+        rows[a:b, c] = vals
+    return classes[keep], signs[keep], rows
 
 
-def replica_field(config: ExperimentConfig, replica_index: int, window: int,
-                  table: Optional[CellTable]) -> CurrentField:
-    """One replica from the cell engine when a table is given, else from
-    the particle engine."""
+def class_table(config: ExperimentConfig,
+                window: Optional[int] = None) -> Optional[ClassTable]:
+    """The path-class table of the certified window, or None for the
+    particle engine: when the live class suffixes at any grid time, or the
+    nonempty classes, outnumber the window sites."""
+    w = truncation_radius(config) if window is None else int(window)
+    lo, hi = window_span(config, w)
+    occ = config.occupancy
+    # under a non-Poisson law the rows carry one more column, the null class
+    laws = _site_class_laws(config, lo, hi, extra=int(occ.kind != "poisson"))
+    if laws is None:
+        return None
+    classes, signs, rows = laws
+    probs = rows[:, :classes.shape[0]]
+    means = occ.rho0 * probs.sum(axis=0)
+    site_means = probs @ signs
+    accept = alias = None
+    if occ.kind != "poisson":
+        rows[:, -1] = np.maximum(1.0 - probs.sum(axis=1), 0.0)
+        accept, alias = _alias_tables(rows)
+    return ClassTable(classes=classes, signs=signs, means=means,
+                      site_means=site_means, accept=accept, alias=alias)
+
+
+def batch_currents(config: ExperimentConfig, window: int,
+                   table: Optional[ClassTable], index: int, batch: range) -> np.ndarray:
+    """Currents of one batch's replicas, one flattened (t, r) row each.
+
+    With a class table the batch is one draw from its own stream, so
+    replica i is row i - batch.start of that draw; without one, each
+    replica runs on the particle engine from its own stream.
+    """
     if table is not None:
-        return table.replica(config, replica_index)
-    return simulate_replica(config, replica_index, window=window)
+        return table.draw(config, index, len(batch))
+    return np.stack([simulate_replica(config, i, window=window).values.ravel()
+                     for i in batch])
 
 
 def run_ensemble(config: ExperimentConfig,
                  window: Optional[int] = None) -> Iterator[CurrentField]:
-    """Yield all replicas in index order; each depends only on its own seed.
-
-    Poisson occupancy runs on the cell engine, any other on the particle
-    engine, exactly as the batched runner does.
-    """
+    """Yield all replicas in index order, batch by batch, exactly as the
+    batched runner draws them."""
     w = truncation_radius(config) if window is None else int(window)
-    table = cell_table(config, w)
-    for i in range(config.replicas):
-        yield replica_field(config, i, w, table)
+    table = class_table(config, w)
+    shape = (len(config.t_grid), len(config.r_grid))
+    for index, batch in enumerate(split_batches(config.replicas)):
+        for i, row in zip(batch, batch_currents(config, w, table, index, batch)):
+            values = row.reshape(shape)
+            yield CurrentField(values=values, scaled=values * config.n ** -0.25,
+                               replica_seed=i)
 
 
 # --------------------------------------------------------------------------

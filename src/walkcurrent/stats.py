@@ -19,6 +19,14 @@ from scipy import stats as spstats
 from .errors import GridMismatchError, InsufficientReplicasError
 from .gaussian import LimitCovariance, limit_cov_matrix
 
+# The smallest inputs the estimators accept; load_config checks the same
+# numbers, so that a config too small for its command fails before any
+# compute.
+MIN_COV_REPLICAS = 2  # a sample covariance
+MIN_REPORT_REPLICAS = 100  # the covariance and mean reports
+MIN_NORMALITY_SAMPLES = 10_000  # the normality diagnostics
+MIN_SCALING_TIMES = 4  # the variance-growth fit
+
 
 @dataclass
 class EnsembleAccumulator:
@@ -51,6 +59,23 @@ class EnsembleAccumulator:
         np.minimum(self.low, x, out=self.low)
         np.maximum(self.high, x, out=self.high)
 
+    def add_batch(self, rows: np.ndarray) -> None:
+        """Fold in a batch of replica vectors, one per row: the batch's own
+        mean and comoment, then the Chan merge."""
+        x = np.asarray(rows, float)
+        if x.ndim != 2 or x.shape[1] != self.mean.size:
+            raise GridMismatchError(
+                f"batch has shape {x.shape}, accumulator has {self.mean.size} points")
+        if not x.shape[0]:
+            return
+        mean = x.mean(axis=0)
+        dev = x - mean
+        merged = self.merge(EnsembleAccumulator(count=x.shape[0], mean=mean,
+                                                comoment=dev.T @ dev,
+                                                low=x.min(axis=0), high=x.max(axis=0)))
+        self.count, self.mean, self.comoment = merged.count, merged.mean, merged.comoment
+        self.low, self.high = merged.low, merged.high
+
     def merge(self, other: "EnsembleAccumulator") -> "EnsembleAccumulator":
         """Combine two disjoint accumulations; associative and commutative
         up to round-off."""
@@ -75,8 +100,9 @@ class EnsembleAccumulator:
                                    low=self.low.copy(), high=self.high.copy())
 
     def cov(self) -> np.ndarray:
-        if self.count < 2:
-            raise InsufficientReplicasError("need at least 2 replicas for a covariance")
+        if self.count < MIN_COV_REPLICAS:
+            raise InsufficientReplicasError(
+                f"need at least {MIN_COV_REPLICAS} replicas for a covariance")
         return self.comoment / (self.count - 1)
 
 
@@ -132,8 +158,9 @@ def covariance_report(batches: Sequence[EnsembleAccumulator],
     if len(batches) < 2:
         raise InsufficientReplicasError("covariance report needs >= 2 batches")
     total = merge_accumulators(batches)
-    if total.count < 100:
-        raise InsufficientReplicasError("covariance report needs >= 100 replicas")
+    if total.count < MIN_REPORT_REPLICAS:
+        raise InsufficientReplicasError(
+            f"covariance report needs >= {MIN_REPORT_REPLICAS} replicas")
     emp = total.cov()
     ana = limit_cov_matrix(params, points)
     loo = [a.cov() for a in _leave_one_out(batches)]
@@ -172,8 +199,9 @@ def mean_report(batches: Sequence[EnsembleAccumulator],
     if len(batches) < 2:
         raise InsufficientReplicasError("mean report needs >= 2 batches")
     total = merge_accumulators(batches)
-    if total.count < 100:
-        raise InsufficientReplicasError("mean report needs >= 100 replicas")
+    if total.count < MIN_REPORT_REPLICAS:
+        raise InsufficientReplicasError(
+            f"mean report needs >= {MIN_REPORT_REPLICAS} replicas")
     se = np.sqrt(np.diag(total.cov()) / total.count)
     rows = []
     for k, pt in enumerate(points):
@@ -189,8 +217,9 @@ def scaling_exponent(t_values: Sequence[float],
     """Least-squares slope of log variance against log time, with its SE."""
     t = np.asarray(t_values, float)
     v = np.asarray(variances, float)
-    if t.size < 4:
-        raise InsufficientReplicasError("scaling fit needs >= 4 distinct times")
+    if t.size < MIN_SCALING_TIMES:
+        raise InsufficientReplicasError(
+            f"scaling fit needs >= {MIN_SCALING_TIMES} distinct times")
     x = np.log(t)
     y = np.log(v)
     xc = x - x.mean()
@@ -218,8 +247,9 @@ def normality_diagnostics(samples: np.ndarray, analytic_var: float,
     measures distance from the normal law rather than raw discreteness.
     """
     x = np.asarray(samples, float)
-    if x.size < 10_000:
-        raise InsufficientReplicasError("normality diagnostics need >= 1e4 samples")
+    if x.size < MIN_NORMALITY_SAMPLES:
+        raise InsufficientReplicasError(
+            f"normality diagnostics need >= {MIN_NORMALITY_SAMPLES} samples")
     m = x.mean()
     c = x - m
     m2 = np.mean(c ** 2)

@@ -31,11 +31,12 @@ def bvn_cdf(h, k, rho):
         return bvn_cdf(k, h, rho)
     den = math.sqrt(1.0 - rho * rho)
     beta = 0.5 if (h < 0.0) != (k < 0.0) else 0.0
-    t_h = owens_t(h, (k - rho * h) / (h * den))
+    # divide before subtracting: rho * h rounds to 0 for a subnormal h
+    t_h = owens_t(h, (k / h - rho) / den)
     if k == 0.0:
         t_k = math.copysign(0.25, h)  # T(0, +-inf) limit
     else:
-        t_k = owens_t(k, (h - rho * k) / (k * den))
+        t_k = owens_t(k, (h / k - rho) / den)
     return float(0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - beta)
 
 

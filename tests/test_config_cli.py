@@ -282,6 +282,27 @@ class TestCliFailures:
         assert not os.path.exists(out)
 
 
+    @pytest.mark.parametrize("command, extra, argv, key", [
+        ("fbm-check", {"T": 2.0, "t_grid": [0.25, 0.5, 1.0, 2.0], "r_grid": [-0.25, 0.25]},
+         [], "r_grid"),
+        ("fbm-check", {"t_grid": [0.0, 0.25, 0.5, 1.0]}, [], "t_grid"),
+        ("cov-check", {"replicas": 99}, [], "replicas"),
+        ("cov-check", {"replicas": 9999, "retain_points": [[1.0, 0.0]]}, [],
+         "retain_points"),
+        ("simulate", {"replicas": 1}, [], "replicas"),
+        ("cov-check", {}, ["--workers", "0"], "--workers"),
+    ], ids=["fbm-no-r0", "fbm-three-times", "cov-99-replicas", "normality-9999-replicas",
+            "simulate-one-replica", "zero-workers"])
+    def test_ensemble_too_small_exits_2(self, tmp_path, capsys, command, extra, argv, key):
+        # each used to run the whole ensemble first (exit 3), or run with
+        # one worker (exit 0)
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, **extra)
+        assert main([command, "--config", cfg, "--out", out] + argv) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestManifestTelemetry:
     def run_simulate(self, tmp_path, name, **extra):
         out = str(tmp_path / name)
@@ -292,8 +313,10 @@ class TestManifestTelemetry:
 
     def test_cell_engine_recorded(self, tmp_path):
         tel = self.run_simulate(tmp_path, "cells")
-        assert tel["engine"] == "cells"
+        assert tel["engine"] == "classes"
         assert tel["classes"] > 0
+        assert tel["batches"] == 50
+        assert tel["table_s"] >= 0.0 and tel["draw_s"] > 0.0
         window = tel["window"]
         assert window["width"] >= 16
         # S*sqrt(n) = 2.5, so the window runs from -3 - width to 2 + width
@@ -301,10 +324,30 @@ class TestManifestTelemetry:
         assert 0.0 < window["bound"] <= 1e-6
 
     def test_particle_engine_recorded(self, tmp_path):
-        tel = self.run_simulate(tmp_path, "particles",
-                                occupancy={"type": "deterministic", "count": 1})
+        # five offsets and four times: more classes than window sites
+        tel = self.run_simulate(tmp_path, "particles", n=4, S=1.0,
+                                r_grid=[-1.0, -0.5, 0.0, 0.5, 1.0],
+                                t_grid=[0.25, 0.5, 0.75, 1.0])
         assert tel["engine"] == "particles"
         assert tel["classes"] is None
+        assert tel["batches"] == 50
+
+    def test_counts_match_across_workers(self, tmp_path):
+        cfg = write_cfg(tmp_path, occupancy={"type": "deterministic", "count": 1})
+        tels = []
+        for workers in (1, 3):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["cov-check", "--config", cfg, "--out", out,
+                         "--workers", str(workers)]) == 0
+            tel = json.loads(Path(os.path.join(out, "manifest.json")).read_text())["telemetry"]
+            assert tel.pop("table_s") >= 0.0 and tel.pop("draw_s") > 0.0
+            tels.append(tel)
+            for name in ("cov_check.csv", "cov_check.json", "mean_check.csv"):
+                text = Path(os.path.join(out, name)).read_text()
+                for key in ("classes", "batches", "table_s", "draw_s"):
+                    assert key not in text
+        assert tels[0] == tels[1]
+        assert tels[0]["engine"] == "classes" and tels[0]["batches"] == 50
 
     def test_telemetry_not_in_reports(self, tmp_path):
         out = str(tmp_path / "out")

@@ -214,6 +214,13 @@ class TestBivariateNormal:
             assert cdf(-8.1e-227, 1.8e-127, 0.3) == pytest.approx(
                 0.25 + math.asin(0.3) / (2 * math.pi), abs=1e-15)
 
+    def test_subnormal_argument(self):
+        # rho * h rounds to 0 at h = 5e-324; the answer is the h = k = 0
+        # value 1/4 + asin(1/2) / (2 pi) = 1/3
+        for cdf in (bvn_cdf, quad_oracles.bvn_cdf):
+            for h, k in ((0.0, 5e-324), (5e-324, 0.0)):
+                assert cdf(h, k, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
         st.one_of(st.just(0.0), st.floats(-8.0, 8.0)),

@@ -215,15 +215,19 @@ class TestSimulateReplica:
 
 class TestRunEnsemble:
     def test_single_replica_matches(self):
-        # each engine's ensemble replica is its own direct replica
-        cfg = small_config(replicas=1)
-        (only,) = list(wc.run_ensemble(cfg))
-        direct = wc.cell_table(cfg).replica(cfg, 0)
-        assert np.array_equal(only.values, direct.values)
-        cfg = small_config(replicas=1, occupancy=wc.OccupancyModel.deterministic(1))
-        (only,) = list(wc.run_ensemble(cfg))
-        direct = wc.simulate_replica(cfg, 0)
-        assert np.array_equal(only.values, direct.values)
+        # replica i of an ensemble is row i - start of its batch's draw,
+        # under Poisson class counts and under per-particle classes alike
+        for occ in (None, wc.OccupancyModel.deterministic(1)):
+            cfg = small_config(replicas=120, occupancy=occ)
+            table = wc.class_table(cfg)
+            batches = wc.split_batches(cfg.replicas)
+            assert len(batches) == 50 and batches[-1].stop == cfg.replicas
+            fields = list(wc.run_ensemble(cfg))
+            assert [f.replica_seed for f in fields] == list(range(cfg.replicas))
+            for index in (0, 7, 49):
+                rows = table.draw(cfg, index, len(batches[index]))
+                for i, row in zip(batches[index], rows):
+                    assert np.array_equal(fields[i].values.ravel(), row)
 
     def test_repeatable(self):
         cfg = small_config(replicas=5)
@@ -329,15 +333,15 @@ class TestExactCurrentPmf:
 
 
 class TestCellEngine:
-    def three_by_two(self, n=25, replicas=20_000, seed=5150):
+    def three_by_two(self, n=25, replicas=20_000, seed=5150, occupancy=None):
         # anchors at -2, 0, 2 when n = 25
         return small_config(n=n, replicas=replicas, r_grid=(-0.4, 0.0, 0.4), S=0.4,
-                            seed=seed)
+                            seed=seed, occupancy=occupancy)
 
     def test_moments_match_exact_pmf(self):
         for cfg in (self.three_by_two(n=100), acceptance_config()):
             w = wc.truncation_radius(cfg)
-            table = wc.cell_table(cfg, w)
+            table = wc.class_table(cfg, w)
             mean = table.means @ table.signs
             var = table.means @ table.signs ** 2
             for k, (t, r) in enumerate(cfg.grid_points()):
@@ -345,9 +349,21 @@ class TestCellEngine:
                 assert abs(mean[k] - pmf.mean()) < 1e-8
                 assert abs(var[k] - pmf.var()) < 1e-8
 
+    @pytest.mark.parametrize("kind", sorted(OCCUPANCIES))
+    def test_exact_moments_every_law(self, kind):
+        occ = OCCUPANCIES[kind]
+        for cfg in (self.three_by_two(n=100, occupancy=occ),
+                    acceptance_config(occupancy=occ)):
+            w = wc.truncation_radius(cfg)
+            mean, cov = wc.class_table(cfg, w).moments(occ)
+            for k, (t, r) in enumerate(cfg.grid_points()):
+                pmf = wc.exact_current_pmf(cfg, t, r, window=w)
+                assert abs(mean[k] - pmf.mean()) < 1e-10
+                assert abs(cov[k, k] - pmf.var()) < 1e-10
+
     def test_class_table_shape(self):
         cfg = acceptance_config()
-        table = wc.cell_table(cfg)
+        table = wc.class_table(cfg)
         R, K = len(cfg.r_grid), len(cfg.t_grid)
         rows = [tuple(c) for c in table.classes.tolist()]
         assert rows == sorted(rows) and len(set(rows)) == len(rows)
@@ -359,8 +375,8 @@ class TestCellEngine:
     def test_chisquare_against_exact_pmf(self):
         cfg = self.three_by_two(seed=1)
         w = wc.truncation_radius(cfg)
-        table = wc.cell_table(cfg, w)
-        fields = np.stack([table.replica(cfg, i).values for i in range(cfg.replicas)])
+        table = wc.class_table(cfg, w)
+        fields = table.draw(cfg, 0, cfg.replicas).reshape(cfg.replicas, 2, 3)
         for k, t in enumerate(cfg.t_grid):
             pmf = wc.exact_current_pmf(cfg, t, 0.4, window=w)
             p = lattice_chisquare(fields[:, k, 2], pmf.support(), pmf.masses)
@@ -369,23 +385,63 @@ class TestCellEngine:
     def test_cross_time_difference_matches_particle_engine(self):
         cfg = self.three_by_two(replicas=10_000)
         w = wc.truncation_radius(cfg)
-        table = wc.cell_table(cfg, w)
-        cells = np.stack([table.replica(cfg, i).values for i in range(cfg.replicas)])
+        table = wc.class_table(cfg, w)
+        cells = table.draw(cfg, 0, cfg.replicas).reshape(cfg.replicas, 2, 3)
         parts = np.stack([wc.simulate_replica(cfg, i, window=w).values
                           for i in range(cfg.replicas)])
         p = lattice_two_sample(cells[:, 1, 0] - cells[:, 0, 0],
                                parts[:, 1, 0] - parts[:, 0, 0])
         assert p > 0.01
 
-    def test_non_poisson_runs_on_particles(self):
+    @pytest.mark.parametrize("occ", [wc.OccupancyModel.deterministic(1),
+                                     wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
+                                     wc.OccupancyModel.geometric(1.0)],
+                             ids=["deterministic", "custom", "geometric"])
+    def test_per_particle_classes_match_particle_engine(self, occ):
+        # Y(t2, -0.4) - Y(t1, 0.4) reads the joint law across times and offsets
+        cfg = self.three_by_two(replicas=5000, seed=6060, occupancy=occ)
+        w = wc.truncation_radius(cfg)
+        cells = wc.class_table(cfg, w).draw(cfg, 0, cfg.replicas).reshape(-1, 2, 3)
+        parts = np.stack([wc.simulate_replica(cfg, i, window=w).values
+                          for i in range(cfg.replicas)])
+        p = lattice_two_sample(cells[:, 1, 0] - cells[:, 0, 2],
+                               parts[:, 1, 0] - parts[:, 0, 2])
+        assert p > 0.01
+
+    def test_non_poisson_runs_on_classes(self):
+        # one table for every law: the same classes and site laws, the
+        # expected counts scaled by the mean occupancy, and alias tables for
+        # the per-particle draw
+        poisson = wc.class_table(small_config())
+        assert poisson.accept is None
         for occ in (wc.OccupancyModel.deterministic(1), wc.OccupancyModel.geometric(1.0),
                     wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)])):
-            assert wc.cell_table(small_config(occupancy=occ)) is None
+            table = wc.class_table(small_config(occupancy=occ))
+            assert np.array_equal(table.classes, poisson.classes)
+            assert np.array_equal(table.site_means, poisson.site_means)
+            assert np.allclose(table.means, occ.rho0 * poisson.means, rtol=1e-14, atol=0)
+            assert table.accept.shape == table.alias.shape == (
+                table.site_means.shape[0], table.means.size + 1)
+
+    def test_alias_tables_reproduce_site_laws(self):
+        # the site laws pi_m rebuilt from the alias tables give the table's
+        # class means and site sign means, and the null class the rest
+        cfg = small_config(occupancy=wc.OccupancyModel.deterministic(1))
+        table = wc.class_table(cfg)
+        nsites, k = table.accept.shape
+        rebuilt = table.accept / k
+        np.add.at(rebuilt, (np.repeat(np.arange(nsites), k), table.alias.ravel()),
+                  ((1.0 - table.accept) / k).ravel())
+        probs = rebuilt[:, :-1]
+        assert np.all(rebuilt >= 0.0)
+        assert np.abs(rebuilt.sum(axis=1) - 1.0).max() < 1e-14
+        assert np.abs(probs.sum(axis=0) - table.means).max() < 1e-13
+        assert np.abs(probs @ table.signs - table.site_means).max() < 1e-14
 
     def test_falls_back_when_classes_exceed_sites(self):
         cfg = small_config(n=4, replicas=3, S=1.0, r_grid=(-1.0, -0.5, 0.0, 0.5, 1.0),
                            t_grid=(0.25, 0.5, 0.75, 1.0))
-        assert wc.cell_table(cfg) is None
+        assert wc.class_table(cfg) is None
         w = wc.truncation_radius(cfg)
         for i, fieldval in enumerate(wc.run_ensemble(cfg)):
             assert np.array_equal(fieldval.values,
@@ -393,9 +449,9 @@ class TestCellEngine:
 
     def test_time_zero_row_is_zero(self):
         cfg = small_config(t_grid=(0.0, 0.5), replicas=5)
-        table = wc.cell_table(cfg)
-        for i in range(cfg.replicas):
-            assert np.all(table.replica(cfg, i).values[0] == 0)
+        table = wc.class_table(cfg)
+        rows = table.draw(cfg, 0, cfg.replicas)
+        assert rows.shape == (cfg.replicas, 2) and np.all(rows[:, 0] == 0)
 
     def test_dump_reproduces_summary(self, tmp_path):
         from walkcurrent.cli import main

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkcurrent as wc
 from walkcurrent.stats import _leave_one_out
@@ -62,6 +64,37 @@ class TestAccumulator:
         backward = wc.merge_accumulators(accs[::-1])
         assert np.abs(forward.mean - backward.mean).max() < 1e-10
         assert np.abs(forward.comoment - backward.comoment).max() < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.lists(st.integers(0, 80), max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_add_batch_add_and_merge_agree(self, nrows, cuts, seed):
+        # any split of the same rows: one add_batch per part, one add per
+        # row, and per-part accumulators merged all agree within round-off
+        data = np.random.default_rng(seed).normal(3.0, 10.0, size=(nrows, 3))
+        bounds = sorted({0, nrows} | {min(c, nrows) for c in cuts})
+        parts = [data[a:b] for a, b in zip(bounds, bounds[1:])]
+        (rowwise,) = fill(data)
+        batched = wc.EnsembleAccumulator.empty(3)
+        singles = []
+        for part in parts:
+            batched.add_batch(part)
+            single = wc.EnsembleAccumulator.empty(3)
+            single.add_batch(part)
+            singles.append(single)
+        merged = wc.merge_accumulators(singles)
+        scale = np.abs(rowwise.comoment).max() + 1.0
+        for acc in (batched, merged):
+            assert acc.count == rowwise.count == nrows
+            assert np.abs(acc.mean - rowwise.mean).max() < 1e-12 * 100.0
+            assert np.abs(acc.comoment - rowwise.comoment).max() < 1e-12 * scale
+            assert np.array_equal(acc.low, rowwise.low)
+            assert np.array_equal(acc.high, rowwise.high)
+
+    def test_add_batch_grid_mismatch(self):
+        acc = wc.EnsembleAccumulator.empty(2)
+        with pytest.raises(wc.GridMismatchError):
+            acc.add_batch(np.zeros((4, 3)))
 
     def test_leave_one_out(self, rng):
         data = rng.normal(size=(1000, 2))
