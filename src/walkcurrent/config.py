@@ -268,9 +268,9 @@ def _check_ensemble(command: str, spec: RunSpec) -> None:
     """Ensemble inputs too small for the command's estimators, which would
     otherwise fail only after every replica had run."""
     exp = spec.experiment
-    if command == "simulate" and exp.replicas < MIN_COV_REPLICAS:
+    if command in ("simulate", "fbm-check") and exp.replicas < MIN_COV_REPLICAS:
         raise ConfigValidationError(
-            f"replicas: simulate needs at least {MIN_COV_REPLICAS}, got {exp.replicas}")
+            f"replicas: {command} needs at least {MIN_COV_REPLICAS}, got {exp.replicas}")
     if command == "cov-check":
         if exp.replicas < MIN_REPORT_REPLICAS:
             raise ConfigValidationError(

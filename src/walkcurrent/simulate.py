@@ -334,16 +334,17 @@ class ClassTable:
     With pi_m(c) the probability that a particle started at the m-th
     window site has class c, means[c] = E eta * sum_m pi_m(c) is the
     expected class count and site_means[m] = sum_c pi_m(c) s_c the site's
-    expected sign vector.  Under any occupancy law other than Poisson,
-    accept and alias are the Walker tables of each pi_m followed by one
-    null class, which takes the zero-sign classes and the walk pmf's
-    deficit.
+    expected sign vector; occupancy is the law the table was built for.
+    Under any occupancy law other than Poisson, accept and alias are the
+    Walker tables of each pi_m followed by one null class, which takes the
+    zero-sign classes and the walk pmf's deficit.
     """
 
     classes: np.ndarray     # int64, shape (ncls, 1 + len(t_grid))
     signs: np.ndarray       # int64, shape (ncls, len(t_grid) * len(r_grid))
     means: np.ndarray       # float, shape (ncls,)
     site_means: np.ndarray  # float, shape (nsites, len(t_grid) * len(r_grid))
+    occupancy: OccupancyModel
     accept: Optional[np.ndarray] = None  # float, shape (nsites, ncls + 1)
     alias: Optional[np.ndarray] = None   # unsigned, shape (nsites, ncls + 1)
 
@@ -384,9 +385,9 @@ class ClassTable:
         tally = np.bincount(cls, minlength=size * k).reshape(size, k)
         return tally[:, :-1] @ self.signs
 
-    def moments(self, occupancy: OccupancyModel) -> Tuple[np.ndarray, np.ndarray]:
+    def moments(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact mean and covariance of the flattened grid currents under
-        the occupancy law the table was built for.
+        the table's occupancy law.
 
         The law of a compound sum gives mean sum_m E eta E_m[s] and
         covariance sum_m (E eta Cov_m(s) + Var eta E_m[s] E_m[s]^T), E_m and
@@ -397,7 +398,7 @@ class ClassTable:
         outer = self.site_means.T @ self.site_means
         return (self.means @ signs,
                 signs.T @ (self.means[:, None] * signs)
-                + (occupancy.v0 - occupancy.rho0) * outer)
+                + (self.occupancy.v0 - self.occupancy.rho0) * outer)
 
 
 def _suffix_laws(config: ExperimentConfig, lo: int, hi: int,
@@ -471,6 +472,8 @@ def _site_class_laws(config: ExperimentConfig, lo: int, hi: int, extra: int):
     for j in range(anchors.size + 1):
         for suffix, (first, vals) in sorted(suffixes.items()):
             a, b = max(first - lo, edges[j]), min(first - lo + vals.size, edges[j + 1])
+            if a >= b:  # the suffix's sites miss start interval j
+                continue
             piece = vals[a + lo - first:b + lo - first]
             if piece.any():
                 names.append((j,) + suffix)
@@ -511,7 +514,7 @@ def class_table(config: ExperimentConfig,
         rows[:, -1] = np.maximum(1.0 - probs.sum(axis=1), 0.0)
         accept, alias = _alias_tables(rows)
     return ClassTable(classes=classes, signs=signs, means=means,
-                      site_means=site_means, accept=accept, alias=alias)
+                      site_means=site_means, occupancy=occ, accept=accept, alias=alias)
 
 
 def batch_currents(config: ExperimentConfig, window: int,

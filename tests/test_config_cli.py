@@ -289,10 +289,11 @@ class TestCliFailures:
         ("cov-check", {"replicas": 99}, [], "replicas"),
         ("cov-check", {"replicas": 9999, "retain_points": [[1.0, 0.0]]}, [],
          "retain_points"),
+        ("fbm-check", {"t_grid": [0.25, 0.5, 0.75, 1.0], "replicas": 1}, [], "replicas"),
         ("simulate", {"replicas": 1}, [], "replicas"),
         ("cov-check", {}, ["--workers", "0"], "--workers"),
     ], ids=["fbm-no-r0", "fbm-three-times", "cov-99-replicas", "normality-9999-replicas",
-            "simulate-one-replica", "zero-workers"])
+            "fbm-one-replica", "simulate-one-replica", "zero-workers"])
     def test_ensemble_too_small_exits_2(self, tmp_path, capsys, command, extra, argv, key):
         # each used to run the whole ensemble first (exit 3), or run with
         # one worker (exit 0)

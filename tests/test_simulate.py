@@ -333,10 +333,11 @@ class TestExactCurrentPmf:
 
 
 class TestCellEngine:
-    def three_by_two(self, n=25, replicas=20_000, seed=5150, occupancy=None):
+    def three_by_two(self, n=25, replicas=20_000, seed=5150, occupancy=None,
+                     t_grid=(0.5, 1.0)):
         # anchors at -2, 0, 2 when n = 25
         return small_config(n=n, replicas=replicas, r_grid=(-0.4, 0.0, 0.4), S=0.4,
-                            seed=seed, occupancy=occupancy)
+                            seed=seed, occupancy=occupancy, t_grid=t_grid)
 
     def test_moments_match_exact_pmf(self):
         for cfg in (self.three_by_two(n=100), acceptance_config()):
@@ -355,7 +356,7 @@ class TestCellEngine:
         for cfg in (self.three_by_two(n=100, occupancy=occ),
                     acceptance_config(occupancy=occ)):
             w = wc.truncation_radius(cfg)
-            mean, cov = wc.class_table(cfg, w).moments(occ)
+            mean, cov = wc.class_table(cfg, w).moments()
             for k, (t, r) in enumerate(cfg.grid_points()):
                 pmf = wc.exact_current_pmf(cfg, t, r, window=w)
                 assert abs(mean[k] - pmf.mean()) < 1e-10
@@ -452,6 +453,22 @@ class TestCellEngine:
         table = wc.class_table(cfg)
         rows = table.draw(cfg, 0, cfg.replicas)
         assert rows.shape == (cfg.replicas, 2) and np.all(rows[:, 0] == 0)
+
+    @pytest.mark.parametrize("kind", ["poisson", "custom"])
+    def test_time_zero_row_with_three_offsets(self, kind):
+        # the time-0 suffixes are the intervals between the lines, and each
+        # lies wholly above or below most start intervals
+        cfg = self.three_by_two(replicas=50, occupancy=OCCUPANCIES[kind],
+                                t_grid=(0.0, 0.5))
+        w = wc.truncation_radius(cfg)
+        table = wc.class_table(cfg, w)
+        rows = table.draw(cfg, 0, cfg.replicas).reshape(-1, 2, 3)
+        assert np.all(rows[:, 0] == 0)
+        mean, cov = table.moments()
+        for k, (t, r) in enumerate(cfg.grid_points()):
+            pmf = wc.exact_current_pmf(cfg, t, r, window=w)
+            assert abs(mean[k] - pmf.mean()) < 1e-10
+            assert abs(cov[k, k] - pmf.var()) < 1e-10
 
     def test_dump_reproduces_summary(self, tmp_path):
         from walkcurrent.cli import main
