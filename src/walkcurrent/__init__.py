@@ -48,6 +48,7 @@ from .simulate import (
     CurrentField,
     ExperimentConfig,
     bracket,
+    certified_window,
     class_table,
     exact_current_pmf,
     replica_rng,

@@ -100,7 +100,8 @@ def _experiment(args, spec, telemetry: dict):
             quad_tol=float(spec.raw["quad_tol"]))
     if cmd == "rate-empirical":
         return runner.rate_empirical_experiment(
-            spec.experiment, spec.ldp, quad_tol=float(spec.raw["quad_tol"]))
+            spec.experiment, spec.ldp, quad_tol=float(spec.raw["quad_tol"]),
+            telemetry=telemetry)
     if cmd == "fidi":
         return runner.fidi_experiment(spec.fidi)
     if cmd == "limit-tables":

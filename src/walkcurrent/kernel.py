@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtr, pdtrc
 
 from .errors import (
     NegativeWeightError,
@@ -229,7 +229,8 @@ def _poisson_window(mu: float, tol: float) -> tuple[int, np.ndarray, float]:
 
     Bernstein's inequalities, P(N <= mu - d) <= exp(-d^2 / (2 mu)) and
     P(N >= mu + d) <= exp(-d^2 / (2 (mu + d/3))), place the window; the
-    masses come from the ratio recurrence out from the mode.
+    masses come from the ratio recurrence out from the mode, the tail from
+    the Poisson cdf and survival function (`pdtr`, `pdtrc`).
     """
     log_t = math.log(2.0 / tol)
     a = max(0, math.floor(mu - math.sqrt(2.0 * log_t * mu)))
@@ -238,7 +239,7 @@ def _poisson_window(mu: float, tol: float) -> tuple[int, np.ndarray, float]:
     down = np.cumprod(np.arange(mode, a, -1) / mu)
     up = np.cumprod(mu / np.arange(mode + 1, b + 1))
     raw = np.concatenate((down[::-1], [1.0], up))
-    tail = float(stats.poisson.cdf(a - 1, mu) + stats.poisson.sf(b, mu))
+    tail = float((pdtr(a - 1, mu) if a > 0 else 0.0) + pdtrc(b, mu))
     return a, raw * ((1.0 - tail) / math.fsum(raw)), tail
 
 

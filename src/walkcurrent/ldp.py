@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 from scipy.special import expit, log_expit, log_ndtr, logsumexp
 
 from .errors import (
@@ -219,8 +218,12 @@ def tilt_for_mean(model: RateModel, x: float) -> float:
     """Solve for the tilt alpha with mean current x (strictly increasing).
 
     Bracketed Brent solve on [-lambda_max, lambda_max]; the convergence
-    contract is on the mean residual, not on alpha itself.
+    contract is on the mean residual, not on alpha itself.  scipy.optimize
+    is imported by the first solve, so commands that solve no tilt never
+    load it.
     """
+    from scipy import optimize
+
     if x == 0.0:
         return 0.0
     L = model.lambda_max

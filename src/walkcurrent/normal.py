@@ -3,7 +3,9 @@
 Everything is parameterized by the *variance* (not the standard deviation),
 because variances of the form kappa2*t are what the covariance formulas and
 the rate-function integrands pass around.  CDFs go through the complementary
-error function so that tails keep full relative accuracy.
+error function so that tails keep full relative accuracy.  The upper tail of
+the Kolmogorov-Smirnov statistic lives here too, so that the normality
+diagnostics need no `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, owens_t
+from scipy.special import log_ndtr, ndtr, owens_t, smirnov
 
 from .errors import QuadratureConvergenceError
 
@@ -212,3 +214,169 @@ def mvn_cdf_3(upper, cov):
     val = gated_rule(values_at, MVN_PANELS, MVN_ORDER, 1e-12, MVN_MAX_PANELS,
                      "trivariate normal CDF", scale=span)
     return float(val) if val.ndim == 0 else val
+
+
+# --------------------------------------------------------------------------
+# upper tail of the two-sided Kolmogorov-Smirnov statistic
+# --------------------------------------------------------------------------
+
+# kolmogorov_sf takes more samples than this; fewer need exact branches
+# (Pomeranz's recursion, products in place of Stirling) that are not here.
+KS_MIN_SAMPLES = 140
+# Durbin's matrix powers are rescaled by 2^128 in long double
+_KS_EXP = 128
+_KS_BIG = np.ldexp(np.longdouble(1), _KS_EXP)
+_KS_SMALL = np.ldexp(np.longdouble(1), -_KS_EXP)
+# B_2j / (2j (2j - 1)) for j = 8, ..., 1: Stirling's series for log n!
+_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def kolmogorov_sf(n: int, d: float) -> float:
+    """P(D_n >= d) for the two-sided one-sample Kolmogorov-Smirnov
+    statistic D_n of n > KS_MIN_SAMPLES samples from a continuous law.
+
+    Simard and L'Ecuyer's method selection (J. Stat. Softw. 39(11), 2011),
+    as scipy's `kstwo.sf` makes it for such n: Ruben-Gambino where n d <= 1
+    or n d >= n - 1, twice the one-sided Smirnov tail where d >= 1/2 or
+    n d^2 >= 2.2, 0 where n d^2 >= 370, else one minus the CDF, by Durbin's
+    matrix where n <= 1e5 and n d^1.5 <= 1.4 and by Pelz-Good otherwise.
+    Each branch keeps scipy's operations and their order, so the two agree
+    bit for bit.
+    """
+    if n <= KS_MIN_SAMPLES:
+        raise ValueError(f"kolmogorov_sf needs more than {KS_MIN_SAMPLES} samples, got {n}")
+    # a 0-d array, as scipy passes d, so that every operation rounds alike
+    x = np.asarray(d, dtype=float)
+    if x >= 1.0:
+        return 0.0
+    if x <= 0.0:
+        return 1.0
+    t = n * x
+    if t <= 1.0:
+        if t <= 0.5:
+            return 1.0
+        rn = 1.0 / n
+        log_ratio = (np.log(n) / 2 - n + np.log(2 * np.pi) / 2
+                     + rn * np.polyval(_STIRLING_COEFFS, rn / n))  # log(n! / n^n)
+        return _unit(1.0 - np.exp(log_ratio + n * np.log(2 * t - 1)))
+    if t >= n - 1:
+        return _unit(2 * (1.0 - x) ** n)
+    nxx = t * x
+    if x < 0.5 and nxx >= 370.0:
+        return 0.0
+    if x >= 0.5 or nxx >= 2.2:
+        return _unit(2 * smirnov(n, x))
+    if n <= 100_000 and n * x ** 1.5 <= 1.4:
+        cdf = _durbin_cdf(n, x)
+    else:
+        cdf = _pelz_good_cdf(n, x)
+    return _unit(1.0 - np.clip(cdf, 0.0, 1.0))
+
+
+def _unit(p) -> float:
+    return float(np.clip(p, 0.0, 1.0))
+
+
+def _durbin_cdf(n: int, d) -> float:
+    """P(D_n < d) from Durbin's matrix, as Marsaglia, Tsang and Wang compute
+    it (J. Stat. Softw. 8(18), 2003): with d = (k - h)/n, the (k, k) entry of
+    (n!/n^n) H^n for a (2k - 1)-square H, powers of 2^128 kept apart."""
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+    # v: first column and reversed last row of H; w[j] = 1/j!
+    powers = np.arange(1, m + 1)
+    v = 1.0 - h ** powers
+    w = np.empty(m)
+    fac = 1.0
+    for j in powers:
+        w[j - 1] = fac
+        fac /= j
+        v[j - 1] *= fac
+    corner = max(2 * h - 1.0, 0) ** m - 2 * h ** m
+    v[-1] = (1.0 + corner) * fac
+    H = np.zeros((m, m))
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    power = np.eye(m)
+    expnt = 0  # power is H^j / 2^expnt
+    h_expnt = 0  # H is the matrix / 2^h_expnt
+    left = n
+    while left > 0:
+        if left % 2:
+            power = np.matmul(power, H)
+            expnt += h_expnt
+        H = np.matmul(H, H)
+        h_expnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _KS_BIG:
+            H /= _KS_BIG
+            h_expnt += _KS_EXP
+        left //= 2
+
+    p = power[k - 1, k - 1]
+    for i in range(1, n + 1):
+        p = i * p / n
+        if np.abs(p) < _KS_SMALL:
+            p *= _KS_BIG
+            expnt -= _KS_EXP
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return p
+
+
+def _pelz_good_cdf(n: int, d) -> float:
+    """P(D_n < d) by Pelz and Good's series (J. R. Stat. Soc. B 38(2), 1976):
+    the Li-Chien-Korolyuk expansion K0 + K1/sqrt(n) + K2/n + K3/n^1.5 in
+    z = d sqrt(n), each term rewritten through Jacobi's theta identity to
+    converge fast at small z."""
+    z = np.sqrt(n) * d
+    z2, z3, z4, z6 = z ** 2, z ** 3, z ** 4, z ** 6
+    pi2, pi4, pi6 = np.pi ** 2, np.pi ** 4, np.pi ** 6
+    log_q = -pi2 / 8 / z2
+    if log_q < -708:
+        return 0.0
+    q = np.exp(log_q)
+
+    k1a, k1b = -z2, pi2 / 4
+    k2a = 6 * z6 + 2 * z4
+    k2b = (2 * z4 - 5 * z2) * pi2 / 4
+    k2c = pi4 * (1 - 2 * z2) / 16
+    k3d = pi6 * (5 - 30 * z2) / 64
+    k3c = pi4 * (-60 * z2 + 212 * z4) / 16
+    k3b = pi2 * (135 * z4 - 96 * z6) / 4
+    k3a = -30 * z6 - 90 * z ** 8
+
+    # sums of c_i q^(m^2) over odd m = 2k - 1, by Horner's scheme in q^8k
+    terms = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        m2, m4, m6 = m ** 2, m ** 4, m ** 6
+        terms *= np.power(q, 8 * k)
+        terms += np.array([1.0,
+                           k1a + k1b * m2,
+                           k2a + k2b * m2 + k2c * m4,
+                           k3a + k3b * m2 + k3c * m4 + k3d * m6])
+    terms *= q
+    terms *= math.sqrt(2 * math.pi)
+    terms /= np.array([z, 6 * z4, 72 * z ** 7, 6480 * z ** 10])
+
+    # the sums over all integers k in K2 and K3
+    q = np.exp(-pi2 / 2 / z2)
+    ks = np.arange(maxk, 0, -1)
+    ks2 = ks ** 2
+    sqrt3z = math.sqrt(3) * z
+    kspi = np.pi * ks
+    qk = q ** ks2
+    terms[2] += np.sum(ks2 * qk) * (pi2 * math.sqrt(2 * math.pi) / (-36 * z3))
+    terms[3] += (np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ks2 * qk)
+                 * (pi2 * math.sqrt(2 * math.pi) / (216 * z6)))
+    terms /= np.power(n * 1.0, np.arange(4) / 2.0)
+    return sum(terms)

@@ -46,11 +46,11 @@ from .simulate import (
     ClassTable,
     ExperimentConfig,
     batch_currents,
+    certified_window,
     class_table,
     exact_current_pmf,
     split_batches,
     truncation_radius,
-    window_bound,
     window_span,
 )
 from .stats import (
@@ -78,17 +78,18 @@ def limit_params(config: ExperimentConfig) -> LimitCovariance:
 # batched ensemble execution
 # --------------------------------------------------------------------------
 
-def ensemble_telemetry(config: ExperimentConfig, window: int,
-                       table: Optional[ClassTable], batches: int) -> dict:
+def ensemble_telemetry(config: ExperimentConfig, table: Optional[ClassTable],
+                       batches: int) -> dict:
     """Engine, class count, batch count and certified window of one
-    ensemble run."""
-    lo, hi = window_span(config, window)
+    ensemble run; the window's bound is the one its width was certified
+    with."""
+    width, bound = certified_window(config)
+    lo, hi = window_span(config, width)
     return {
         "engine": "particles" if table is None else "classes",
         "classes": None if table is None else int(table.means.size),
         "batches": batches,
-        "window": {"width": int(window), "sites": hi - lo + 1,
-                   "bound": window_bound(config, window)},
+        "window": {"width": width, "sites": hi - lo + 1, "bound": bound},
     }
 
 
@@ -109,17 +110,19 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
     The class table is built once here and shipped with the batches; the
     particle engine runs when there is none.  `telemetry`, when given,
     receives the engine, class, batch and window counts of the run, and
-    the seconds spent building the table (`table_s`) and drawing and
-    accumulating the batches (`draw_s`).
+    the seconds spent certifying the window (`window_s`), building the
+    table (`table_s`) and drawing and accumulating the batches (`draw_s`).
     """
+    start = time.perf_counter()
     window = truncation_radius(config)
+    window_s = time.perf_counter() - start
     start = time.perf_counter()
     table = class_table(config, window)
     table_s = time.perf_counter() - start
     batches = split_batches(config.replicas)
     if telemetry is not None:
-        telemetry.update(ensemble_telemetry(config, window, table, len(batches)),
-                         table_s=table_s)
+        telemetry.update(ensemble_telemetry(config, table, len(batches)),
+                         window_s=window_s, table_s=table_s)
     points = config.grid_points()
     retain_idx = [points.index((float(t), float(r))) for t, r in retain_points]
     payloads = [(config, window, table, index, batch, retain_idx, RETAIN_CAP)
@@ -293,12 +296,14 @@ def rate_table_experiment(occupancy, kappa2: float, t: float, x_grid,
 
 
 def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
-                              quad_tol: float = DEFAULTS["quad_tol"]):
+                              quad_tol: float = DEFAULTS["quad_tol"],
+                              telemetry: Optional[dict] = None):
     """Tilted tail estimates across n, each checked against the exact pmf.
 
     The limiting tilt depends on the model and x only, so one solve serves
     the analytic rate and every n; one certified window per n serves both
-    the sampler and the oracle.
+    the sampler and the oracle.  `telemetry`, when given, receives each
+    n's window width and the seconds spent certifying it (`windows`).
     """
     t = float(ldp_section["t"])
     r = float(ldp_section["r"])
@@ -311,10 +316,15 @@ def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
     analytic = rate_legendre(model, x, alpha)
 
     rows = []
+    windows = []
+    if telemetry is not None:
+        telemetry["windows"] = windows
     oracle_ok = True
     for n in n_values:
         cfg_n = dataclasses.replace(config, n=n)
+        start = time.perf_counter()
         window = truncation_radius(cfg_n)
+        windows.append({"n": n, "width": window, "window_s": time.perf_counter() - start})
         est = tilted_tail_estimate(cfg_n, t, r, x, samples, alpha=alpha, window=window)
         exact = exact_current_pmf(cfg_n, t, r, window=window).tail_geq(est.threshold)
         se = est.p_hat * est.relative_se

@@ -24,12 +24,12 @@ provided for validation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import TruncationBudgetError, WindowUnreachableError
 from .kernel import (JumpKernel, LatticePmf, chernoff_log_tail, marked_poisson_pmf,
@@ -147,6 +147,81 @@ def _window_sites(config: ExperimentConfig, width: int) -> int:
     return hi - lo + 1
 
 
+# window widths start here, and the certified pass sums from this distance
+MIN_WINDOW_WIDTH = 16
+# distances per Chernoff evaluation; a time's sum stops only at a block end
+TAIL_BLOCK = 512
+# a time's sum that has not stopped by this distance raises
+MAX_TAIL_DISTANCE = 50_000_000
+
+
+def _tail_block(kernel: JumpKernel, tau: float, d0: int, size: int = TAIL_BLOCK) -> np.ndarray:
+    """Chernoff bounds, capped at 1, on a particle at distance d0, d0 + 1,
+    ..., d0 + size - 1 beyond a window edge moving d - 1 sites."""
+    ds = np.arange(d0, d0 + size, dtype=float)
+    return np.minimum(np.exp(chernoff_log_tail(kernel, tau, np.maximum(ds - 1.0, 0.0))), 1.0)
+
+
+class _TailTerms:
+    """One grid time's capped Chernoff terms at distances first, first + 1,
+    ..., computed a block at a time as the sums reach them.  A term does
+    not depend on the block it is computed in, so a sum over these terms
+    is the same, bit for bit, whichever sums came before it."""
+
+    def __init__(self, kernel: JumpKernel, tau: float, first: int):
+        self.kernel, self.tau, self.first = kernel, tau, first
+        self._buf = np.empty(TAIL_BLOCK)
+        self._size = 0
+
+    @property
+    def terms(self) -> np.ndarray:
+        return self._buf[:self._size]
+
+    def block(self, d0: int) -> np.ndarray:
+        i = d0 - self.first
+        while self._size < i + TAIL_BLOCK:
+            if self._size == self._buf.size:  # double the room
+                self._buf = np.concatenate((self._buf, np.empty(self._size)))
+            self._buf[self._size:self._size + TAIL_BLOCK] = _tail_block(
+                self.kernel, self.tau, self.first + self._size)
+            self._size += TAIL_BLOCK
+        return self._buf[i:i + TAIL_BLOCK]
+
+    def tail_sum(self, width: int, cutoff: float) -> float:
+        """The terms from width + 1 out, a block at a time, until a block
+        ends in a tail whose geometric bound is below cutoff; that bound is
+        added."""
+        acc = 0.0
+        d0 = width + 1
+        while True:
+            terms = self.block(d0)
+            acc += float(terms.sum())
+            last, prev = terms[-1], terms[-2]
+            if last == 0.0:
+                return acc
+            ratio = last / prev
+            if ratio < 1.0:
+                # the log-bound is concave in d, so the tail is dominated
+                # by a geometric series with this ratio
+                rem = last * ratio / (1.0 - ratio)
+                if rem < cutoff:
+                    return acc + rem
+            d0 += TAIL_BLOCK
+            if d0 > MAX_TAIL_DISTANCE:
+                raise WindowUnreachableError("tail bound would not converge")
+
+
+def _tail_terms(config: ExperimentConfig, first: int) -> list[_TailTerms]:
+    return [_TailTerms(config.kernel, config.n * t, first) for t in config.t_grid if t > 0.0]
+
+
+def _bound(rho0: float, tails: list[_TailTerms], width: int, cutoff: float) -> float:
+    total = 0.0
+    for tail in tails:
+        total += 2.0 * tail.tail_sum(width, cutoff)
+    return rho0 * total
+
+
 def window_bound(config: ExperimentConfig, width: int) -> float:
     """Expected number of out-of-window particles that could affect any
     measured point, bounded by two-sided Chernoff tails per distance.
@@ -160,60 +235,69 @@ def window_bound(config: ExperimentConfig, width: int) -> float:
     rho0 = config.occupancy.rho0
     if rho0 == 0.0:
         return 0.0
-    total = 0.0
-    cutoff = 1e-4 * config.window_tol
-    for t in config.t_grid:
-        if t <= 0.0:
-            continue
-        tau = config.n * t
-        d0 = width + 1
-        acc = 0.0
-        while True:
-            ds = np.arange(d0, d0 + 512, dtype=float)
-            terms = np.minimum(
-                np.exp(chernoff_log_tail(config.kernel, tau, np.maximum(ds - 1.0, 0.0))),
-                1.0)
-            acc += float(terms.sum())
-            last, prev = terms[-1], terms[-2]
-            if last == 0.0:
-                break
-            ratio = last / prev
-            if ratio < 1.0:
-                # the log-bound is concave in d, so the tail is dominated
-                # by a geometric series with this ratio
-                rem = last * ratio / (1.0 - ratio)
-                if rem < cutoff:
-                    acc += rem
-                    break
-            d0 += 512
-            if d0 > 50_000_000:
-                raise WindowUnreachableError("tail bound would not converge")
-        total += 2.0 * acc
-    return rho0 * total
+    return _bound(rho0, _tail_terms(config, width + 1), width, 1e-4 * config.window_tol)
+
+
+@functools.lru_cache(maxsize=16)
+def certified_window(config: ExperimentConfig) -> Tuple[int, float]:
+    """(width, window_bound(config, width)) for the smallest width of at
+    least MIN_WINDOW_WIDTH whose bound meets window_tol.
+
+    One pass: each grid time's terms are summed once, out to where
+    window_bound stops at the least width.  Their suffix sums are every
+    width's bound but for the remainder past that stop, so they place the
+    first passing width to within a step; window_bound itself, summed over
+    the same terms, settles the step and is the bound returned.  Raises
+    WindowUnreachableError when the window at the least width of 16, 32,
+    64, ... that is at least the answer has more than max_window_sites
+    sites, as the doubling search that this pass replaces did.  Cached per
+    config, so that the width's users share one pass.
+    """
+    unreachable = WindowUnreachableError(
+        f"window would need more than {config.max_window_sites} sites")
+    if _window_sites(config, MIN_WINDOW_WIDTH) > config.max_window_sites:
+        raise unreachable
+    # the widest width a doubling from MIN_WINDOW_WIDTH reaches within the cap
+    widest = MIN_WINDOW_WIDTH
+    while _window_sites(config, 2 * widest) <= config.max_window_sites:
+        widest *= 2
+    rho0, tol = config.occupancy.rho0, config.window_tol
+    tails = _tail_terms(config, MIN_WINDOW_WIDTH + 1)
+    if rho0 == 0.0 or not tails:
+        return MIN_WINDOW_WIDTH, 0.0
+    # every bound up to the widest width holds the terms just past it: when
+    # those fail, nothing fits, and the pass below never sums far out
+    past = sum(float(_tail_block(config.kernel, tail.tau, widest + 1, size=1)[0])
+               for tail in tails)
+    if 2.0 * rho0 * past > tol:
+        raise unreachable
+
+    def bound(width: int) -> float:
+        return _bound(rho0, tails, width, 1e-4 * tol)
+
+    # window_bound at the least width sums each time's terms out to its stop
+    bound(MIN_WINDOW_WIDTH)
+    # suffix[j]: the terms' sum past width MIN_WINDOW_WIDTH + j
+    size = max(tail.terms.size for tail in tails)
+    suffix = np.zeros(size + 1)
+    for tail in tails:
+        suffix[:tail.terms.size] += np.cumsum(tail.terms[::-1])[::-1]
+    width = MIN_WINDOW_WIDTH + int(np.argmax(2.0 * rho0 * suffix <= tol))
+    while width > MIN_WINDOW_WIDTH and bound(width - 1) <= tol:
+        width -= 1
+    value = bound(width)
+    while value > tol:
+        width += 1
+        value = bound(width)
+    if width > widest:
+        raise unreachable
+    return width, value
 
 
 def truncation_radius(config: ExperimentConfig) -> int:
-    """Smallest window width of at least 16 meeting window_tol.
-
-    Doubles from 16 to the first passing width, then bisects between the
-    last failing doubling width and it; window_bound is nonincreasing in
-    the width, so the result is the smallest passing width.
-    """
-    failing, width = 15, 16
-    while True:
-        if _window_sites(config, width) > config.max_window_sites:
-            raise WindowUnreachableError(
-                f"window would need more than {config.max_window_sites} sites")
-        if window_bound(config, width) <= config.window_tol:
-            break
-        failing, width = width, 2 * width
-    while width - failing > 1:
-        mid = (failing + width) // 2
-        if window_bound(config, mid) <= config.window_tol:
-            width = mid
-        else:
-            failing = mid
-    return width
+    """Smallest window width of at least MIN_WINDOW_WIDTH whose
+    window_bound meets window_tol (see certified_window)."""
+    return certified_window(config)[0]
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +635,10 @@ def run_ensemble(config: ExperimentConfig,
 
 def _finite_site_pmfs(values: np.ndarray, probs: np.ndarray, p: np.ndarray) -> np.ndarray:
     # row m: Binomial(eta, p[m]), eta from the finite law; each row rescaled
-    # so rounding cannot build up
+    # so rounding cannot build up.  scipy.stats is imported here, by the
+    # oracle alone, so that no command pays for it at start-up.
+    from scipy import stats
+
     counts = np.arange(int(values[-1]) + 1)
     binom = stats.binom.pmf(counts, values.astype(np.int64)[:, None, None], p[:, None])
     out = np.zeros(binom.shape[1:])

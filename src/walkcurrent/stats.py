@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as spstats
+from scipy.special import ndtr
 
 from .errors import GridMismatchError, InsufficientReplicasError
 from .gaussian import LimitCovariance, limit_cov_matrix
+from .normal import kolmogorov_sf
 
 # The smallest inputs the estimators accept; load_config checks the same
 # numbers, so that a config too small for its command fails before any
@@ -245,6 +246,8 @@ def normality_diagnostics(samples: np.ndarray, analytic_var: float,
     `lattice` is the spacing of lattice-valued samples; when given, samples
     are dithered by Uniform(-lattice/2, lattice/2) so the KS statistic
     measures distance from the normal law rather than raw discreteness.
+    The statistic D = max(D+, D-) is formed as `scipy.stats.ks_1samp` forms
+    it and its p-value is `normal.kolmogorov_sf`, so `ks_p` is `kstest`'s.
     """
     x = np.asarray(samples, float)
     if x.size < MIN_NORMALITY_SAMPLES:
@@ -259,5 +262,7 @@ def normality_diagnostics(samples: np.ndarray, analytic_var: float,
         if rng is None:
             rng = np.random.default_rng(0)
         x = x + rng.uniform(-0.5 * lattice, 0.5 * lattice, size=x.size)
-    ks = spstats.kstest(x, "norm", args=(0.0, math.sqrt(analytic_var)))
-    return NormalityReport(skewness=skew, excess_kurtosis=kurt, ks_p=float(ks.pvalue))
+    cdf = ndtr(np.sort(x) / math.sqrt(analytic_var))
+    n = cdf.size
+    d = max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n))
+    return NormalityReport(skewness=skew, excess_kurtosis=kurt, ks_p=kolmogorov_sf(n, d))

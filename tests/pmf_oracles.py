@@ -4,8 +4,11 @@ The package builds both pmfs from the marking theorem: the walk as a
 convolution of one dilated Poisson pmf per offset, the Poisson current as a
 Skellam law.  The functions here keep the earlier route -- a Poisson(tau)
 mixture of j-fold kernel convolutions, and a convolution of one truncated
-Poisson pmf per window site -- so the tests can compare the two.
+Poisson pmf per window site -- so the tests can compare the two.  They also
+keep the Poisson window with its tail read from `scipy.stats.poisson`.
 """
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -79,3 +82,17 @@ def poisson_site_current_pmf(config, t, r, window):
             acc = np.convolve(acc, site_pmf[::-1])
             acc_min -= site_pmf.size - 1
     return wc.LatticePmf(offset_min=acc_min, masses=acc, deficit=0.0)
+
+
+def stats_poisson_window(mu, tol):
+    """kernel._poisson_window with the tail mass from scipy.stats.poisson's
+    cdf and sf."""
+    log_t = math.log(2.0 / tol)
+    a = max(0, math.floor(mu - math.sqrt(2.0 * log_t * mu)))
+    b = math.ceil(mu + log_t / 3.0 + math.sqrt(log_t ** 2 / 9.0 + 2.0 * log_t * mu))
+    mode = math.floor(mu)
+    down = np.cumprod(np.arange(mode, a, -1) / mu)
+    up = np.cumprod(mu / np.arange(mode + 1, b + 1))
+    raw = np.concatenate((down[::-1], [1.0], up))
+    tail = float(stats.poisson.cdf(a - 1, mu) + stats.poisson.sf(b, mu))
+    return a, raw * ((1.0 - tail) / math.fsum(raw)), tail

@@ -341,14 +341,38 @@ class TestManifestTelemetry:
             assert main(["cov-check", "--config", cfg, "--out", out,
                          "--workers", str(workers)]) == 0
             tel = json.loads(Path(os.path.join(out, "manifest.json")).read_text())["telemetry"]
+            assert tel.pop("window_s") > 0.0
             assert tel.pop("table_s") >= 0.0 and tel.pop("draw_s") > 0.0
             tels.append(tel)
             for name in ("cov_check.csv", "cov_check.json", "mean_check.csv"):
                 text = Path(os.path.join(out, name)).read_text()
-                for key in ("classes", "batches", "table_s", "draw_s"):
+                for key in ("classes", "batches", "window_s", "table_s", "draw_s"):
                     assert key not in text
         assert tels[0] == tels[1]
         assert tels[0]["engine"] == "classes" and tels[0]["batches"] == 50
+
+    def test_rate_empirical_windows(self, tmp_path):
+        ldp_section = {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000,
+                       "n_values": [100, 400]}
+        cfg = write_cfg(tmp_path, t_grid=[1.0], ldp=ldp_section)
+        tels = []
+        for workers in (1, 3):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["rate-empirical", "--config", cfg, "--out", out,
+                         "--workers", str(workers)]) == 0
+            windows = json.loads(
+                Path(os.path.join(out, "manifest.json")).read_text())["telemetry"]["windows"]
+            assert all(w.pop("window_s") > 0.0 for w in windows)
+            tels.append(windows)
+            text = Path(os.path.join(out, "rate_empirical.json")).read_text()
+            for key in ("windows", "width", "window_s"):
+                assert key not in text
+        assert tels[0] == tels[1]
+        assert [w["n"] for w in tels[0]] == [100, 400]
+        assert tels[0][0]["width"] == wc.truncation_radius(wc.ExperimentConfig(
+            n=100, T=1.0, S=0.25, t_grid=(1.0,), r_grid=(0.0,),
+            kernel=wc.validate_kernel({1: 0.7, -1: 0.3}),
+            occupancy=wc.OccupancyModel.poisson(1.0), master_seed=1))
 
     def test_telemetry_not_in_reports(self, tmp_path):
         out = str(tmp_path / "out")

@@ -8,7 +8,7 @@ from scipy import stats as spstats
 
 import walkcurrent as wc
 from conftest import lattice_chisquare
-from pmf_oracles import convolution_walk_pmf
+from pmf_oracles import convolution_walk_pmf, stats_poisson_window
 from walkcurrent import kernel as kernel_module
 
 
@@ -190,6 +190,48 @@ class TestWalkPmf:
         ks = np.arange(-20, 25)
         total = np.asarray(pmf.cdf(ks)) + np.asarray(pmf.sf(ks))
         assert np.abs(total - (1.0 - pmf.deficit)).max() < 1e-14
+
+
+class TestPoissonWindow:
+    """The window's tail comes from scipy.special's pdtr and pdtrc; the
+    oracle reads it from scipy.stats.poisson.  They agree bit for bit."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5])
+    def test_window_from_zero(self, mu):
+        window = kernel_module._poisson_window(mu, 1e-12)
+        assert window[0] == 0
+        self.assert_same(window, stats_poisson_window(mu, 1e-12))
+
+    def test_random_means(self):
+        rng = np.random.default_rng(17)
+        for mu in 10.0 ** rng.uniform(-3.0, 6.0, 100):
+            for tol in (1e-12, 1e-300):
+                self.assert_same(kernel_module._poisson_window(mu, tol),
+                                 stats_poisson_window(mu, tol))
+
+    def test_pmfs_unchanged_at_bench_configs(self, monkeypatch):
+        drift = wc.validate_kernel({1: 0.7, -1: 0.3})
+        taus = [2500 * g for g in (0.25, 0.5, 1.0, 2.0)] + [100.0, 400.0, 1600.0]
+        configs = [wc.ExperimentConfig(n=n, T=1.0, S=0.25, t_grid=(1.0,), r_grid=(0.0,),
+                                       kernel=drift, occupancy=wc.OccupancyModel.poisson(1.0),
+                                       master_seed=1)
+                   for n in (100, 400, 1600)]
+
+        def pmfs():
+            return ([wc.walk_pmf(drift, tau) for tau in taus]
+                    + [wc.exact_current_pmf(cfg, 1.0, 0.0) for cfg in configs])
+
+        got = pmfs()
+        monkeypatch.setattr(kernel_module, "_poisson_window", stats_poisson_window)
+        for a, b in zip(got, pmfs()):
+            assert (a.offset_min, a.masses.tobytes(), a.deficit) == \
+                (b.offset_min, b.masses.tobytes(), b.deficit)
 
 
 SMALL_KERNELS = st.dictionaries(st.integers(-3, 3), st.floats(0.05, 1.0),

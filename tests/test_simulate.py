@@ -1,15 +1,19 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample
 from pmf_oracles import poisson_site_current_pmf
+from window_oracles import bisection_truncation_radius
 
 
 def small_config(n=100, replicas=200, t_grid=(0.5, 1.0), r_grid=(0.0,),
@@ -241,6 +245,123 @@ OCCUPANCIES = {
     "custom": wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
     "deterministic": wc.OccupancyModel.deterministic(2),
 }
+
+
+DRIFT = {1: 0.7, -1: 0.3}
+
+
+def window_config(n=2500, S=0.5, t_grid=(0.5, 1.0), r_grid=(0.0,), kernel=DRIFT,
+                  occupancy=None, window_tol=1e-6, max_window_sites=4_000_000):
+    return wc.ExperimentConfig(
+        n=n, T=max(t_grid[-1], 0.5), S=S, t_grid=t_grid, r_grid=r_grid,
+        kernel=wc.validate_kernel(kernel),
+        occupancy=occupancy or wc.OccupancyModel.poisson(1.0),
+        master_seed=1, window_tol=window_tol, max_window_sites=max_window_sites)
+
+
+def assert_same_window(cfg):
+    """The one-pass width is the bisection's, its bound is window_bound's,
+    and the width is the first to meet window_tol."""
+    try:
+        expected = bisection_truncation_radius(cfg)
+    except wc.WindowUnreachableError:
+        with pytest.raises(wc.WindowUnreachableError):
+            wc.certified_window(cfg)
+        return None
+    width, bound = wc.certified_window(cfg)
+    assert width == expected
+    assert bound == wc.window_bound(cfg, width) <= cfg.window_tol
+    if width > 16:
+        assert wc.window_bound(cfg, width - 1) > cfg.window_tol
+    return width
+
+
+class TestCertifiedWindow:
+    # the benchmark's four windows: cov-check, fbm-check and rate-empirical
+    # at n = 100 (then 400 and 1600)
+    BENCH = [
+        dict(t_grid=(0.5, 1.0), r_grid=(-0.5, 0.0, 0.5)),
+        dict(S=0.1, t_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
+             occupancy=wc.OccupancyModel.deterministic(1)),
+        dict(n=100, S=0.25, t_grid=(1.0,)),
+        dict(n=400, S=0.25, t_grid=(1.0,)),
+        dict(n=1600, S=0.25, t_grid=(1.0,)),
+    ]
+    # every config whose window tests/test_simulate.py certifies
+    SUITE = [
+        small_config(), small_config(kernel=wc.validate_kernel({1: 1.0}), t_grid=(1.0,)),
+        small_config(window_tol=1e-5), small_config(window_tol=5e-6),
+        small_config(occupancy=wc.OccupancyModel.custom([(0, 1.0)])),
+        small_config(r_grid=(-0.25, 0.0, 0.25)),
+        small_config(n=25, t_grid=(1.0,)), small_config(n=4, S=1.0),
+        acceptance_config(),
+    ] + [small_config(n=n, t_grid=(1.0,)) for n in (25, 100, 400, 1600, 2500)] + [
+        small_config(n=25, r_grid=(-0.4, 0.0, 0.4), S=0.4, occupancy=occ, t_grid=tg)
+        for occ in OCCUPANCIES.values() for tg in ((0.5, 1.0), (0.0, 0.5))
+    ] + [acceptance_config(occupancy=occ) for occ in OCCUPANCIES.values()]
+
+    @pytest.mark.parametrize("overrides", BENCH)
+    def test_bench_widths(self, overrides):
+        assert assert_same_window(window_config(**overrides)) > 16
+
+    @pytest.mark.parametrize("index", range(len(SUITE)))
+    def test_suite_widths(self, index):
+        assert_same_window(self.SUITE[index])
+
+    def test_large_n(self):
+        cfg = window_config(n=1_000_000, t_grid=(0.5, 1.0), r_grid=(-0.5, 0.0, 0.5))
+        assert assert_same_window(cfg) == 6363
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 100_000), S=st.floats(0.05, 1.0),
+           times=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4, unique=True),
+           kernel=st.dictionaries(st.integers(-3, 3), st.floats(0.05, 1.0),
+                                  min_size=1, max_size=4),
+           occupancy=st.sampled_from([wc.OccupancyModel.poisson(0.5),
+                                      wc.OccupancyModel.poisson(3.0),
+                                      wc.OccupancyModel.deterministic(1),
+                                      wc.OccupancyModel.custom([(0, 1.0)])]),
+           log_tol=st.floats(-12.0, -4.0),
+           sites=st.one_of(st.just(4_000_000), st.integers(40, 4000)))
+    def test_drawn_configs(self, n, S, times, kernel, occupancy, log_tol, sites):
+        assert_same_window(window_config(
+            n=n, S=S, t_grid=tuple(sorted(times)), kernel=kernel, occupancy=occupancy,
+            window_tol=10.0 ** log_tol, max_window_sites=sites))
+
+    def test_unreachable_configs(self):
+        unreachable = [
+            # tests/test_simulate.py::TestTruncationRadius::test_unreachable_window
+            window_config(n=10_000, t_grid=(1.0,), max_window_sites=64),
+            # the rate-empirical check in tests/test_config_cli.py
+            window_config(n=100, S=0.25, t_grid=(1.0,), max_window_sites=20),
+        ]
+        for cfg in unreachable:
+            with pytest.raises(wc.WindowUnreachableError):
+                bisection_truncation_radius(cfg)
+            with pytest.raises(wc.WindowUnreachableError):
+                wc.certified_window(cfg)
+
+    def test_cap_between_doubling_widths(self):
+        # width 296 fits in the cap, but the doubling reached 512 first
+        cfg = window_config(t_grid=(0.5, 1.0), r_grid=(-0.5, 0.0, 0.5))
+        width = wc.truncation_radius(cfg)
+        assert width == 296
+        capped = dataclasses.replace(cfg, max_window_sites=wc.simulate._window_sites(cfg, 400))
+        with pytest.raises(wc.WindowUnreachableError):
+            bisection_truncation_radius(capped)
+        with pytest.raises(wc.WindowUnreachableError):
+            wc.truncation_radius(capped)
+        at_doubling = dataclasses.replace(cfg, max_window_sites=wc.simulate._window_sites(cfg, 512))
+        assert wc.truncation_radius(at_doubling) == bisection_truncation_radius(at_doubling) == 296
+        # the answer just past a doubling width, whose own terms still fit
+        just_past = dataclasses.replace(cfg, window_tol=wc.window_bound(cfg, 260),
+                                        max_window_sites=wc.simulate._window_sites(cfg, 256))
+        assert bisection_truncation_radius(dataclasses.replace(just_past,
+                                                               max_window_sites=4_000_000)) == 260
+        with pytest.raises(wc.WindowUnreachableError):
+            bisection_truncation_radius(just_past)
+        with pytest.raises(wc.WindowUnreachableError):
+            wc.certified_window(just_past)
 
 
 class TestExactCurrentPmf:

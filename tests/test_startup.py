@@ -1,0 +1,69 @@
+"""What the CLI loads: no command of the ensemble or rate workloads imports
+scipy.stats, and the ensemble commands do not import scipy.optimize.
+
+Together the two take about 0.8 s to import, more than the commands' own
+work at acceptance scale, so an eager import of either fails here.  The
+commands run in a fresh interpreter, because the test suite itself imports
+scipy.stats.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import walkcurrent
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(walkcurrent.__file__)))
+
+DRIFT = [[1, 0.7], [-1, 0.3]]
+CONFIGS = {
+    "cov-check": {
+        "n": 100, "T": 1.0, "S": 0.5, "t_grid": [0.5, 1.0], "r_grid": [-0.5, 0.0, 0.5],
+        "kernel": DRIFT, "occupancy": {"type": "poisson", "rho": 1.0},
+        "replicas": 10_000, "retain_points": [[1.0, 0.0]], "master_seed": 3,
+    },
+    "fbm-check": {
+        "n": 100, "T": 4.0, "S": 0.1, "t_grid": [0.25, 0.5, 1.0, 2.0, 4.0],
+        "r_grid": [0.0], "kernel": DRIFT,
+        "occupancy": {"type": "deterministic", "count": 1},
+        "replicas": 200, "master_seed": 3,
+    },
+    "rate-empirical": {
+        "n": 100, "T": 1.0, "S": 0.25, "t_grid": [1.0], "r_grid": [0.0],
+        "kernel": DRIFT, "occupancy": {"type": "poisson", "rho": 1.0}, "replicas": 1,
+        "ldp": {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100, 400]},
+        "master_seed": 3,
+    },
+}
+
+SCRIPT = """
+import sys
+from walkcurrent import cli
+
+def run(command):
+    code = cli.main([command, "--config", f"{root}/{command}.json",
+                     "--out", f"{root}/{command}"])
+    assert code in (0, 1), (command, code)
+
+root = sys.argv[1]
+run("cov-check")
+run("fbm-check")
+loaded = {"after_ensembles": sorted(m for m in ("scipy.stats", "scipy.optimize")
+                                    if m in sys.modules)}
+run("rate-empirical")
+loaded["after_rates"] = sorted(m for m in ("scipy.stats",) if m in sys.modules)
+print(loaded)
+"""
+
+
+def test_commands_skip_scipy_stats_and_optimize(tmp_path):
+    for command, config in CONFIGS.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == str(
+        {"after_ensembles": [], "after_rates": []})

@@ -1,0 +1,31 @@
+"""The doubling-and-bisection search for the certified window width.
+
+The package finds the smallest width whose `window_bound` meets
+`window_tol` in one pass over each grid time's Chernoff terms.  The search
+here is the earlier route: it doubles the width from 16 to the first
+passing width and then bisects between the last failing doubling width and
+it, calling `window_bound` at every step, and raises
+`WindowUnreachableError` at the first width of the doubling whose window
+has more than `max_window_sites` sites.  The tests compare the two.
+"""
+
+import walkcurrent as wc
+from walkcurrent.simulate import _window_sites
+
+
+def bisection_truncation_radius(config):
+    failing, width = 15, 16
+    while True:
+        if _window_sites(config, width) > config.max_window_sites:
+            raise wc.WindowUnreachableError(
+                f"window would need more than {config.max_window_sites} sites")
+        if wc.window_bound(config, width) <= config.window_tol:
+            break
+        failing, width = width, 2 * width
+    while width - failing > 1:
+        mid = (failing + width) // 2
+        if wc.window_bound(config, mid) <= config.window_tol:
+            width = mid
+        else:
+            failing = mid
+    return width
