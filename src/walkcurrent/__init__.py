@@ -38,7 +38,6 @@ from .kernel import (
     chernoff_tail,
     gillespie_displacement,
     sample_displacement,
-    sample_increments,
     validate_kernel,
     walk_pmf,
 )
@@ -94,7 +93,6 @@ from .ldp import (
     RateModel,
     RateParts,
     TailEstimate,
-    bernoulli_dual,
     build_multi_time_spec,
     crossing_log_mgf,
     current_log_mgf,
@@ -104,6 +102,5 @@ from .ldp import (
     rate_decomposed,
     rate_legendre,
     tilt_for_mean,
-    tilted_crossing_prob,
     tilted_tail_estimate,
 )

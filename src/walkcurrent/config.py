@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import ConfigParseError, ConfigValidationError
 from .kernel import JumpKernel, validate_kernel
-from .ldp import RateModel
+from .ldp import TILTED_OCCUPANCY, RateModel
 from .occupancy import OccupancyModel
 from .simulate import ExperimentConfig
 from .stats import (MIN_COV_REPLICAS, MIN_NORMALITY_SAMPLES, MIN_REPORT_REPLICAS,
@@ -295,9 +295,9 @@ def _check_tail_section(section: dict, spec: RunSpec) -> None:
     positive counts, and a point (t, r) of the grid whose window the
     truncation radius certifies."""
     kind = spec.occupancy.kind
-    if kind not in ("poisson", "deterministic"):
+    if kind not in TILTED_OCCUPANCY:
         raise ConfigValidationError(
-            f"occupancy: rate-empirical needs poisson or deterministic occupancy, "
+            f"occupancy: rate-empirical needs {' or '.join(TILTED_OCCUPANCY)} occupancy, "
             f"got {kind!r}")
     for key in ("t", "r", "x"):
         value = section[key]

@@ -20,7 +20,6 @@ from .errors import (
     NegativeWeightError,
     TruncationBudgetError,
     UnboundedSupportError,
-    UnsortedTimesError,
     ZeroMassError,
 )
 
@@ -109,32 +108,6 @@ def sample_displacement(kernel: JumpKernel, tau: float, rng: np.random.Generator
     for off, p in zip(kernel.offsets, kernel.probs):
         out += off * rng.poisson(tau * p, size=int(size))
     return out
-
-
-def sample_increments(kernel: JumpKernel, times, rng: np.random.Generator,
-                      size: Optional[int] = None):
-    """Walk positions (started at 0) at each of the given ascending times.
-
-    With `size` set, returns an array of shape (len(times), size): `size`
-    independent walks sharing the time grid.
-    """
-    times = np.asarray(times, float)
-    if times.ndim != 1 or times.size == 0:
-        raise UnsortedTimesError("times must be a nonempty 1-d array")
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
-        raise UnsortedTimesError("times must be ascending and start at >= 0")
-    scalar = size is None
-    m = 1 if scalar else int(size)
-    pos = np.zeros(m, np.int64)
-    out = np.empty((times.size, m), np.int64)
-    prev = 0.0
-    for k, t in enumerate(times):
-        gap = float(t) - prev
-        prev = float(t)
-        if gap > 0.0:
-            pos = pos + sample_displacement(kernel, gap, rng, size=m)
-        out[k] = pos
-    return out[:, 0] if scalar else out
 
 
 def gillespie_displacement(kernel: JumpKernel, tau: float, rng: np.random.Generator,
@@ -309,4 +282,4 @@ def chernoff_tail(kernel: JumpKernel, tau: float, delta: int) -> float:
     """Rigorous upper bound on P(|X(tau) - v*tau| >= delta), capped at 1."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return float(min(1.0, math.exp(chernoff_log_tail(kernel, tau, [float(delta)])[0])))
+    return math.exp(min(float(chernoff_log_tail(kernel, tau, [float(delta)])[0]), 0.0))

@@ -9,20 +9,21 @@ target mean, and computes the rate function along two independent routes:
 the Legendre dual, and the decomposition into an occupancy-deviation cost
 plus a crossing-probability relative-entropy cost.  Closed forms for
 Poisson occupancy, an importance sampler for finite-n tail probabilities
-(under Poisson occupancy the current is a difference of two independent
-Poisson crossing counts, whose exact exponential tilt is again Poisson),
-and the multi-time marginal rates obtained from independent Poisson
-crossing counts complete the picture.
+(the exact exponential tilt of the current, drawn from the point's
+path-class table with each class reweighted by e^(alpha s_c), under Poisson
+or deterministic occupancy), and the multi-time marginal rates obtained
+from independent Poisson crossing counts complete the picture.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit, log_expit, log_ndtr, logsumexp
+from scipy.special import log_expit, log_ndtr, logsumexp
 
 from .errors import (
     DegenerateWeightsError,
@@ -31,14 +32,12 @@ from .errors import (
     QuadratureConvergenceError,
     TiltBracketError,
 )
-from .kernel import walk_pmf
 from .normal import (
     bvn_cdf,
     gated_rule,
     mean_excess,
     mvn_cdf_3,
     norm_cdf,
-    norm_logit_cdf,
     norm_sf,
     panel_rule,
     quadrature_ok,
@@ -47,9 +46,10 @@ from .normal import (
 from .occupancy import OccupancyModel
 from .simulate import (
     TILT_STREAM,
+    ClassTable,
     ExperimentConfig,
-    bracket,
-    poisson_crossing_means,
+    _site_class_laws,
+    _table_from_laws,
     replica_rng,
     truncation_radius,
     window_span,
@@ -75,33 +75,6 @@ def crossing_log_mgf(lam: float, y, kappa2: float, t: float):
 def _sided_log_mgf(side_lam, p):
     """log E exp(side_lam * B) for a Bernoulli(p) crossing indicator B."""
     return np.log1p(np.expm1(side_lam) * p)
-
-
-def tilted_crossing_prob(alpha: float, y: float, kappa2: float, t: float) -> float:
-    """Crossing probability cdf(y) exponentially tilted by alpha.
-
-    Equals expit(logit(cdf(y)) - alpha); decreasing in alpha, and the
-    untilted cdf at alpha = 0.
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return float(expit(norm_logit_cdf(y, kappa2 * t) - alpha))
-
-
-def bernoulli_dual(p: float, x: float) -> float:
-    """Relative entropy x*log(x/p) + (1-x)*log((1-x)/(1-p)), 0*log 0 = 0."""
-    if x < 0.0 or x > 1.0:
-        return math.inf
-    out = 0.0
-    if x > 0.0:
-        if p == 0.0:
-            return math.inf
-        out += x * (math.log(x) - math.log(p))
-    if x < 1.0:
-        if p == 1.0:
-            return math.inf
-        out += (1.0 - x) * (math.log1p(-x) - math.log1p(-p))
-    return out
 
 
 # Fixed y-rule of the rate quadratures: QUAD_PANELS panels of QUAD_ORDER
@@ -321,53 +294,45 @@ class TailEstimate:
 # stream's generator b, so this size fixes the random stream.
 TAIL_BATCH = 8192
 TAIL_MIN_ESS = 100.0  # smallest effective sample size of the hits
+# (sample, class or site) cells of one tilted table draw: a whole batch of
+# the two Poisson classes, a bounded slice of one under a fixed count
+TAIL_DRAW_CELLS = 1 << 20
 
 
-def skellam_tilt(means, alpha: float) -> Tuple[np.ndarray, float]:
-    """Exact exponential tilt of Y = N_plus - N_minus, N_pm ~ Poisson(means).
+# The occupancy laws whose tilted current the class table draws exactly: a
+# Poisson count stays Poisson under the tilt and a fixed count stays fixed,
+# so only the class weights change.
+TILTED_OCCUPANCY = ("poisson", "deterministic")
 
-    Tilting Y by alpha multiplies the means by (e^alpha, e^-alpha).  Returns
-    the tilted means and the constant c of the log likelihood ratio
-    log w(y) = c - alpha y, c = mu_plus expm1(alpha) + mu_minus expm1(-alpha).
+
+def _tilted_table(config: ExperimentConfig, t: float, r: float, alpha: float,
+                  window: int) -> Tuple[ClassTable, float]:
+    """The class table of Y_n(t, r) tilted by e^(alpha Y), and the constant c
+    of the log likelihood ratio log w(y) = c - alpha y.
+
+    The one-point table has two classes, s = +1 (started right of the
+    anchor, ended at or below the line) and s = -1.  Tilting multiplies
+    each class's weight pi_m(c) by e^(alpha s_c); site m's weights then sum
+    to Z_m = 1 + sum_c pi_m(c) expm1(alpha s_c), the null class keeping
+    weight 1, and its count law is tilted by log Z_m.  A Poisson(rho) count
+    becomes Poisson(rho Z_m), so the class means are rho sum_m pi_m(c)
+    e^(alpha s_c); a fixed count stays fixed, so each row is renormalised by
+    Z_m.  Either way c = sum_m Lambda_eta(log Z_m), with Lambda_eta the
+    occupancy log-MGF.
     """
-    mu_plus, mu_minus = np.asarray(means, float)
-    tilted = np.array([mu_plus * math.exp(alpha), mu_minus * math.exp(-alpha)])
-    return tilted, float(mu_plus * math.expm1(alpha) + mu_minus * math.expm1(-alpha))
-
-
-def _site_tilt(config: ExperimentConfig, t: float, r: float, alpha: float,
-               window: int):
-    """Deterministic occupancy: tilt every window site's crossing indicator
-    by e^(+-alpha).  Returns (c, draw) with draw(rng, b) -> b values of Y."""
-    n = config.n
-    lo, hi = window_span(config, window)
-    anchor = bracket(r * config.sqrt_n)
-    line = anchor + bracket(n * config.kernel.v * t)
-    sites = np.arange(lo, hi + 1)
-    right = sites > anchor
-    # the sites right of the anchor are the suffix sites[split:]
-    split = int(np.clip(anchor + 1 - lo, 0, sites.size))
-
-    wp = walk_pmf(config.kernel, n * t)
-    p_cross = np.where(right,
-                       np.asarray(wp.cdf(line - sites), float),
-                       np.asarray(wp.sf(line - sites), float))
-    tilt_amt = np.where(right, math.expm1(alpha), math.expm1(-alpha))
-    log_m = np.log1p(tilt_amt * p_cross)
-    with np.errstate(divide="ignore"):
-        tilted_p = np.where(p_cross > 0.0,
-                            np.exp(np.log(np.maximum(p_cross, 1e-300))
-                                   + np.where(right, alpha, -alpha) - log_m),
-                            0.0)
-    tilted_p = np.clip(tilted_p, 0.0, 1.0)
-    base_counts = np.full(sites.size, int(config.occupancy.rho0), np.int64)
-
-    def draw(rng, b):
-        counts = np.broadcast_to(base_counts, (b, sites.size))
-        crossers = rng.binomial(counts, tilted_p[None, :])
-        return crossers[:, split:].sum(axis=1) - crossers[:, :split].sum(axis=1)
-
-    return float(np.dot(base_counts, log_m)), draw
+    occ = config.occupancy
+    point = dataclasses.replace(config, t_grid=(t,), r_grid=(r,))
+    lo, hi = window_span(point, window)
+    # one point has two classes, fewer than any window's sites
+    classes, signs, rows = _site_class_laws(point, lo, hi, extra=int(occ.kind != "poisson"))
+    probs = rows[:, :classes.shape[0]]
+    tilt = alpha * signs[:, 0]
+    z_minus_1 = probs @ np.expm1(tilt)
+    probs *= np.exp(tilt)
+    if occ.kind != "poisson":
+        probs /= (1.0 + z_minus_1)[:, None]
+    log_const = float(np.sum(occ.log_mgf(np.log1p(z_minus_1))))
+    return _table_from_laws(occ, classes, signs, rows), log_const
 
 
 def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
@@ -376,27 +341,18 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     """Importance-sampling estimate of P(Y_n(t, r) >= x * sqrt(n)).
 
     The proposal is the exact exponential tilt of Y by alpha (by default
-    the limiting tilt with mean x), so the likelihood ratio is
-    exp(c - alpha Y) and the estimator is unbiased for any alpha.  Under
-    Poisson occupancy Y is Skellam: one sample is two Poisson draws with
-    means (mu_plus e^alpha, mu_minus e^-alpha).  Under deterministic
-    occupancy each window site's crossing indicators are tilted.  `window`
-    defaults to the certified truncation radius.
+    the limiting tilt with mean x), drawn from the tilted class table of
+    the point, so the likelihood ratio is exp(c - alpha Y) and the
+    estimator is unbiased for any alpha.  `window` defaults to the
+    certified truncation radius.
     """
     occ = config.occupancy
-    if occ.kind not in ("poisson", "deterministic"):
+    if occ.kind not in TILTED_OCCUPANCY:
         raise ValueError("tilted sampling supports Poisson or deterministic occupancy")
     if alpha is None:
         alpha = tilt_for_mean(RateModel(occupancy=occ, kappa2=config.kernel.kappa2, t=t), x)
     w = truncation_radius(config) if window is None else int(window)
-    if occ.kind == "poisson":
-        prop_means, log_const = skellam_tilt(poisson_crossing_means(config, t, r, w), alpha)
-
-        def draw(rng, b):
-            counts = rng.poisson(prop_means, size=(b, 2))
-            return counts[:, 0] - counts[:, 1]
-    else:
-        log_const, draw = _site_tilt(config, t, r, alpha, w)
+    table, log_const = _tilted_table(config, t, r, alpha, w)
 
     sqrt_n = config.sqrt_n
     threshold = math.ceil(x * sqrt_n - 1e-9)
@@ -404,7 +360,8 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     hit_logw = []
     for batch_index in range(0, math.ceil(samples / TAIL_BATCH)):
         b = min(TAIL_BATCH, samples - total)
-        y_val = draw(replica_rng(config.master_seed, TILT_STREAM, batch_index), b)
+        rng = replica_rng(config.master_seed, TILT_STREAM, batch_index)
+        y_val = table.draw(rng, b, TAIL_DRAW_CELLS)[:, 0]
         hits = y_val >= threshold
         if np.any(hits):
             hit_logw.append(log_const - alpha * y_val[hits])

@@ -14,7 +14,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, owens_t, smirnov
+from scipy.special import ndtr, owens_t, smirnov
 
 from .errors import QuadratureConvergenceError
 
@@ -46,12 +46,6 @@ def norm_pdf(x, var):
     sd = math.sqrt(var)
     z = np.asarray(x, float) / sd
     return (np.exp(-0.5 * z * z) / (sd * SQRT_2PI))[()]
-
-
-def norm_logit_cdf(x, var):
-    """log(Phi(x)/(1 - Phi(x))) for Normal(0, var); stable far into both tails."""
-    z = np.asarray(x, float) / math.sqrt(var)
-    return (log_ndtr(z) - log_ndtr(-z))[()]
 
 
 def mean_excess(var, x):

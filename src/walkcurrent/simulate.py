@@ -159,7 +159,8 @@ def _tail_block(kernel: JumpKernel, tau: float, d0: int, size: int = TAIL_BLOCK)
     """Chernoff bounds, capped at 1, on a particle at distance d0, d0 + 1,
     ..., d0 + size - 1 beyond a window edge moving d - 1 sites."""
     ds = np.arange(d0, d0 + size, dtype=float)
-    return np.minimum(np.exp(chernoff_log_tail(kernel, tau, np.maximum(ds - 1.0, 0.0))), 1.0)
+    # capping the log keeps exp from overflowing where the bound exceeds 1
+    return np.exp(np.minimum(chernoff_log_tail(kernel, tau, np.maximum(ds - 1.0, 0.0)), 0.0))
 
 
 class _TailTerms:
@@ -432,28 +433,28 @@ class ClassTable:
     accept: Optional[np.ndarray] = None  # float, shape (nsites, ncls + 1)
     alias: Optional[np.ndarray] = None   # unsigned, shape (nsites, ncls + 1)
 
-    def draw(self, config: ExperimentConfig, index: int, size: int) -> np.ndarray:
-        """Currents of `size` replicas, one flattened (t, r) row each, all
-        drawn from the batch stream replica_rng(master_seed, BATCH_STREAM,
-        index).
+    def draw(self, rng: np.random.Generator, size: int,
+             cells: int = DRAW_CELLS) -> np.ndarray:
+        """Currents of `size` replicas drawn from rng, one flattened (t, r)
+        row each.
 
         Poisson occupancy thins into independent Poisson class counts.  Any
         other law draws each site's count, then each particle's class from
-        its site's alias table.  The rows go DRAW_CELLS (replica, class or
-        site) cells at a time, which bounds the memory of one draw.
+        its site's alias table.  The rows go at most `cells` (replica, class
+        or site) cells at a time, but at least one row, which bounds the
+        memory of one call; the split changes the rows drawn only where the
+        site counts are random.
         """
-        rng = replica_rng(config.master_seed, BATCH_STREAM, index)
         width = self.means.size if self.accept is None else self.site_means.shape[0]
-        step = max(1, DRAW_CELLS // width)
-        return np.concatenate([self._draw(config, rng, min(step, size - done))
+        step = max(1, cells // width)
+        return np.concatenate([self._draw(rng, min(step, size - done))
                                for done in range(0, size, step)])
 
-    def _draw(self, config: ExperimentConfig, rng: np.random.Generator,
-              size: int) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.accept is None:
             return rng.poisson(self.means, size=(size, self.means.size)) @ self.signs
         nsites, k = self.accept.shape
-        counts = config.occupancy.sample_counts(rng, size * nsites)
+        counts = self.occupancy.sample_counts(rng, size * nsites)
         # a particle's cell in the flat alias tables is its site's row plus
         # the integer part of k u; the fractional part decides the alias
         cell = np.repeat(np.tile(np.arange(0, nsites * k, k), size), counts)
@@ -589,7 +590,13 @@ def class_table(config: ExperimentConfig,
     laws = _site_class_laws(config, lo, hi, extra=int(occ.kind != "poisson"))
     if laws is None:
         return None
-    classes, signs, rows = laws
+    return _table_from_laws(occ, *laws)
+
+
+def _table_from_laws(occ: OccupancyModel, classes: np.ndarray, signs: np.ndarray,
+                     rows: np.ndarray) -> ClassTable:
+    """The ClassTable of `_site_class_laws`'s output under occupancy occ;
+    rows is overwritten."""
     probs = rows[:, :classes.shape[0]]
     means = occ.rho0 * probs.sum(axis=0)
     site_means = probs @ signs
@@ -610,7 +617,7 @@ def batch_currents(config: ExperimentConfig, window: int,
     replica runs on the particle engine from its own stream.
     """
     if table is not None:
-        return table.draw(config, index, len(batch))
+        return table.draw(replica_rng(config.master_seed, BATCH_STREAM, index), len(batch))
     return np.stack([simulate_replica(config, i, window=window).values.ravel()
                      for i in batch])
 
@@ -663,16 +670,6 @@ def _site_crossings(config: ExperimentConfig, t: float, r: float,
     return right, np.where(right, p_site, 1.0 - p_site)
 
 
-def poisson_crossing_means(config: ExperimentConfig, t: float, r: float,
-                           window: Optional[int] = None) -> np.ndarray:
-    """Means (mu_plus, mu_minus) of the independent Poisson counts of
-    particles crossing the line under Poisson(rho) occupancy: rho sum_{m >
-    anchor} p_m and rho sum_{m <= anchor} q_m, so Y_n(t, r) = N_plus -
-    N_minus.  `window` defaults to the certified truncation radius."""
-    right, cross = _site_crossings(config, t, r, window)
-    return config.occupancy.rho0 * np.array([cross[right].sum(), cross[~right].sum()])
-
-
 def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
                       window: Optional[int] = None) -> LatticePmf:
     """Exact distribution of Y_n(t, r) over the window sites.
@@ -690,11 +687,11 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
     occ = config.occupancy
     if occ.kind == "geometric":
         raise ValueError("exact pmf needs a finite or Poisson occupancy law")
-    if occ.kind == "poisson":
-        return marked_poisson_pmf([1, -1], poisson_crossing_means(config, t, r, window),
-                                  CURRENT_TAIL_TOL)
-
     right, cross = _site_crossings(config, t, r, window)
+    if occ.kind == "poisson":
+        means = occ.rho0 * np.array([cross[right].sum(), cross[~right].sum()])
+        return marked_poisson_pmf([1, -1], means, CURRENT_TAIL_TOL)
+
     values, probs = ((occ._values, occ._probs) if occ.kind == "custom"
                      else (np.array([int(occ.rho0)]), np.array([1.0])))
     live = cross > 0.0

@@ -48,17 +48,8 @@ class EnsembleAccumulator:
                    high=np.full(npoints, -np.inf))
 
     def add(self, x: np.ndarray) -> None:
-        """Fold in one replica's vector of scaled currents."""
-        x = np.asarray(x, float).ravel()
-        if x.size != self.mean.size:
-            raise GridMismatchError(
-                f"field has {x.size} points, accumulator has {self.mean.size}")
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.comoment += np.outer(delta, x - self.mean)
-        np.minimum(self.low, x, out=self.low)
-        np.maximum(self.high, x, out=self.high)
+        """Fold in one replica's vector of scaled currents: a batch of one."""
+        self.add_batch(np.asarray(x, float).reshape(1, -1))
 
     def add_batch(self, rows: np.ndarray) -> None:
         """Fold in a batch of replica vectors, one per row: the batch's own

@@ -5,7 +5,8 @@ convolution of one dilated Poisson pmf per offset, the Poisson current as a
 Skellam law.  The functions here keep the earlier route -- a Poisson(tau)
 mixture of j-fold kernel convolutions, and a convolution of one truncated
 Poisson pmf per window site -- so the tests can compare the two.  They also
-keep the Poisson window with its tail read from `scipy.stats.poisson`.
+keep the Poisson window with its tail read from `scipy.stats.poisson`, and
+a multi-time walk sampler built on `sample_displacement`.
 """
 
 import math
@@ -96,3 +97,28 @@ def stats_poisson_window(mu, tol):
     raw = np.concatenate((down[::-1], [1.0], up))
     tail = float(stats.poisson.cdf(a - 1, mu) + stats.poisson.sf(b, mu))
     return a, raw * ((1.0 - tail) / math.fsum(raw)), tail
+
+
+def sample_increments(kernel, times, rng, size=None):
+    """Walk positions (started at 0) at each of the given ascending times.
+
+    With `size` set, returns an array of shape (len(times), size): `size`
+    independent walks sharing the time grid.
+    """
+    times = np.asarray(times, float)
+    if times.ndim != 1 or times.size == 0:
+        raise wc.UnsortedTimesError("times must be a nonempty 1-d array")
+    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
+        raise wc.UnsortedTimesError("times must be ascending and start at >= 0")
+    scalar = size is None
+    m = 1 if scalar else int(size)
+    pos = np.zeros(m, np.int64)
+    out = np.empty((times.size, m), np.int64)
+    prev = 0.0
+    for k, t in enumerate(times):
+        gap = float(t) - prev
+        prev = float(t)
+        if gap > 0.0:
+            pos = pos + wc.sample_displacement(kernel, gap, rng, size=m)
+        out[k] = pos
+    return out[:, 0] if scalar else out

@@ -51,6 +51,22 @@ def tilted_crossing_prob(alpha, y, kappa2, t):
     return float(1.0 / (1.0 + math.exp(alpha - (log_ndtr(z) - log_ndtr(-z)))))
 
 
+def bernoulli_dual(p, x):
+    """Relative entropy x*log(x/p) + (1-x)*log((1-x)/(1-p)), 0*log 0 = 0."""
+    if x < 0.0 or x > 1.0:
+        return math.inf
+    out = 0.0
+    if x > 0.0:
+        if p == 0.0:
+            return math.inf
+        out += x * (math.log(x) - math.log(p))
+    if x < 1.0:
+        if p == 1.0:
+            return math.inf
+        out += (1.0 - x) * (math.log1p(-x) - math.log1p(-p))
+    return out
+
+
 def custom_dual(occ, x):
     """Convex dual of a custom occupancy law by one Brent solve."""
     vmin, vmax = float(occ._values[0]), float(occ._values[-1])

