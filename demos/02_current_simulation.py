@@ -35,7 +35,7 @@ lhs = field.values[1, 1]
 rhs = int(np.count_nonzero(snapshots[1] <= line) - np.count_nonzero(starts <= anchor))
 print(f"counting identity at (t=1, r=0): {lhs} == {rhs}")
 
-pmf = wc.exact_current_pmf(config, 1.0, 0.0, window=width)
+pmf = wc.exact_current_pmf(config, 1.0, 0.0)
 values = np.array([wc.simulate_replica(config, i, window=width).values[1, 1]
                    for i in range(config.replicas)])
 print(f"\nexact distribution of Y_n(1, 0): mean {pmf.mean():+.4f}, "

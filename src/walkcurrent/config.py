@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigParseError, ConfigValidationError
 from .kernel import JumpKernel, validate_kernel
-from .ldp import TILTED_OCCUPANCY, RateModel
+from .ldp import TILTED_OCCUPANCY, RateModel, check_multi_time_inputs, is_finite_number
 from .occupancy import OccupancyModel
 from .simulate import ExperimentConfig
 from .stats import (MIN_COV_REPLICAS, MIN_NORMALITY_SAMPLES, MIN_REPORT_REPLICAS,
@@ -101,7 +100,7 @@ def build_kernel(pairs) -> JumpKernel:
 
     try:
         return validate_kernel({int(off): float(w) for off, w in pairs})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigValidationError(f"kernel: expected [[offset, weight], ...]: {exc}")
     except WalkCurrentError as exc:
         raise ConfigValidationError(f"kernel: {exc}")
@@ -123,10 +122,12 @@ def build_occupancy(obj) -> OccupancyModel:
         if kind == "geometric":
             return OccupancyModel.geometric(float(obj["rho"]))
         if kind == "custom":
-            return OccupancyModel.custom([(int(v), float(p)) for v, p in obj["pmf"]])
+            pmf = [(v, float(p)) for v, p in obj["pmf"]]
+            _check_integer([v for v, _ in pmf], "occupancy.pmf")
+            return OccupancyModel.custom(pmf)
     except KeyError as exc:
         raise ConfigValidationError(f"occupancy '{kind}' is missing field {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigValidationError(f"occupancy: {exc}")
     raise ConfigValidationError(f"occupancy type {kind!r} is not one of "
                                 "poisson/deterministic/geometric/custom")
@@ -194,6 +195,9 @@ def load_config(path: str, overrides: Optional[dict] = None,
     quad_tol = resolved["quad_tol"]
     if isinstance(quad_tol, bool) or not isinstance(quad_tol, (int, float)) or not quad_tol > 0:
         raise ConfigValidationError(f"quad_tol: expected a positive number, got {quad_tol!r}")
+    if resolved["master_seed"] < 0:
+        raise ConfigValidationError(
+            f"master_seed: expected a nonnegative integer, got {resolved['master_seed']!r}")
 
     spec = RunSpec(raw=resolved, config_hash=canonical_hash(resolved),
                    bands=resolved["bands"])
@@ -233,6 +237,13 @@ def load_config(path: str, overrides: Optional[dict] = None,
         section = resolved.get("ldp", {})
         if command == "rate-table":
             _require(section, ("t", "x_grid"), "rate-table (ldp section)")
+            x_grid = section["x_grid"]
+            if not (isinstance(x_grid, list) and x_grid and all(map(is_finite_number, x_grid))):
+                raise ConfigValidationError(
+                    f"ldp.x_grid: expected a nonempty list of finite numbers, got {x_grid!r}")
+            if not (is_finite_number(section["t"]) and section["t"] > 0.0):
+                raise ConfigValidationError(
+                    f"ldp.t: expected a positive time, got {section['t']!r}")
         if command == "rate-empirical":
             _require(section, ("t", "r", "x", "samples", "n_values"),
                      "rate-empirical (ldp section)")
@@ -244,6 +255,9 @@ def load_config(path: str, overrides: Optional[dict] = None,
                     raise ConfigValidationError(
                         "ldp section needs 'kappa2' or a top-level kernel")
                 kappa2 = spec.kernel.kappa2
+            if not (is_finite_number(kappa2) and kappa2 > 0.0):
+                raise ConfigValidationError(
+                    f"ldp.kappa2: expected a positive number, got {kappa2!r}")
             spec.ldp = dict(section, kappa2=float(kappa2))
 
     if command == "fidi":
@@ -251,10 +265,27 @@ def load_config(path: str, overrides: Optional[dict] = None,
         if not section:
             raise ConfigValidationError("command 'fidi' needs a 'fidi' section")
         _require(section, ("times", "rho", "kappa2", "x_vectors"), "fidi")
+        try:
+            check_multi_time_inputs(section["times"], section["rho"], section["kappa2"],
+                                    section["x_vectors"])
+        except ValueError as exc:
+            raise ConfigValidationError(f"fidi.{exc}")
         spec.fidi = section
 
     if command == "limit-tables":
         section = resolved.get("limit", {})
+        if section.get("count", 1) < 1:
+            raise ConfigValidationError(
+                f"limit.count: expected a positive integer, got {section['count']!r}")
+        if section.get("identity_checks", 0) < 0:
+            raise ConfigValidationError(f"limit.identity_checks: expected a nonnegative "
+                                        f"integer, got {section['identity_checks']!r}")
+        pairs = section.get("pairs")
+        if pairs is not None and not (isinstance(pairs, list) and pairs and all(
+                isinstance(p, list) and len(p) == 4 and all(map(is_finite_number, p))
+                for p in pairs)):
+            raise ConfigValidationError(
+                f"limit.pairs: expected a nonempty list of [s, q, t, r], got {pairs!r}")
         spec.limit = section
 
     spec.retain_points = _retain_points(resolved.get("retain_points", []),
@@ -301,8 +332,7 @@ def _check_tail_section(section: dict, spec: RunSpec) -> None:
             f"got {kind!r}")
     for key in ("t", "r", "x"):
         value = section[key]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+        if not is_finite_number(value):
             raise ConfigValidationError(f"ldp.{key}: expected a number, got {value!r}")
     if not section["t"] > 0.0:
         raise ConfigValidationError(f"ldp.t: expected a positive time, got {section['t']!r}")

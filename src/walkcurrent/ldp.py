@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -305,10 +306,11 @@ TAIL_DRAW_CELLS = 1 << 20
 TILTED_OCCUPANCY = ("poisson", "deterministic")
 
 
-def _tilted_table(config: ExperimentConfig, t: float, r: float, alpha: float,
-                  window: int) -> Tuple[ClassTable, float]:
-    """The class table of Y_n(t, r) tilted by e^(alpha Y), and the constant c
-    of the log likelihood ratio log w(y) = c - alpha y.
+def _tilted_table(config: ExperimentConfig, t: float, r: float,
+                  alpha: float) -> Tuple[ClassTable, float]:
+    """The class table of Y_n(t, r) tilted by e^(alpha Y) over config's
+    certified window, and the constant c of the log likelihood ratio
+    log w(y) = c - alpha y.
 
     The one-point table has two classes, s = +1 (started right of the
     anchor, ended at or below the line) and s = -1.  Tilting multiplies
@@ -322,7 +324,7 @@ def _tilted_table(config: ExperimentConfig, t: float, r: float, alpha: float,
     """
     occ = config.occupancy
     point = dataclasses.replace(config, t_grid=(t,), r_grid=(r,))
-    lo, hi = window_span(point, window)
+    lo, hi = window_span(config, truncation_radius(config))
     # one point has two classes, fewer than any window's sites
     classes, signs, rows = _site_class_laws(point, lo, hi, extra=int(occ.kind != "poisson"))
     probs = rows[:, :classes.shape[0]]
@@ -336,23 +338,21 @@ def _tilted_table(config: ExperimentConfig, t: float, r: float, alpha: float,
 
 
 def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
-                         samples: int, alpha: Optional[float] = None,
-                         window: Optional[int] = None) -> TailEstimate:
+                         samples: int, alpha: Optional[float] = None) -> TailEstimate:
     """Importance-sampling estimate of P(Y_n(t, r) >= x * sqrt(n)).
 
     The proposal is the exact exponential tilt of Y by alpha (by default
     the limiting tilt with mean x), drawn from the tilted class table of
-    the point, so the likelihood ratio is exp(c - alpha Y) and the
-    estimator is unbiased for any alpha.  `window` defaults to the
-    certified truncation radius.
+    the point over config's certified window (the window of the whole
+    grid, which exact_current_pmf reads too), so the likelihood ratio is
+    exp(c - alpha Y) and the estimator is unbiased for any alpha.
     """
     occ = config.occupancy
     if occ.kind not in TILTED_OCCUPANCY:
         raise ValueError("tilted sampling supports Poisson or deterministic occupancy")
     if alpha is None:
         alpha = tilt_for_mean(RateModel(occupancy=occ, kappa2=config.kernel.kappa2, t=t), x)
-    w = truncation_radius(config) if window is None else int(window)
-    table, log_const = _tilted_table(config, t, r, alpha, w)
+    table, log_const = _tilted_table(config, t, r, alpha)
 
     sqrt_n = config.sqrt_n
     threshold = math.ceil(x * sqrt_n - 1e-9)
@@ -477,17 +477,40 @@ SPEC_MAX_PANELS = 64
 SPEC_TOL = 1e-11
 
 
+def is_finite_number(value) -> bool:
+    """True for a real, finite number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_multi_time_inputs(times, rho, kappa2, x_vectors=None) -> None:
+    """Raise ValueError, its message starting with the input's name, unless
+    there are 1 to 3 positive ascending times, rho and kappa2 are positive,
+    and x_vectors, when given, is a nonempty list of lists of one number
+    per time.  All numbers must be finite."""
+    if not (isinstance(times, (list, tuple)) and 1 <= len(times) <= 3
+            and all(map(is_finite_number, times))):
+        raise ValueError(f"times: expected 1 to 3 numbers, got {times!r}")
+    if any(t <= 0.0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times: expected positive ascending times, got {times!r}")
+    for key, value in (("rho", rho), ("kappa2", kappa2)):
+        if not (is_finite_number(value) and value > 0.0):
+            raise ValueError(f"{key}: expected a positive number, got {value!r}")
+    if x_vectors is None:
+        return
+    if not (isinstance(x_vectors, list) and x_vectors and all(
+            isinstance(x, list) and len(x) == len(times) and all(map(is_finite_number, x))
+            for x in x_vectors)):
+        raise ValueError(f"x_vectors: expected a nonempty list of vectors of "
+                         f"{len(times)} numbers, got {x_vectors!r}")
+
+
 def build_multi_time_spec(times: Sequence[float], rho: float,
                           kappa2: float) -> MultiTimeSpec:
     """Compute the Poisson pattern intensities for k <= 3 ascending times."""
+    check_multi_time_inputs(list(times), rho, kappa2)
     times = tuple(float(t) for t in times)
     k = len(times)
-    if not (1 <= k <= 3):
-        raise ValueError("between 1 and 3 times are supported")
-    if any(t <= 0.0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be positive and ascending")
-    if not (rho > 0.0 and kappa2 > 0.0):
-        raise ValueError("rho and kappa2 must be positive")
     patterns = [tuple((i >> j) & 1 for j in range(k)) for i in range(1, 1 << k)]
     x_max = 10.0 * math.sqrt(kappa2 * max(times))
 

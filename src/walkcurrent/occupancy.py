@@ -46,8 +46,8 @@ class OccupancyModel:
     # ---------------------------------------------------------------- ctors
     @classmethod
     def poisson(cls, rho: float) -> "OccupancyModel":
-        if not rho > 0.0:
-            raise ValueError("poisson occupancy needs rho > 0")
+        if not 0.0 < rho < INF:
+            raise ValueError("poisson occupancy needs a finite rho > 0")
         return cls(kind="poisson", rho0=float(rho), v0=float(rho))
 
     @classmethod
@@ -59,8 +59,8 @@ class OccupancyModel:
 
     @classmethod
     def geometric(cls, rho: float) -> "OccupancyModel":
-        if not rho > 0.0:
-            raise ValueError("geometric occupancy needs mean rho > 0")
+        if not 0.0 < rho < INF:
+            raise ValueError("geometric occupancy needs a finite mean rho > 0")
         s = rho / (1.0 + rho)
         return cls(kind="geometric", rho0=float(rho), v0=float(rho * (1.0 + rho)), _s=s)
 

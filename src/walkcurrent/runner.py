@@ -94,8 +94,8 @@ def ensemble_telemetry(config: ExperimentConfig, table: Optional[ClassTable],
 
 
 def _batch_job(args):
-    config, window, table, index, batch, retain_idx, cap = args
-    scaled = batch_currents(config, window, table, index, batch) * config.n ** -0.25
+    config, table, index, batch, retain_idx, cap = args
+    scaled = batch_currents(config, table, index, batch) * config.n ** -0.25
     acc = EnsembleAccumulator.empty(scaled.shape[1])
     acc.add_batch(scaled)
     # copies, so that the batch's rows are freed with the batch
@@ -114,10 +114,10 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
     table (`table_s`) and drawing and accumulating the batches (`draw_s`).
     """
     start = time.perf_counter()
-    window = truncation_radius(config)
+    truncation_radius(config)
     window_s = time.perf_counter() - start
     start = time.perf_counter()
-    table = class_table(config, window)
+    table = class_table(config)
     table_s = time.perf_counter() - start
     batches = split_batches(config.replicas)
     if telemetry is not None:
@@ -125,7 +125,7 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
                          window_s=window_s, table_s=table_s)
     points = config.grid_points()
     retain_idx = [points.index((float(t), float(r))) for t, r in retain_points]
-    payloads = [(config, window, table, index, batch, retain_idx, RETAIN_CAP)
+    payloads = [(config, table, index, batch, retain_idx, RETAIN_CAP)
                 for index, batch in enumerate(batches)]
     start = time.perf_counter()
     if workers > 1:
@@ -323,10 +323,10 @@ def rate_empirical_experiment(config: ExperimentConfig, ldp_section: dict,
     for n in n_values:
         cfg_n = dataclasses.replace(config, n=n)
         start = time.perf_counter()
-        window = truncation_radius(cfg_n)
-        windows.append({"n": n, "width": window, "window_s": time.perf_counter() - start})
-        est = tilted_tail_estimate(cfg_n, t, r, x, samples, alpha=alpha, window=window)
-        exact = exact_current_pmf(cfg_n, t, r, window=window).tail_geq(est.threshold)
+        width = truncation_radius(cfg_n)
+        windows.append({"n": n, "width": width, "window_s": time.perf_counter() - start})
+        est = tilted_tail_estimate(cfg_n, t, r, x, samples, alpha=alpha)
+        exact = exact_current_pmf(cfg_n, t, r).tail_geq(est.threshold)
         se = est.p_hat * est.relative_se
         row = {"n": n, "x": x, "p_hat": est.p_hat, "se": se,
                "relative_se": est.relative_se, "empirical_rate": est.empirical_rate,
@@ -431,11 +431,11 @@ def simulate_experiment(config: ExperimentConfig, workers: int = 1,
     return report, True
 
 
-def replica_dump_rows(config: ExperimentConfig, window: Optional[int] = None):
+def replica_dump_rows(config: ExperimentConfig):
     """Per-replica CSV rows (replica, t, r, Y, Y_scaled); streams in order."""
     from .simulate import run_ensemble
     points = config.grid_points()
-    for i, fieldval in enumerate(run_ensemble(config, window=window)):
+    for i, fieldval in enumerate(run_ensemble(config)):
         flat = fieldval.values.ravel()
         scaled = fieldval.scaled.ravel()
         for k, (t, r) in enumerate(points):

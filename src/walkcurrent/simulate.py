@@ -82,10 +82,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not (self.T > 0.0 and self.S > 0.0):
-            raise ValueError("T and S must be positive")
+        for key in ("T", "S"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite")
         tg = tuple(float(t) for t in self.t_grid)
         rg = tuple(float(r) for r in self.r_grid)
+        if not all(map(math.isfinite, tg + rg)):
+            raise ValueError("t_grid and r_grid must hold finite numbers")
         if not tg or any(b <= a for a, b in zip(tg, tg[1:])):
             raise ValueError("t_grid must be nonempty and strictly ascending")
         if not rg or any(b <= a for a, b in zip(rg, rg[1:])):
@@ -147,11 +150,11 @@ def _window_sites(config: ExperimentConfig, width: int) -> int:
     return hi - lo + 1
 
 
-# window widths start here, and the certified pass sums from this distance
+# window widths start here
 MIN_WINDOW_WIDTH = 16
-# distances per Chernoff evaluation; a time's sum stops only at a block end
+# distances per Chernoff evaluation; a time's terms end only at a block end
 TAIL_BLOCK = 512
-# a time's sum that has not stopped by this distance raises
+# a time's terms that have not ended by this distance raise
 MAX_TAIL_DISTANCE = 50_000_000
 
 
@@ -163,64 +166,43 @@ def _tail_block(kernel: JumpKernel, tau: float, d0: int, size: int = TAIL_BLOCK)
     return np.exp(np.minimum(chernoff_log_tail(kernel, tau, np.maximum(ds - 1.0, 0.0)), 0.0))
 
 
-class _TailTerms:
-    """One grid time's capped Chernoff terms at distances first, first + 1,
-    ..., computed a block at a time as the sums reach them.  A term does
-    not depend on the block it is computed in, so a sum over these terms
-    is the same, bit for bit, whichever sums came before it."""
-
-    def __init__(self, kernel: JumpKernel, tau: float, first: int):
-        self.kernel, self.tau, self.first = kernel, tau, first
-        self._buf = np.empty(TAIL_BLOCK)
-        self._size = 0
-
-    @property
-    def terms(self) -> np.ndarray:
-        return self._buf[:self._size]
-
-    def block(self, d0: int) -> np.ndarray:
-        i = d0 - self.first
-        while self._size < i + TAIL_BLOCK:
-            if self._size == self._buf.size:  # double the room
-                self._buf = np.concatenate((self._buf, np.empty(self._size)))
-            self._buf[self._size:self._size + TAIL_BLOCK] = _tail_block(
-                self.kernel, self.tau, self.first + self._size)
-            self._size += TAIL_BLOCK
-        return self._buf[i:i + TAIL_BLOCK]
-
-    def tail_sum(self, width: int, cutoff: float) -> float:
-        """The terms from width + 1 out, a block at a time, until a block
-        ends in a tail whose geometric bound is below cutoff; that bound is
-        added."""
-        acc = 0.0
-        d0 = width + 1
-        while True:
-            terms = self.block(d0)
-            acc += float(terms.sum())
-            last, prev = terms[-1], terms[-2]
-            if last == 0.0:
-                return acc
-            ratio = last / prev
-            if ratio < 1.0:
-                # the log-bound is concave in d, so the tail is dominated
-                # by a geometric series with this ratio
-                rem = last * ratio / (1.0 - ratio)
-                if rem < cutoff:
-                    return acc + rem
-            d0 += TAIL_BLOCK
-            if d0 > MAX_TAIL_DISTANCE:
-                raise WindowUnreachableError("tail bound would not converge")
+def _time_terms(kernel: JumpKernel, tau: float, cutoff: float) -> Tuple[np.ndarray, float]:
+    """One grid time's terms at distances 1, 2, ..., out to the first block
+    end whose tail has a geometric bound below cutoff, and that bound."""
+    blocks = []
+    while True:
+        blocks.append(_tail_block(kernel, tau, 1 + TAIL_BLOCK * len(blocks)))
+        last, prev = blocks[-1][-1], blocks[-1][-2]
+        if last == 0.0:
+            return np.concatenate(blocks), 0.0
+        ratio = last / prev
+        if ratio < 1.0:
+            # the log-bound is concave in d, so the tail is dominated by a
+            # geometric series with this ratio
+            rem = last * ratio / (1.0 - ratio)
+            if rem < cutoff:
+                return np.concatenate(blocks), rem
+        if TAIL_BLOCK * len(blocks) >= MAX_TAIL_DISTANCE:
+            raise WindowUnreachableError("tail bound would not converge")
 
 
-def _tail_terms(config: ExperimentConfig, first: int) -> list[_TailTerms]:
-    return [_TailTerms(config.kernel, config.n * t, first) for t in config.t_grid if t > 0.0]
-
-
-def _bound(rho0: float, tails: list[_TailTerms], width: int, cutoff: float) -> float:
-    total = 0.0
-    for tail in tails:
-        total += 2.0 * tail.tail_sum(width, cutoff)
-    return rho0 * total
+@functools.lru_cache(maxsize=16)
+def _width_bounds(config: ExperimentConfig) -> np.ndarray:
+    """window_bound at widths 0, 1, ..., size - 1; the last entry holds at
+    every larger width.  Each grid time's terms have one horizon, so every
+    width's bound is a suffix sum of the same terms plus their remainder."""
+    rho0 = config.occupancy.rho0
+    taus = [config.n * t for t in config.t_grid if t > 0.0]
+    if rho0 == 0.0 or not taus:
+        return np.zeros(1)
+    tails = [_time_terms(config.kernel, tau, 1e-4 * config.window_tol) for tau in taus]
+    total = np.zeros(1 + max(terms.size for terms, _ in tails))
+    for terms, rem in tails:
+        # the terms past width w start at index w, distance w + 1
+        suffix = np.zeros(total.size)
+        suffix[:terms.size] = np.cumsum(terms[::-1])[::-1]
+        total += suffix + rem
+    return 2.0 * rho0 * total
 
 
 def window_bound(config: ExperimentConfig, width: int) -> float:
@@ -230,13 +212,12 @@ def window_bound(config: ExperimentConfig, width: int) -> float:
     A particle at distance d beyond either window edge must move against
     its own centering by at least d - 1 lattice sites to sit on the wrong
     side of any measured line, at some measured time; union-bound over grid
-    times and both edges.  The whole sum is returned at every width, so the
-    bound is nonincreasing in the width.
+    times and both edges.  The bound is nonincreasing in the width.
     """
-    rho0 = config.occupancy.rho0
-    if rho0 == 0.0:
-        return 0.0
-    return _bound(rho0, _tail_terms(config, width + 1), width, 1e-4 * config.window_tol)
+    if width < 0:
+        raise ValueError("window width must be nonnegative")
+    bounds = _width_bounds(config)
+    return float(bounds[min(width, bounds.size - 1)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -244,15 +225,11 @@ def certified_window(config: ExperimentConfig) -> Tuple[int, float]:
     """(width, window_bound(config, width)) for the smallest width of at
     least MIN_WINDOW_WIDTH whose bound meets window_tol.
 
-    One pass: each grid time's terms are summed once, out to where
-    window_bound stops at the least width.  Their suffix sums are every
-    width's bound but for the remainder past that stop, so they place the
-    first passing width to within a step; window_bound itself, summed over
-    the same terms, settles the step and is the bound returned.  Raises
-    WindowUnreachableError when the window at the least width of 16, 32,
-    64, ... that is at least the answer has more than max_window_sites
-    sites, as the doubling search that this pass replaces did.  Cached per
-    config, so that the width's users share one pass.
+    Raises WindowUnreachableError when no width passes, or when the window
+    at the least width of 16, 32, 64, ... that is at least the answer has
+    more than max_window_sites sites, as the doubling search that this
+    replaced did.  Cached per config: simulate_replica reads it once per
+    replica.
     """
     unreachable = WindowUnreachableError(
         f"window would need more than {config.max_window_sites} sites")
@@ -263,34 +240,17 @@ def certified_window(config: ExperimentConfig) -> Tuple[int, float]:
     while _window_sites(config, 2 * widest) <= config.max_window_sites:
         widest *= 2
     rho0, tol = config.occupancy.rho0, config.window_tol
-    tails = _tail_terms(config, MIN_WINDOW_WIDTH + 1)
-    if rho0 == 0.0 or not tails:
-        return MIN_WINDOW_WIDTH, 0.0
+    taus = [config.n * t for t in config.t_grid if t > 0.0]
     # every bound up to the widest width holds the terms just past it: when
-    # those fail, nothing fits, and the pass below never sums far out
-    past = sum(float(_tail_block(config.kernel, tail.tau, widest + 1, size=1)[0])
-               for tail in tails)
+    # those fail, nothing fits, and the terms are never summed far out
+    past = sum(float(_tail_block(config.kernel, tau, widest + 1, size=1)[0]) for tau in taus)
     if 2.0 * rho0 * past > tol:
         raise unreachable
-
-    def bound(width: int) -> float:
-        return _bound(rho0, tails, width, 1e-4 * tol)
-
-    # window_bound at the least width sums each time's terms out to its stop
-    bound(MIN_WINDOW_WIDTH)
-    # suffix[j]: the terms' sum past width MIN_WINDOW_WIDTH + j
-    size = max(tail.terms.size for tail in tails)
-    suffix = np.zeros(size + 1)
-    for tail in tails:
-        suffix[:tail.terms.size] += np.cumsum(tail.terms[::-1])[::-1]
-    width = MIN_WINDOW_WIDTH + int(np.argmax(2.0 * rho0 * suffix <= tol))
-    while width > MIN_WINDOW_WIDTH and bound(width - 1) <= tol:
-        width -= 1
-    value = bound(width)
-    while value > tol:
-        width += 1
-        value = bound(width)
-    if width > widest:
+    bounds = _width_bounds(config)
+    width = MIN_WINDOW_WIDTH + int(np.argmax(
+        bounds[min(MIN_WINDOW_WIDTH, bounds.size - 1):] <= tol))
+    value = window_bound(config, width)
+    if value > tol or width > widest:
         raise unreachable
     return width, value
 
@@ -463,8 +423,7 @@ class ClassTable:
         cls = u.astype(np.int64)  # u < k, so cls <= k - 1
         u -= cls
         cell += cls
-        aliased = u >= self.accept.ravel()[cell]
-        cls[aliased] = self.alias.ravel()[cell[aliased]]
+        cls = np.where(u >= self.accept.ravel()[cell], self.alias.ravel()[cell], cls)
         # then its replica's block of k classes
         cls += np.repeat(np.arange(0, size * k, k), counts.reshape(size, nsites).sum(axis=1))
         tally = np.bincount(cls, minlength=size * k).reshape(size, k)
@@ -578,13 +537,11 @@ def _site_class_laws(config: ExperimentConfig, lo: int, hi: int, extra: int):
     return classes[keep], signs[keep], rows
 
 
-def class_table(config: ExperimentConfig,
-                window: Optional[int] = None) -> Optional[ClassTable]:
+def class_table(config: ExperimentConfig) -> Optional[ClassTable]:
     """The path-class table of the certified window, or None for the
     particle engine: when the live class suffixes at any grid time, or the
     nonempty classes, outnumber the window sites."""
-    w = truncation_radius(config) if window is None else int(window)
-    lo, hi = window_span(config, w)
+    lo, hi = window_span(config, truncation_radius(config))
     occ = config.occupancy
     # under a non-Poisson law the rows carry one more column, the null class
     laws = _site_class_laws(config, lo, hi, extra=int(occ.kind != "poisson"))
@@ -608,8 +565,8 @@ def _table_from_laws(occ: OccupancyModel, classes: np.ndarray, signs: np.ndarray
                       site_means=site_means, occupancy=occ, accept=accept, alias=alias)
 
 
-def batch_currents(config: ExperimentConfig, window: int,
-                   table: Optional[ClassTable], index: int, batch: range) -> np.ndarray:
+def batch_currents(config: ExperimentConfig, table: Optional[ClassTable],
+                   index: int, batch: range) -> np.ndarray:
     """Currents of one batch's replicas, one flattened (t, r) row each.
 
     With a class table the batch is one draw from its own stream, so
@@ -618,19 +575,16 @@ def batch_currents(config: ExperimentConfig, window: int,
     """
     if table is not None:
         return table.draw(replica_rng(config.master_seed, BATCH_STREAM, index), len(batch))
-    return np.stack([simulate_replica(config, i, window=window).values.ravel()
-                     for i in batch])
+    return np.stack([simulate_replica(config, i).values.ravel() for i in batch])
 
 
-def run_ensemble(config: ExperimentConfig,
-                 window: Optional[int] = None) -> Iterator[CurrentField]:
+def run_ensemble(config: ExperimentConfig) -> Iterator[CurrentField]:
     """Yield all replicas in index order, batch by batch, exactly as the
     batched runner draws them."""
-    w = truncation_radius(config) if window is None else int(window)
-    table = class_table(config, w)
+    table = class_table(config)
     shape = (len(config.t_grid), len(config.r_grid))
     for index, batch in enumerate(split_batches(config.replicas)):
-        for i, row in zip(batch, batch_currents(config, w, table, index, batch)):
+        for i, row in zip(batch, batch_currents(config, table, index, batch)):
             values = row.reshape(shape)
             yield CurrentField(values=values, scaled=values * config.n ** -0.25,
                                replica_seed=i)
@@ -654,13 +608,13 @@ def _finite_site_pmfs(values: np.ndarray, probs: np.ndarray, p: np.ndarray) -> n
     return out / np.array([math.fsum(row) for row in out])[:, None]
 
 
-def _site_crossings(config: ExperimentConfig, t: float, r: float,
-                    window: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """(right, cross) over the window sites: whether a site lies right of the
-    anchor, and the probability that a particle started there crosses the
-    reference line (p_m on the right, q_m = 1 - p_m on the left)."""
-    w = truncation_radius(config) if window is None else int(window)
-    lo, hi = window_span(config, w)
+def _site_crossings(config: ExperimentConfig, t: float,
+                    r: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(right, cross) over the certified window's sites: whether a site
+    lies right of the anchor, and the probability that a particle started
+    there crosses the reference line (p_m on the right, q_m = 1 - p_m on
+    the left)."""
+    lo, hi = window_span(config, truncation_radius(config))
     anchor = bracket(r * config.sqrt_n)
     line = anchor + bracket(config.n * config.kernel.v * t)
 
@@ -670,9 +624,8 @@ def _site_crossings(config: ExperimentConfig, t: float, r: float,
     return right, np.where(right, p_site, 1.0 - p_site)
 
 
-def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
-                      window: Optional[int] = None) -> LatticePmf:
-    """Exact distribution of Y_n(t, r) over the window sites.
+def exact_current_pmf(config: ExperimentConfig, t: float, r: float) -> LatticePmf:
+    """Exact distribution of Y_n(t, r) over the certified window's sites.
 
     Site m > anchor contributes +Binomial(count, p_m) and site m <= anchor
     -Binomial(count, q_m), where p_m is the walk's probability of ending at
@@ -687,7 +640,7 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float,
     occ = config.occupancy
     if occ.kind == "geometric":
         raise ValueError("exact pmf needs a finite or Poisson occupancy law")
-    right, cross = _site_crossings(config, t, r, window)
+    right, cross = _site_crossings(config, t, r)
     if occ.kind == "poisson":
         means = occ.rho0 * np.array([cross[right].sum(), cross[~right].sum()])
         return marked_poisson_pmf([1, -1], means, CURRENT_TAIL_TOL)

@@ -282,6 +282,47 @@ class TestCliFailures:
         assert not os.path.exists(out)
 
 
+    FIDI = {"times": [0.5, 1.0], "rho": 1.0, "kappa2": 1.0, "x_vectors": [[0.5, 0.5]]}
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("rate-table", {"ldp": {"t": 1.0, "x_grid": []}}, "ldp.x_grid"),
+        ("limit-tables", {"limit": {"count": 0}}, "limit.count"),
+        ("limit-tables", {"limit": {"pairs": []}}, "limit.pairs"),
+        ("rate-table", {"ldp": {"t": 0.0, "kappa2": 1.0, "x_grid": [0.5]}}, "ldp.t"),
+        ("rate-table", {"ldp": {"t": 1.0, "kappa2": -1.0, "x_grid": [0.5]}}, "ldp.kappa2"),
+        ("limit-tables", {"limit": {"count": 4, "identity_checks": -1}},
+         "limit.identity_checks"),
+        ("simulate", {"S": math.inf}, "S must"),
+        ("simulate", {"t_grid": [0.5, math.nan]}, "t_grid"),
+        ("simulate", {"r_grid": [math.nan]}, "r_grid"),
+        ("simulate", {"master_seed": -1}, "master_seed"),
+        ("simulate", {"occupancy": {"type": "poisson", "rho": math.inf}}, "occupancy"),
+        ("simulate", {"occupancy": {"type": "geometric", "rho": math.inf}}, "occupancy"),
+        ("simulate", {"occupancy": {"type": "custom", "pmf": [[2.5, 1.0]]}}, "occupancy.pmf"),
+        ("simulate", {"kernel": [[math.inf, 1.0]]}, "kernel"),
+        ("fidi", {"fidi": dict(FIDI, times=[])}, "fidi.times"),
+        ("fidi", {"fidi": dict(FIDI, times=[0.5, 1.0, 1.5, 2.0])}, "fidi.times"),
+        ("fidi", {"fidi": dict(FIDI, times=[1.0, 0.5])}, "fidi.times"),
+        ("fidi", {"fidi": dict(FIDI, times=[0.0, 1.0])}, "fidi.times"),
+        ("fidi", {"fidi": dict(FIDI, rho=0.0)}, "fidi.rho"),
+        ("fidi", {"fidi": dict(FIDI, kappa2=-1.0)}, "fidi.kappa2"),
+        ("fidi", {"fidi": dict(FIDI, x_vectors=[[0.5]])}, "fidi.x_vectors"),
+        ("fidi", {"fidi": dict(FIDI, x_vectors=0.5)}, "fidi.x_vectors"),
+    ], ids=["x-grid-empty", "limit-count-zero", "limit-pairs-empty", "rate-table-t-zero",
+            "rate-table-kappa2-negative", "identity-checks-negative", "S-infinite",
+            "t-grid-nan", "r-grid-nan", "seed-negative", "poisson-rho-infinite",
+            "geometric-rho-infinite", "custom-value-fraction", "kernel-offset-infinite",
+            "fidi-no-times", "fidi-four-times",
+            "fidi-times-descending", "fidi-time-zero", "fidi-rho-zero",
+            "fidi-kappa2-negative", "fidi-x-length", "fidi-x-not-list"])
+    def test_vacuous_or_nonfinite_input_exits_2(self, tmp_path, capsys, command, extra, key):
+        # each passed with nothing checked, or failed only after compute
+        cfg = write_cfg(tmp_path, **extra)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command, extra, argv, key", [
         ("fbm-check", {"T": 2.0, "t_grid": [0.25, 0.5, 1.0, 2.0], "r_grid": [-0.25, 0.25]},
          [], "r_grid"),

@@ -372,7 +372,7 @@ class TestTiltedTailEstimate:
     def test_likelihood_ratio_undoes_skellam_tilt(self, alpha):
         # Poisson occupancy: the tilted class means give a Skellam proposal
         cfg = tail_config()
-        table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha, wc.truncation_radius(cfg))
+        table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha)
         proposal = marked_poisson_pmf(table.signs[:, 0], table.means, 1e-300)
         assert_ratio_undoes_tilt(cfg, proposal, log_const, alpha)
 
@@ -381,7 +381,7 @@ class TestTiltedTailEstimate:
         # one particle per site: the proposal is the convolution of the
         # tilted site rows, read back from the alias tables that draw them
         cfg = tail_config(occupancy=OccupancyModel.deterministic(1))
-        table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha, wc.truncation_radius(cfg))
+        table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha)
         nsites, k = table.accept.shape
         rows = table.accept / k
         np.add.at(rows, (np.repeat(np.arange(nsites), k), table.alias.ravel()),
@@ -403,9 +403,8 @@ class TestTiltedTailEstimate:
         # oracle's from walk_pmf.cdf: they differ only by the walk pmf's
         # truncated mass, which the oracle's 1 - cdf counts as crossing
         cfg = tail_config(n=n)
-        w = wc.truncation_radius(cfg)
-        table, log_const = _tilted_table(cfg, 1.0, 0.0, 0.0, w)
-        right, cross = _site_crossings(cfg, 1.0, 0.0, w)
+        table, log_const = _tilted_table(cfg, 1.0, 0.0, 0.0)
+        right, cross = _site_crossings(cfg, 1.0, 0.0)
         oracle = {1: cross[right].sum(), -1: cross[~right].sum()}  # rho = 1
         bound = right.size * wc.walk_pmf(cfg.kernel, cfg.n * 1.0).deficit
         assert log_const == 0.0
@@ -420,16 +419,6 @@ class TestTiltedTailEstimate:
         exact = wc.exact_current_pmf(cfg, 1.0, 0.0).tail_geq(est.threshold)
         assert est.threshold == 100
         assert abs(est.p_hat - exact) <= 3.0 * est.p_hat * est.relative_se
-
-    @pytest.mark.parametrize("occupancy", [OccupancyModel.poisson(1.0),
-                                           OccupancyModel.deterministic(1)])
-    def test_certified_window_is_the_default(self, occupancy):
-        cfg = tail_config(seed=5, occupancy=occupancy)
-        window = wc.truncation_radius(cfg)
-        default = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 1.0, samples=20_000, alpha=0.8)
-        given = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 1.0, samples=20_000, alpha=0.8,
-                                        window=window)
-        assert default == given
 
     def test_geometric_rejected(self):
         cfg = tail_config(occupancy=OccupancyModel.geometric(1.0))

@@ -106,6 +106,13 @@ class TestTruncationRadius:
             bounds = [wc.window_bound(cfg, w) for w in widths]
             assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
+    def test_negative_width_rejected(self):
+        # the bounds are read from an array: -1 must not read its last entry
+        cfg = small_config()
+        with pytest.raises(ValueError):
+            wc.window_bound(cfg, -1)
+        assert wc.window_bound(cfg, 10 ** 9) == wc.window_bound(cfg, 10 ** 6) > 0.0
+
     def test_bound_is_full_sum_when_failing(self):
         # a failing width reports the whole bound, not a partial sum
         cfg = acceptance_config()
@@ -280,7 +287,7 @@ def window_config(n=2500, S=0.5, t_grid=(0.5, 1.0), r_grid=(0.0,), kernel=DRIFT,
 
 
 def assert_same_window(cfg):
-    """The one-pass width is the bisection's, its bound is window_bound's,
+    """The certified width is the bisection's, its bound is window_bound's,
     and the width is the first to meet window_tol."""
     try:
         expected = bisection_truncation_radius(cfg)
@@ -406,7 +413,7 @@ class TestExactCurrentPmf:
         cfg = small_config(n=n, t_grid=(1.0,))
         w = wc.truncation_radius(cfg)
         threshold = math.ceil(math.sqrt(n))
-        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0, window=w)
+        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0)
         ref = poisson_site_current_pmf(cfg, 1.0, 0.0, w)
         assert pmf.tail_geq(threshold) == pytest.approx(ref.tail_geq(threshold), rel=1e-8)
 
@@ -418,7 +425,7 @@ class TestExactCurrentPmf:
     def test_mean_against_direct_sum(self):
         cfg = small_config()
         w = wc.truncation_radius(cfg)
-        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0, window=w)
+        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0)
         wp = wc.walk_pmf(cfg.kernel, cfg.n * 1.0)
         lo = wc.bracket(-cfg.S * cfg.sqrt_n) - w
         hi = wc.bracket(cfg.S * cfg.sqrt_n) + w
@@ -433,7 +440,7 @@ class TestExactCurrentPmf:
         # Poisson occupancy: the current is a difference of Poisson counts
         cfg = small_config()
         w = wc.truncation_radius(cfg)
-        pmf = wc.exact_current_pmf(cfg, 0.5, 0.0, window=w)
+        pmf = wc.exact_current_pmf(cfg, 0.5, 0.0)
         wp = wc.walk_pmf(cfg.kernel, cfg.n * 0.5)
         lo = wc.bracket(-cfg.S * cfg.sqrt_n) - w
         hi = wc.bracket(cfg.S * cfg.sqrt_n) + w
@@ -466,7 +473,7 @@ class TestExactCurrentPmf:
     def test_simulation_matches_pmf(self):
         cfg = small_config(n=25, replicas=20_000, t_grid=(1.0,), seed=99)
         w = wc.truncation_radius(cfg)
-        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0, window=w)
+        pmf = wc.exact_current_pmf(cfg, 1.0, 0.0)
         vals = np.array([wc.simulate_replica(cfg, i, window=w).values[0, 0]
                          for i in range(cfg.replicas)])
         p = lattice_chisquare(vals, pmf.support(), pmf.masses)
@@ -482,12 +489,11 @@ class TestCellEngine:
 
     def test_moments_match_exact_pmf(self):
         for cfg in (self.three_by_two(n=100), acceptance_config()):
-            w = wc.truncation_radius(cfg)
-            table = wc.class_table(cfg, w)
+            table = wc.class_table(cfg)
             mean = table.means @ table.signs
             var = table.means @ table.signs ** 2
             for k, (t, r) in enumerate(cfg.grid_points()):
-                pmf = wc.exact_current_pmf(cfg, t, r, window=w)
+                pmf = wc.exact_current_pmf(cfg, t, r)
                 assert abs(mean[k] - pmf.mean()) < 1e-8
                 assert abs(var[k] - pmf.var()) < 1e-8
 
@@ -496,10 +502,9 @@ class TestCellEngine:
         occ = OCCUPANCIES[kind]
         for cfg in (self.three_by_two(n=100, occupancy=occ),
                     acceptance_config(occupancy=occ)):
-            w = wc.truncation_radius(cfg)
-            mean, cov = wc.class_table(cfg, w).moments()
+            mean, cov = wc.class_table(cfg).moments()
             for k, (t, r) in enumerate(cfg.grid_points()):
-                pmf = wc.exact_current_pmf(cfg, t, r, window=w)
+                pmf = wc.exact_current_pmf(cfg, t, r)
                 assert abs(mean[k] - pmf.mean()) < 1e-10
                 assert abs(cov[k, k] - pmf.var()) < 1e-10
 
@@ -516,18 +521,17 @@ class TestCellEngine:
 
     def test_chisquare_against_exact_pmf(self):
         cfg = self.three_by_two(seed=1)
-        w = wc.truncation_radius(cfg)
-        table = wc.class_table(cfg, w)
+        table = wc.class_table(cfg)
         fields = table.draw(batch_rng(cfg, 0), cfg.replicas).reshape(cfg.replicas, 2, 3)
         for k, t in enumerate(cfg.t_grid):
-            pmf = wc.exact_current_pmf(cfg, t, 0.4, window=w)
+            pmf = wc.exact_current_pmf(cfg, t, 0.4)
             p = lattice_chisquare(fields[:, k, 2], pmf.support(), pmf.masses)
             assert p > 0.01
 
     def test_cross_time_difference_matches_particle_engine(self):
         cfg = self.three_by_two(replicas=10_000)
         w = wc.truncation_radius(cfg)
-        table = wc.class_table(cfg, w)
+        table = wc.class_table(cfg)
         cells = table.draw(batch_rng(cfg, 0), cfg.replicas).reshape(cfg.replicas, 2, 3)
         parts = np.stack([wc.simulate_replica(cfg, i, window=w).values
                           for i in range(cfg.replicas)])
@@ -543,7 +547,7 @@ class TestCellEngine:
         # Y(t2, -0.4) - Y(t1, 0.4) reads the joint law across times and offsets
         cfg = self.three_by_two(replicas=5000, seed=6060, occupancy=occ)
         w = wc.truncation_radius(cfg)
-        cells = wc.class_table(cfg, w).draw(batch_rng(cfg, 0), cfg.replicas).reshape(-1, 2, 3)
+        cells = wc.class_table(cfg).draw(batch_rng(cfg, 0), cfg.replicas).reshape(-1, 2, 3)
         parts = np.stack([wc.simulate_replica(cfg, i, window=w).values
                           for i in range(cfg.replicas)])
         p = lattice_two_sample(cells[:, 1, 0] - cells[:, 0, 2],
@@ -601,13 +605,12 @@ class TestCellEngine:
         # lies wholly above or below most start intervals
         cfg = self.three_by_two(replicas=50, occupancy=OCCUPANCIES[kind],
                                 t_grid=(0.0, 0.5))
-        w = wc.truncation_radius(cfg)
-        table = wc.class_table(cfg, w)
+        table = wc.class_table(cfg)
         rows = table.draw(batch_rng(cfg, 0), cfg.replicas).reshape(-1, 2, 3)
         assert np.all(rows[:, 0] == 0)
         mean, cov = table.moments()
         for k, (t, r) in enumerate(cfg.grid_points()):
-            pmf = wc.exact_current_pmf(cfg, t, r, window=w)
+            pmf = wc.exact_current_pmf(cfg, t, r)
             assert abs(mean[k] - pmf.mean()) < 1e-10
             assert abs(cov[k, k] - pmf.var()) < 1e-10
 

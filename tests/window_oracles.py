@@ -1,8 +1,8 @@
 """The doubling-and-bisection search for the certified window width.
 
-The package finds the smallest width whose `window_bound` meets
-`window_tol` in one pass over each grid time's Chernoff terms.  The search
-here is the earlier route: it doubles the width from 16 to the first
+The package reads the smallest width whose `window_bound` meets
+`window_tol` off one array of every width's bound.  The search here is the
+earlier route: it doubles the width from 16 to the first
 passing width and then bisects between the last failing doubling width and
 it, calling `window_bound` at every step, and raises
 `WindowUnreachableError` at the first width of the doubling whose window
