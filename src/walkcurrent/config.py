@@ -43,6 +43,10 @@ DEFAULTS = {
 
 RUNTIME_KEYS = ("workers", "out", "format")
 
+# Commands whose checks divide by the mean occupancy or solve within its
+# range; simulate runs an empty system as well.
+POSITIVE_MEAN_COMMANDS = ("cov-check", "fbm-check", "rate-table", "rate-empirical")
+
 SIM_KEYS = ("n", "T", "S", "t_grid", "r_grid", "kernel", "occupancy", "replicas")
 
 # Every key a config may hold, per level.  Anything else is a typo that
@@ -206,6 +210,11 @@ def load_config(path: str, overrides: Optional[dict] = None,
         spec.kernel = build_kernel(resolved["kernel"])
     if "occupancy" in resolved:
         spec.occupancy = build_occupancy(resolved["occupancy"])
+        if command in POSITIVE_MEAN_COMMANDS and spec.occupancy.rho0 == 0.0:
+            # an empty system has no fluctuations to compare: its limit
+            # covariance and its rate function's mean range are {0}
+            raise ConfigValidationError(
+                f"occupancy: {command} needs a law with a positive mean, got mean 0")
 
     needs_sim = command in ("simulate", "cov-check", "fbm-check", "rate-empirical")
     if needs_sim:

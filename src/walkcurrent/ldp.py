@@ -186,18 +186,64 @@ def current_log_mgf_prime(model: RateModel, lam: float) -> float:
 
 
 TILT_TOL = 1e-10  # largest mean residual of a tilt solve (or 1e-9 |x|)
+# Brent's method stops when the bracket is within TILT_XTOL + TILT_RTOL |x|
+TILT_XTOL = 1e-14
+TILT_RTOL = 8.9e-16
+TILT_MAXITER = 200
+
+
+def _brent_root(f, x_lo: float, x_hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f on [x_lo, x_hi] by Brent's method, given f at both ends
+    with opposite signs (or a zero).
+
+    Step for step the C routine behind scipy.optimize.brentq (Zeros/brentq.c)
+    with xtol TILT_XTOL, rtol TILT_RTOL and maxiter TILT_MAXITER, so it
+    returns the same float; tests/quad_oracles.py keeps brentq as the
+    oracle.  Inverse quadratic interpolation or a secant step when it stays
+    well inside the bracket, else bisection.
+    """
+    xpre, xcur, fpre, fcur = x_lo, x_hi, f_lo, f_hi
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(TILT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (TILT_XTOL + TILT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NewtonConvergenceError(f"tilt solve did not converge in {TILT_MAXITER} steps")
 
 
 def tilt_for_mean(model: RateModel, x: float) -> float:
     """Solve for the tilt alpha with mean current x (strictly increasing).
 
     Bracketed Brent solve on [-lambda_max, lambda_max]; the convergence
-    contract is on the mean residual, not on alpha itself.  scipy.optimize
-    is imported by the first solve, so commands that solve no tilt never
-    load it.
+    contract is on the mean residual, not on alpha itself.
     """
-    from scipy import optimize
-
     if x == 0.0:
         return 0.0
     L = model.lambda_max
@@ -206,8 +252,7 @@ def tilt_for_mean(model: RateModel, x: float) -> float:
     if f_lo > 0.0 or f_hi < 0.0:
         raise TiltBracketError(
             f"x={x:.6g} is outside the mean range at |lambda| <= {L}")
-    alpha = optimize.brentq(lambda a: current_log_mgf_prime(model, a) - x,
-                            -L, L, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    alpha = _brent_root(lambda a: current_log_mgf_prime(model, a) - x, -L, L, f_lo, f_hi)
     resid = abs(current_log_mgf_prime(model, alpha) - x)
     if resid > max(TILT_TOL, 1e-9 * abs(x)):
         raise NewtonConvergenceError(f"tilt residual {resid:.2e} above {TILT_TOL:.2e}")
@@ -295,8 +340,9 @@ class TailEstimate:
 # stream's generator b, so this size fixes the random stream.
 TAIL_BATCH = 8192
 TAIL_MIN_ESS = 100.0  # smallest effective sample size of the hits
-# (sample, class or site) cells of one tilted table draw: a whole batch of
-# the two Poisson classes, a bounded slice of one under a fixed count
+# Cells of one tilted table draw (see ClassTable.draw): a whole batch of the
+# two Poisson classes, and under a fixed count a whole batch while a sample
+# has at most 128 particles at dense sites (about 110 at n = 1e4, x = 1)
 TAIL_DRAW_CELLS = 1 << 20
 
 
@@ -315,26 +361,25 @@ def _tilted_table(config: ExperimentConfig, t: float, r: float,
     The one-point table has two classes, s = +1 (started right of the
     anchor, ended at or below the line) and s = -1.  Tilting multiplies
     each class's weight pi_m(c) by e^(alpha s_c); site m's weights then sum
-    to Z_m = 1 + sum_c pi_m(c) expm1(alpha s_c), the null class keeping
-    weight 1, and its count law is tilted by log Z_m.  A Poisson(rho) count
-    becomes Poisson(rho Z_m), so the class means are rho sum_m pi_m(c)
-    e^(alpha s_c); a fixed count stays fixed, so each row is renormalised by
-    Z_m.  Either way c = sum_m Lambda_eta(log Z_m), with Lambda_eta the
+    to Z_m = 1 + sum_c pi_m(c) expm1(alpha s_c), a particle that does not
+    cross keeping weight 1, and its count law is tilted by log Z_m.  A
+    Poisson(rho) count becomes Poisson(rho Z_m), so the class means are
+    rho sum_m pi_m(c) e^(alpha s_c); a fixed count stays fixed, so each row
+    is renormalised by Z_m.  Either way c = sum_m Lambda_eta(log Z_m), with Lambda_eta the
     occupancy log-MGF.
     """
     occ = config.occupancy
     point = dataclasses.replace(config, t_grid=(t,), r_grid=(r,))
     lo, hi = window_span(config, truncation_radius(config))
     # one point has two classes, fewer than any window's sites
-    classes, signs, rows = _site_class_laws(point, lo, hi, extra=int(occ.kind != "poisson"))
-    probs = rows[:, :classes.shape[0]]
+    classes, signs, probs = _site_class_laws(point, lo, hi)
     tilt = alpha * signs[:, 0]
     z_minus_1 = probs @ np.expm1(tilt)
     probs *= np.exp(tilt)
     if occ.kind != "poisson":
         probs /= (1.0 + z_minus_1)[:, None]
     log_const = float(np.sum(occ.log_mgf(np.log1p(z_minus_1))))
-    return _table_from_laws(occ, classes, signs, rows), log_const
+    return _table_from_laws(occ, classes, signs, probs), log_const
 
 
 def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,

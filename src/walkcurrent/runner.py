@@ -81,8 +81,10 @@ def limit_params(config: ExperimentConfig) -> LimitCovariance:
 def ensemble_telemetry(config: ExperimentConfig, table: Optional[ClassTable],
                        batches: int) -> dict:
     """Engine, class count, batch count and certified window of one
-    ensemble run; the window's bound is the one its width was certified
-    with."""
+    ensemble run, with the expected particles in the window and, on the
+    class engine, the expected movers (particles in a class with a nonzero
+    sign) per replica; the window's bound is the one its width was
+    certified with."""
     width, bound = certified_window(config)
     lo, hi = window_span(config, width)
     return {
@@ -90,6 +92,8 @@ def ensemble_telemetry(config: ExperimentConfig, table: Optional[ClassTable],
         "classes": None if table is None else int(table.means.size),
         "batches": batches,
         "window": {"width": width, "sites": hi - lo + 1, "bound": bound},
+        "particles_per_replica": config.occupancy.rho0 * (hi - lo + 1),
+        "movers_per_replica": None if table is None else float(table.means.sum()),
     }
 
 

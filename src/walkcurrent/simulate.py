@@ -14,12 +14,13 @@ Two replica engines share that window and its law.  The class engine
 (`ClassTable`) runs every ensemble it can: every grid current is a fixed
 signed sum of the particle counts in path classes, and the table holds each
 start site's class law, so a batch of replicas is one draw -- independent
-Poisson class counts under Poisson occupancy, one class per particle under
-any other law.  The particle engine (`simulate_replica`) draws every
-particle and its path; it is the independent check on the class engine and
-runs the ensembles whose classes outnumber the window sites.  An exact
-single-point distribution oracle (a Skellam law under Poisson occupancy) is
-provided for validation.
+Poisson class counts under Poisson occupancy, and under any other law a
+class for each particle that moves (falls in a class with a nonzero sign),
+the others never drawn.  The particle engine (`simulate_replica`) draws
+every particle and its path; it is the independent check on the class
+engine and runs the ensembles whose classes outnumber the window sites.  An
+exact single-point distribution oracle (a Skellam law under Poisson
+occupancy) is provided for validation.
 """
 
 from __future__ import annotations
@@ -43,9 +44,14 @@ BATCH_STREAM = 2
 # An ensemble's replicas run in this many contiguous batches (fewer when
 # there are fewer replicas), whatever the worker count.
 N_BATCHES = 50
-# (replica, class or site) cells of one class-engine draw call: small
-# enough that its arrays stay in cache and add little to peak memory
+# Cells of one class-engine draw call -- (replica, class) under Poisson
+# occupancy, dense-site particles under a fixed count, (replica, site)
+# counts under a random one: small enough that its arrays stay in cache and
+# add little to peak memory
 DRAW_CELLS = 1 << 12
+# A site whose particles move with probability above this draws one uniform
+# per particle; one at or below it draws Poisson points over its particles
+DENSE_MOVE = 0.5
 # rows of one pass of the alias-table build, for the same reason
 ALIAS_ROWS = 256
 
@@ -380,9 +386,11 @@ class ClassTable:
     window site has class c, means[c] = E eta * sum_m pi_m(c) is the
     expected class count and site_means[m] = sum_c pi_m(c) s_c the site's
     expected sign vector; occupancy is the law the table was built for.
-    Under any occupancy law other than Poisson, accept and alias are the
-    Walker tables of each pi_m followed by one null class, which takes the
-    zero-sign classes and the walk pmf's deficit.
+    Under any occupancy law other than Poisson, move[m] = sum_c pi_m(c) is
+    the probability that a particle started at site m moves (falls in a
+    class with a nonzero sign), and accept and alias are the Walker tables
+    of its conditional class law pi_m(c) / move[m]; the rows of sites with
+    move 0 are never read.
     """
 
     classes: np.ndarray     # int64, shape (ncls, 1 + len(t_grid))
@@ -390,8 +398,9 @@ class ClassTable:
     means: np.ndarray       # float, shape (ncls,)
     site_means: np.ndarray  # float, shape (nsites, len(t_grid) * len(r_grid))
     occupancy: OccupancyModel
-    accept: Optional[np.ndarray] = None  # float, shape (nsites, ncls + 1)
-    alias: Optional[np.ndarray] = None   # unsigned, shape (nsites, ncls + 1)
+    move: Optional[np.ndarray] = None    # float, shape (nsites,)
+    accept: Optional[np.ndarray] = None  # float, shape (nsites, ncls)
+    alias: Optional[np.ndarray] = None   # unsigned, shape (nsites, ncls)
 
     def draw(self, rng: np.random.Generator, size: int,
              cells: int = DRAW_CELLS) -> np.ndarray:
@@ -399,35 +408,86 @@ class ClassTable:
         row each.
 
         Poisson occupancy thins into independent Poisson class counts.  Any
-        other law draws each site's count, then each particle's class from
-        its site's alias table.  The rows go at most `cells` (replica, class
-        or site) cells at a time, but at least one row, which bounds the
-        memory of one call; the split changes the rows drawn only where the
-        site counts are random.
+        other law draws which particles move, then each mover's class from
+        its site's alias table (`_draw_movers`).  The rows go at most
+        `cells` cells at a time, but at least one row, which bounds the
+        memory of one call: (replica, class) cells under Poisson occupancy,
+        particles at dense sites under a fixed count, (replica, site) counts
+        under a random count.  The split is fixed by the table, `size` and
+        `cells`.
         """
-        width = self.means.size if self.accept is None else self.site_means.shape[0]
-        step = max(1, cells // width)
-        return np.concatenate([self._draw(rng, min(step, size - done))
+        if self.move is None:
+            width, part = self.means.size, self._draw_class_counts
+        else:
+            dense = np.flatnonzero(self.move > DENSE_MOVE)
+            sparse = np.flatnonzero((self.move > 0.0) & (self.move <= DENSE_MOVE))
+            hazard = -np.log1p(-self.move[sparse])
+            occ = self.occupancy
+            width = int(occ.rho0) * dense.size if occ.v0 == 0.0 else self.move.size
+            part = functools.partial(self._draw_movers, dense=dense, sparse=sparse,
+                                     hazard=hazard)
+        step = max(1, cells // max(width, 1))
+        return np.concatenate([part(rng, min(step, size - done))
                                for done in range(0, size, step)])
 
-    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.accept is None:
-            return rng.poisson(self.means, size=(size, self.means.size)) @ self.signs
-        nsites, k = self.accept.shape
-        counts = self.occupancy.sample_counts(rng, size * nsites)
-        # a particle's cell in the flat alias tables is its site's row plus
-        # the integer part of k u; the fractional part decides the alias
-        cell = np.repeat(np.tile(np.arange(0, nsites * k, k), size), counts)
-        u = rng.random(cell.size)
-        u *= k
-        cls = u.astype(np.int64)  # u < k, so cls <= k - 1
+    def _draw_class_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.poisson(self.means, size=(size, self.means.size)) @ self.signs
+
+    def _draw_movers(self, rng: np.random.Generator, size: int, dense: np.ndarray,
+                     sparse: np.ndarray, hazard: np.ndarray) -> np.ndarray:
+        """Rows of `size` replicas, drawing only the particles that move.
+
+        The call's particles are numbered site by site, and within a site
+        replica by replica.  Under a fixed count k every site holds size k
+        of them, and particle g belongs to replica (g // k) mod size; under a
+        random count the counts are drawn site-major and cumulated, and a
+        particle's replica is read from the cumulative counts.  A particle
+        at a dense site moves iff its uniform falls below move[m].  The
+        particles at a sparse site are unit intervals of a Poisson process of
+        rate hazard = -log(1 - move[m]); a particle moves iff a point hits
+        it, with probability move[m], independently of the others.  Each
+        mover then takes a class from its site's alias table.
+        """
+        nsites, ncls = self.accept.shape
+        occ = self.occupancy
+        fixed = occ.v0 == 0.0
+        if fixed:
+            k = int(occ.rho0)
+            if k == 0:
+                return np.zeros((size, self.signs.shape[1]), np.int64)
+            site_counts = np.full(nsites, size * k)
+            first = np.arange(0, nsites * size * k, size * k)
+        else:
+            ends = np.cumsum(occ.sample_counts(rng, nsites * size))
+            first = np.concatenate(([0], ends[size - 1:-1:size]))
+            site_counts = ends[size - 1::size] - first
+        # dense sites: one uniform per particle
+        counts = site_counts[dense]
+        below = np.repeat(self.move[dense], counts)
+        hit = np.flatnonzero(rng.random(below.size) < below)
+        moved = hit + np.repeat(first[dense] - (np.cumsum(counts) - counts), counts)[hit]
+        # sparse sites: Poisson points on uniform particles, one mover per
+        # particle hit; a sort finds the particles hit more than once
+        points = rng.poisson(site_counts[sparse] * hazard)
+        owner = np.repeat(sparse, points)
+        hits = first[owner] + (rng.random(owner.size) * site_counts[owner]).astype(np.int64)
+        hits.sort()
+        once = np.ones(hits.size, bool)
+        once[1:] = hits[1:] != hits[:-1]
+        moved = np.concatenate((moved, hits[once]))
+        # particle -> (site, replica) cell
+        cell = moved // k if fixed else np.searchsorted(ends, moved, side="right")
+        site, replica = np.divmod(cell, size)
+        # the mover's column is the integer part of ncls u; the fractional
+        # part decides the alias
+        u = rng.random(moved.size)
+        u *= ncls
+        cls = u.astype(np.int64)  # u < ncls, so cls <= ncls - 1
         u -= cls
-        cell += cls
-        cls = np.where(u >= self.accept.ravel()[cell], self.alias.ravel()[cell], cls)
-        # then its replica's block of k classes
-        cls += np.repeat(np.arange(0, size * k, k), counts.reshape(size, nsites).sum(axis=1))
-        tally = np.bincount(cls, minlength=size * k).reshape(size, k)
-        return tally[:, :-1] @ self.signs
+        flat = site * ncls + cls
+        cls = np.where(u >= self.accept.ravel()[flat], self.alias.ravel()[flat], cls)
+        tally = np.bincount(replica * ncls + cls, minlength=size * ncls)
+        return tally.reshape(size, ncls) @ self.signs
 
     def moments(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact mean and covariance of the flattened grid currents under
@@ -498,10 +558,10 @@ def _suffix_laws(config: ExperimentConfig, lo: int, hi: int,
     return suffixes
 
 
-def _site_class_laws(config: ExperimentConfig, lo: int, hi: int, extra: int):
+def _site_class_laws(config: ExperimentConfig, lo: int, hi: int):
     """(classes, signs, rows) for the nonempty classes with a nonzero sign:
-    rows[m, c] = pi_m(c), followed by `extra` zero columns.  None when the
-    live suffixes or the nonempty classes outnumber the window sites.
+    rows[m, c] = pi_m(c).  None when the live suffixes or the nonempty
+    classes outnumber the window sites.
 
     At time 0 a site's start interval j completes its suffix's class.
     """
@@ -530,7 +590,7 @@ def _site_class_laws(config: ExperimentConfig, lo: int, hi: int, extra: int):
     signs = ((classes[:, 1:, None] <= idx).astype(np.int64)
              - (classes[:, :1, None] <= idx)).reshape(len(names), -1)
     keep = np.flatnonzero(np.any(signs != 0, axis=1))
-    rows = np.zeros((nsites, keep.size + extra))
+    rows = np.zeros((nsites, keep.size))
     for c, i in enumerate(keep):
         a, b, vals = spans[i]
         rows[a:b, c] = vals
@@ -542,27 +602,26 @@ def class_table(config: ExperimentConfig) -> Optional[ClassTable]:
     particle engine: when the live class suffixes at any grid time, or the
     nonempty classes, outnumber the window sites."""
     lo, hi = window_span(config, truncation_radius(config))
-    occ = config.occupancy
-    # under a non-Poisson law the rows carry one more column, the null class
-    laws = _site_class_laws(config, lo, hi, extra=int(occ.kind != "poisson"))
+    laws = _site_class_laws(config, lo, hi)
     if laws is None:
         return None
-    return _table_from_laws(occ, *laws)
+    return _table_from_laws(config.occupancy, *laws)
 
 
 def _table_from_laws(occ: OccupancyModel, classes: np.ndarray, signs: np.ndarray,
-                     rows: np.ndarray) -> ClassTable:
+                     probs: np.ndarray) -> ClassTable:
     """The ClassTable of `_site_class_laws`'s output under occupancy occ;
-    rows is overwritten."""
-    probs = rows[:, :classes.shape[0]]
+    probs is overwritten."""
     means = occ.rho0 * probs.sum(axis=0)
     site_means = probs @ signs
-    accept = alias = None
+    move = accept = alias = None
     if occ.kind != "poisson":
-        rows[:, -1] = np.maximum(1.0 - probs.sum(axis=1), 0.0)
-        accept, alias = _alias_tables(rows)
-    return ClassTable(classes=classes, signs=signs, means=means,
-                      site_means=site_means, occupancy=occ, accept=accept, alias=alias)
+        move = np.minimum(probs.sum(axis=1), 1.0)
+        live = move > 0.0
+        probs[live] /= move[live, None]
+        accept, alias = _alias_tables(probs)
+    return ClassTable(classes=classes, signs=signs, means=means, site_means=site_means,
+                      occupancy=occ, move=move, accept=accept, alias=alias)
 
 
 def batch_currents(config: ExperimentConfig, table: Optional[ClassTable],

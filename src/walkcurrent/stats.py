@@ -161,13 +161,14 @@ def covariance_report(batches: Sequence[EnsembleAccumulator],
     p = len(points)
     for i in range(p):
         for j in range(i, p):
-            s = se[i, j] if se[i, j] > 0 else np.nan
-            z = (emp[i, j] - ana[i, j]) / s
+            diff = emp[i, j] - ana[i, j]
+            # a pair that never varies (a t = 0 row) has SE 0: compare exactly
+            z = diff / se[i, j] if se[i, j] > 0 else (0.0 if diff == 0 else math.inf)
             rows.append(ComparisonRow(point_a=tuple(points[i]), point_b=tuple(points[j]),
                                       empirical=float(emp[i, j]), analytic=float(ana[i, j]),
-                                      std_error=float(s), z_score=float(z)))
+                                      std_error=float(se[i, j]), z_score=float(z)))
     zs = np.array([abs(r.z_score) for r in rows])
-    return ComparisonReport(rows=tuple(rows), max_abs_z=float(np.nanmax(zs)),
+    return ComparisonReport(rows=tuple(rows), max_abs_z=float(np.max(zs)),
                             frac_within_3=float(np.mean(zs <= 3.0)))
 
 

@@ -82,3 +82,13 @@ def lattice_two_sample(a, b, min_expected=5.0):
     if acc.sum() > 0.0:
         bins[-1] = bins[-1] + acc
     return spstats.chi2_contingency(np.array(bins).T, correction=False).pvalue
+
+
+def site_class_laws(table):
+    """pi_m(c) rebuilt from a non-Poisson class table: site m's move
+    probability times the conditional class law its alias tables draw."""
+    nsites, k = table.accept.shape
+    cond = table.accept / k
+    np.add.at(cond, (np.repeat(np.arange(nsites), k), table.alias.ravel()),
+              ((1.0 - table.accept) / k).ravel())
+    return table.move[:, None] * cond

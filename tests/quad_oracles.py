@@ -13,6 +13,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import log_expit, log_ndtr, ndtr, owens_t
 
+from walkcurrent import ldp
 from walkcurrent.ldp import _pattern_orthant_prob
 from walkcurrent.normal import norm_cdf, norm_pdf, norm_sf
 
@@ -185,3 +186,14 @@ def pattern_rates(times, rho, kappa2):
                 0.0, x_max, epsabs=1e-14, epsrel=1e-13, limit=400)
             out[i, side] = rho * val
     return out
+
+
+def brentq_tilt(model, x):
+    """The tilt with mean current x by scipy's brentq on the package's
+    log-MGF derivative, with the bracket and tolerances of
+    ldp.tilt_for_mean."""
+    if x == 0.0:
+        return 0.0
+    L = model.lambda_max
+    return optimize.brentq(lambda a: ldp.current_log_mgf_prime(model, a) - x, -L, L,
+                           xtol=1e-14, rtol=8.9e-16, maxiter=200)

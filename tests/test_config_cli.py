@@ -32,6 +32,11 @@ def write_cfg(tmp_path, name="cfg.json", **extra):
     return str(path)
 
 
+# the fbm-check of the benchmark at n = 100: one particle per site, five times
+FBM_FIXED = {"T": 4.0, "S": 0.1, "t_grid": [0.25, 0.5, 1.0, 2.0, 4.0], "r_grid": [0.0],
+             "occupancy": {"type": "deterministic", "count": 1}, "replicas": 2000}
+
+
 class TestLoadConfig:
     def test_defaults_filled(self, tmp_path):
         spec = load_config(write_cfg(tmp_path), command="simulate")
@@ -161,6 +166,38 @@ class TestCliCommands:
             a = Path(os.path.join(out1, name)).read_bytes()
             b = Path(os.path.join(out2, name)).read_bytes()
             assert a == b, f"{name} differs across worker counts"
+
+    def test_deterministic_fbm_check_worker_count_invariance(self, tmp_path):
+        # the per-mover draw of a fixed count, byte-identical across worker
+        # counts like the Poisson draw above
+        cfg = write_cfg(tmp_path, **FBM_FIXED)
+        payloads = []
+        for workers in (1, 3):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["fbm-check", "--config", cfg, "--out", out,
+                         "--workers", str(workers)]) == 0
+            payloads.append([Path(os.path.join(out, name)).read_bytes()
+                             for name in ("fbm_check.csv", "fbm_check.json")])
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("occupancy", [
+        {"type": "poisson", "rho": 1.0}, {"type": "deterministic", "count": 1}],
+        ids=["poisson", "deterministic"])
+    def test_time_zero_row_compared_exactly(self, tmp_path, occupancy):
+        # the t = 0 pairs never vary: their SE is 0 and they pass by equality
+        # (they used to get a NaN SE and fail the run)
+        cfg = write_cfg(tmp_path, t_grid=[0.0, 1.0], occupancy=occupancy, replicas=300)
+        out = str(tmp_path / "out")
+        assert main(["cov-check", "--config", cfg, "--out", out]) == 0
+        text = Path(os.path.join(out, "cov_check.json")).read_text()
+        assert "NaN" not in text
+        report = json.loads(text)
+        zero = [row for row in report["covariance"] if row["t_a"] == 0.0]
+        assert len(zero) == 2
+        for row in zero:
+            assert row["empirical"] == row["analytic"] == row["std_error"] == 0.0
+            assert row["z_score"] == 0.0 and row["ok"]
+        assert math.isfinite(report["max_abs_z"])
 
     def test_rerun_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, replicas=300)
@@ -323,6 +360,34 @@ class TestCliFailures:
         assert key in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("occupancy", [
+        {"type": "deterministic", "count": 0}, {"type": "custom", "pmf": [[0, 1.0]]}],
+        ids=["deterministic-0", "custom-0"])
+    @pytest.mark.parametrize("command", ["cov-check", "fbm-check", "rate-table",
+                                         "rate-empirical"])
+    def test_empty_occupancy_exits_2(self, tmp_path, capsys, command, occupancy):
+        # a mean-0 law used to exit 3 (rate commands) or 1 with NaN and
+        # RuntimeWarnings (ensembles)
+        extra = {"ldp": {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100],
+                         "x_grid": [0.5]}}
+        if command == "fbm-check":
+            extra.update(FBM_FIXED)
+        cfg = write_cfg(tmp_path, **dict(extra, occupancy=occupancy))
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "occupancy" in err and "Warning" not in err
+        assert not os.path.exists(out)
+
+    def test_empty_occupancy_simulates_zeros(self, tmp_path):
+        cfg = write_cfg(tmp_path, occupancy={"type": "deterministic", "count": 0},
+                        replicas=100)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        report = json.loads(Path(os.path.join(out, "simulate.json")).read_text())
+        assert all(row["min"] == row["max"] == row["variance"] == 0.0
+                   for row in report["rows"])
+
     @pytest.mark.parametrize("command, extra, argv, key", [
         ("fbm-check", {"T": 2.0, "t_grid": [0.25, 0.5, 1.0, 2.0], "r_grid": [-0.25, 0.25]},
          [], "r_grid"),
@@ -391,6 +456,27 @@ class TestManifestTelemetry:
                     assert key not in text
         assert tels[0] == tels[1]
         assert tels[0]["engine"] == "classes" and tels[0]["batches"] == 50
+
+    def test_particle_and_mover_counts(self, tmp_path):
+        # expected particles and movers per replica: equal across worker
+        # counts, and in no report
+        cfg = write_cfg(tmp_path, **FBM_FIXED)
+        tels = []
+        for workers in (1, 3):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["fbm-check", "--config", cfg, "--out", out,
+                         "--workers", str(workers)]) == 0
+            tel = json.loads(Path(os.path.join(out, "manifest.json")).read_text())["telemetry"]
+            tels.append((tel["particles_per_replica"], tel["movers_per_replica"]))
+            for name in ("fbm_check.csv", "fbm_check.json"):
+                text = Path(os.path.join(out, name)).read_text()
+                assert "particles_per_replica" not in text and "movers_per_replica" not in text
+        assert tels[0] == tels[1]
+        particles, movers = tels[0]
+        assert particles == tel["window"]["sites"]  # one particle per site
+        spec = load_config(cfg, command="fbm-check")
+        assert movers == pytest.approx(wc.class_table(spec.experiment).means.sum(), rel=1e-15)
+        assert 0.0 < movers < particles
 
     def test_rate_empirical_windows(self, tmp_path):
         ldp_section = {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000,

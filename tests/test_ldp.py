@@ -5,6 +5,7 @@ import pytest
 
 import quad_oracles
 import walkcurrent as wc
+from conftest import site_class_laws
 from walkcurrent import OccupancyModel
 from walkcurrent.kernel import LatticePmf, marked_poisson_pmf
 from walkcurrent.ldp import _tilted_table
@@ -215,6 +216,32 @@ class TestTiltForMean:
         with pytest.raises(wc.TiltBracketError):
             wc.tilt_for_mean(poisson_unit_model, 1e30)
 
+    # the benchmark's rate-table x grid, and its rate-empirical tilt, whose
+    # kappa2 comes from the drift kernel {1: 0.7, -1: 0.3}
+    BENCH_X = [-3.0 + 0.5 * i for i in range(13)]
+
+    @pytest.mark.parametrize("occupancy", [
+        OccupancyModel.poisson(1.0), OccupancyModel.custom([(0, 0.5), (2, 0.5)])],
+        ids=["poisson", "custom"])
+    def test_brent_port_is_brentq(self, occupancy):
+        # the port returns scipy's brentq root bit for bit
+        model = wc.RateModel(occupancy=occupancy, kappa2=1.0, t=1.0)
+        for x in self.BENCH_X:
+            assert wc.tilt_for_mean(model, x) == quad_oracles.brentq_tilt(model, x)
+
+    def test_brent_port_is_brentq_on_tail_tilt(self):
+        kernel = wc.validate_kernel({1: 0.7, -1: 0.3})
+        model = wc.RateModel(occupancy=OccupancyModel.poisson(1.0),
+                             kappa2=kernel.kappa2, t=1.0)
+        assert wc.tilt_for_mean(model, 1.0) == quad_oracles.brentq_tilt(model, 1.0)
+
+    def test_brent_port_stops_at_maxiter(self, monkeypatch):
+        from walkcurrent import ldp
+        monkeypatch.setattr(ldp, "TILT_MAXITER", 3)
+        model = wc.RateModel(occupancy=OccupancyModel.poisson(1.0), kappa2=1.0, t=1.0)
+        with pytest.raises(wc.NewtonConvergenceError, match="did not converge"):
+            wc.tilt_for_mean(model, 1.0)
+
 
 class TestRateLegendre:
     def test_zero_at_zero(self, poisson_unit_model):
@@ -357,7 +384,7 @@ class TestTiltedTailEstimate:
 
     @pytest.mark.parametrize("occupancy, p_hat, ess", [
         (OccupancyModel.poisson(1.0), 0.0005370843984303681, 2749.774207296822),
-        (OccupancyModel.deterministic(1), 2.6890050405313632e-05, 285.59333333907927),
+        (OccupancyModel.deterministic(1), 2.4873642269135354e-05, 264.8668957064679),
     ], ids=["poisson", "deterministic"])
     def test_stream_golden(self, occupancy, p_hat, ess):
         # pins the proposal draws: a change to the sampler's random stream
@@ -379,18 +406,17 @@ class TestTiltedTailEstimate:
     @pytest.mark.parametrize("alpha", [-1.5, -0.3, 0.0, 0.8, 1.05, 2.5])
     def test_likelihood_ratio_undoes_site_row_tilt(self, alpha):
         # one particle per site: the proposal is the convolution of the
-        # tilted site rows, read back from the alias tables that draw them
+        # tilted site rows, read back from the move probabilities and the
+        # alias tables that draw them
         cfg = tail_config(occupancy=OccupancyModel.deterministic(1))
         table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha)
-        nsites, k = table.accept.shape
-        rows = table.accept / k
-        np.add.at(rows, (np.repeat(np.arange(nsites), k), table.alias.ravel()),
-                  ((1.0 - table.accept) / k).ravel())
-        # each site adds -1, 0 or +1: its classes' signs, and 0 for the null
+        rows = site_class_laws(table)
+        nsites = rows.shape[0]
+        # each site adds -1, 0 or +1: its classes' signs, and 0 if it stays
         site_pmfs = np.zeros((nsites, 3))
         for c, sign in enumerate(table.signs[:, 0]):
             site_pmfs[:, 1 + sign] += rows[:, c]
-        site_pmfs[:, 1] += rows[:, -1]
+        site_pmfs[:, 1] += 1.0 - table.move
         masses = np.array([1.0])
         for site_pmf in site_pmfs:
             masses = np.convolve(masses, site_pmf)

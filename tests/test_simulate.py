@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy import stats as spstats
 
 import walkcurrent as wc
-from conftest import lattice_chisquare, lattice_two_sample
+from conftest import lattice_chisquare, lattice_two_sample, site_class_laws
 from pmf_oracles import poisson_site_current_pmf
-from walkcurrent.simulate import BATCH_STREAM
+from walkcurrent.simulate import BATCH_STREAM, _table_from_laws
 from window_oracles import bisection_truncation_radius
 
 
@@ -242,6 +242,57 @@ class TestSimulateReplica:
         assert got == [[[2, 2, 2], [3, 1, -1]],
                        [[0, 1, 3], [0, -1, -2]],
                        [[-2, 0, 3], [-3, -3, -1]]]
+
+
+class TestMoverDraw:
+    """The per-mover draw on hand-made site laws: a site whose particles
+    always move (q = 1), a dense one (q = 3/4), a sparse one (q = 1/4) and
+    one whose particles never move (q = 0).  The signs are the identity, so
+    a row is the replica's class counts."""
+
+    PROBS = [[0.5, 0.25, 0.25], [0.375, 0.25, 0.125], [0.125, 0.0625, 0.0625],
+             [0.0, 0.0, 0.0]]
+
+    def table(self, occ, sites=(0, 1, 2, 3)):
+        probs = np.array([self.PROBS[m] for m in sites])
+        classes = np.arange(6, dtype=np.int64).reshape(3, 2)
+        return _table_from_laws(occ, classes, np.eye(3, dtype=np.int64), probs)
+
+    def test_move_probabilities(self):
+        table = self.table(wc.OccupancyModel.deterministic(1))
+        assert table.move.tolist() == [1.0, 0.75, 0.25, 0.0]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_particle_moves_at_q_one(self, k):
+        # a fixed count at a site with q = 1: every particle has a class
+        table = self.table(wc.OccupancyModel.deterministic(k), sites=(0, 3))
+        rows = table.draw(np.random.default_rng(1), 500)
+        assert np.all(rows.sum(axis=1) == k)
+        assert np.all(rows.mean(axis=0) > 0.0)
+
+    def test_no_particle_moves_at_q_zero(self):
+        for occ in (wc.OccupancyModel.deterministic(2), wc.OccupancyModel.geometric(1.0)):
+            rows = self.table(occ, sites=(3,)).draw(np.random.default_rng(2), 200)
+            assert rows.shape == (200, 3) and not rows.any()
+
+    @pytest.mark.parametrize("occ", [wc.OccupancyModel.deterministic(2),
+                                     wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
+                                     wc.OccupancyModel.geometric(1.0)],
+                             ids=["deterministic", "custom", "geometric"])
+    def test_moments_every_kind_of_site(self, occ):
+        table = self.table(occ)
+        rows = table.draw(np.random.default_rng(3), 100_000)
+        mean, cov = table.moments()
+        z = (rows.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / rows.shape[0])
+        assert np.abs(z).max() < 4.0
+        assert np.abs(np.cov(rows.T) - cov).max() < 0.05 * np.diag(cov).max()
+
+    def test_empty_law_draws_zeros(self):
+        # a mean-0 law (allowed for simulate) draws no particle at all
+        for occ in (wc.OccupancyModel.deterministic(0), wc.OccupancyModel.custom([(0, 1.0)])):
+            cfg = small_config(occupancy=occ)
+            rows = wc.class_table(cfg).draw(batch_rng(cfg, 0), 300)
+            assert rows.shape == (300, 2) and not rows.any()
 
 
 class TestRunEnsemble:
@@ -556,33 +607,48 @@ class TestCellEngine:
 
     def test_non_poisson_runs_on_classes(self):
         # one table for every law: the same classes and site laws, the
-        # expected counts scaled by the mean occupancy, and alias tables for
-        # the per-particle draw
+        # expected counts scaled by the mean occupancy, and move
+        # probabilities and alias tables for the per-mover draw
         poisson = wc.class_table(small_config())
-        assert poisson.accept is None
+        assert poisson.move is None and poisson.accept is None
         for occ in (wc.OccupancyModel.deterministic(1), wc.OccupancyModel.geometric(1.0),
                     wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)])):
             table = wc.class_table(small_config(occupancy=occ))
             assert np.array_equal(table.classes, poisson.classes)
             assert np.array_equal(table.site_means, poisson.site_means)
             assert np.allclose(table.means, occ.rho0 * poisson.means, rtol=1e-14, atol=0)
-            assert table.accept.shape == table.alias.shape == (
-                table.site_means.shape[0], table.means.size + 1)
+            nsites = table.site_means.shape[0]
+            assert table.move.shape == (nsites,)
+            assert table.accept.shape == table.alias.shape == (nsites, table.means.size)
 
     def test_alias_tables_reproduce_site_laws(self):
-        # the site laws pi_m rebuilt from the alias tables give the table's
-        # class means and site sign means, and the null class the rest
+        # the site laws pi_m rebuilt from the move probabilities and the
+        # conditional alias tables give the table's class means and site
+        # sign means, and the particles that do not move the rest
         cfg = small_config(occupancy=wc.OccupancyModel.deterministic(1))
         table = wc.class_table(cfg)
-        nsites, k = table.accept.shape
-        rebuilt = table.accept / k
-        np.add.at(rebuilt, (np.repeat(np.arange(nsites), k), table.alias.ravel()),
-                  ((1.0 - table.accept) / k).ravel())
-        probs = rebuilt[:, :-1]
-        assert np.all(rebuilt >= 0.0)
-        assert np.abs(rebuilt.sum(axis=1) - 1.0).max() < 1e-14
+        probs = site_class_laws(table)
+        cond = probs / table.move[:, None]
+        assert np.all(probs >= 0.0) and np.all((table.move > 0.0) & (table.move <= 1.0))
+        assert np.abs(cond.sum(axis=1) - 1.0).max() < 1e-14
         assert np.abs(probs.sum(axis=0) - table.means).max() < 1e-13
         assert np.abs(probs @ table.signs - table.site_means).max() < 1e-14
+
+    @pytest.mark.parametrize("occ", [wc.OccupancyModel.deterministic(1),
+                                     wc.OccupancyModel.deterministic(2),
+                                     wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
+                                     wc.OccupancyModel.geometric(1.0)],
+                             ids=["deterministic1", "deterministic2", "custom", "geometric"])
+    def test_mover_draw_moments(self, occ):
+        # 50,000 replicas of the per-mover draw against the exact moments
+        cfg = self.three_by_two(n=100, occupancy=occ)
+        table = wc.class_table(cfg)
+        rows = table.draw(batch_rng(cfg, 0), 50_000)
+        mean, cov = table.moments()
+        z = (rows.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / rows.shape[0])
+        assert np.abs(z).max() < 4.0
+        ratio = np.diag(np.cov(rows.T)) / np.diag(cov)
+        assert np.abs(ratio - 1.0).max() < 0.05
 
     def test_falls_back_when_classes_exceed_sites(self):
         cfg = small_config(n=4, replicas=3, S=1.0, r_grid=(-1.0, -0.5, 0.0, 0.5, 1.0),

@@ -1,5 +1,5 @@
 """What the CLI loads: no command of the ensemble or rate workloads imports
-scipy.stats, and the ensemble commands do not import scipy.optimize.
+scipy.stats or scipy.optimize.
 
 Together the two take about 0.8 s to import, more than the commands' own
 work at acceptance scale, so an eager import of either fails here.  The
@@ -35,6 +35,10 @@ CONFIGS = {
         "ldp": {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100, 400]},
         "master_seed": 3,
     },
+    "rate-table": {
+        "occupancy": {"type": "custom", "pmf": [[0, 0.5], [2, 0.5]]},
+        "ldp": {"kappa2": 1.0, "t": 1.0, "x_grid": [-3.0, 0.0, 0.5, 3.0]},
+    },
 }
 
 SCRIPT = """
@@ -52,7 +56,11 @@ run("fbm-check")
 loaded = {"after_ensembles": sorted(m for m in ("scipy.stats", "scipy.optimize")
                                     if m in sys.modules)}
 run("rate-empirical")
-loaded["after_rates"] = sorted(m for m in ("scipy.stats",) if m in sys.modules)
+loaded["after_rate_empirical"] = sorted(m for m in ("scipy.stats", "scipy.optimize")
+                                        if m in sys.modules)
+run("rate-table")
+loaded["after_rate_table"] = sorted(m for m in ("scipy.stats", "scipy.optimize")
+                                    if m in sys.modules)
 print(loaded)
 """
 
@@ -66,4 +74,4 @@ def test_commands_skip_scipy_stats_and_optimize(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == str(
-        {"after_ensembles": [], "after_rates": []})
+        {"after_ensembles": [], "after_rate_empirical": [], "after_rate_table": []})
