@@ -46,6 +46,9 @@ RUNTIME_KEYS = ("workers", "out", "format")
 # Commands whose checks divide by the mean occupancy or solve within its
 # range; simulate runs an empty system as well.
 POSITIVE_MEAN_COMMANDS = ("cov-check", "fbm-check", "rate-table", "rate-empirical")
+# Commands whose limit laws scale with the kernel's kappa2, which is 0 for a
+# kernel that never moves; simulate runs such a kernel as well.
+MOVING_KERNEL_COMMANDS = ("cov-check", "fbm-check", "limit-tables", "rate-empirical")
 
 SIM_KEYS = ("n", "T", "S", "t_grid", "r_grid", "kernel", "occupancy", "replicas")
 
@@ -103,9 +106,18 @@ def build_kernel(pairs) -> JumpKernel:
     from .errors import WalkCurrentError
 
     try:
-        return validate_kernel({int(off): float(w) for off, w in pairs})
-    except (TypeError, ValueError, OverflowError) as exc:
+        offsets = [off for off, _ in pairs]
+        weights = [float(w) for _, w in pairs]
+    except (TypeError, ValueError) as exc:
         raise ConfigValidationError(f"kernel: expected [[offset, weight], ...]: {exc}")
+    _check_integer(offsets, "kernel")  # an offset of 1.5 must not run as 1
+    offsets = [int(off) for off in offsets]
+    repeated = [off for off in offsets if offsets.count(off) > 1]
+    if repeated:
+        # a mapping would keep only the last weight of a repeated offset
+        raise ConfigValidationError(f"kernel: offset {repeated[0]} appears more than once")
+    try:
+        return validate_kernel(dict(zip(offsets, weights)))
     except WalkCurrentError as exc:
         raise ConfigValidationError(f"kernel: {exc}")
 
@@ -208,6 +220,10 @@ def load_config(path: str, overrides: Optional[dict] = None,
 
     if "kernel" in resolved:
         spec.kernel = build_kernel(resolved["kernel"])
+        if command in MOVING_KERNEL_COMMANDS and not spec.kernel.kappa2 > 0.0:
+            raise ConfigValidationError(
+                f"kernel: {command} needs a kernel that moves, got kappa2 = 0 "
+                f"(every jump has offset 0)")
     if "occupancy" in resolved:
         spec.occupancy = build_occupancy(resolved["occupancy"])
         if command in POSITIVE_MEAN_COMMANDS and spec.occupancy.rho0 == 0.0:
@@ -264,6 +280,10 @@ def load_config(path: str, overrides: Optional[dict] = None,
                     raise ConfigValidationError(
                         "ldp section needs 'kappa2' or a top-level kernel")
                 kappa2 = spec.kernel.kappa2
+                if not kappa2 > 0.0:
+                    raise ConfigValidationError(
+                        f"kernel: {command} takes kappa2 from the kernel, which never "
+                        f"moves (kappa2 = 0)")
             if not (is_finite_number(kappa2) and kappa2 > 0.0):
                 raise ConfigValidationError(
                     f"ldp.kappa2: expected a positive number, got {kappa2!r}")

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import CovarianceNotPSDError, MeshTooCoarseError
-from .normal import bvn_cdf, gated_rule, mean_excess, norm_cdf
+from .normal import bvn_cov, gated_rule, mean_excess, ndtr, norm_cdf
 
 Point = Tuple[float, float]  # (t, r)
 
@@ -155,7 +154,7 @@ def dynamic_cov_quadrature(s, q, t, r, kappa2: float):
     def f(x):
         h = (q[..., None] - x) / sd_s[..., None]
         k = (r[..., None] - x) / sd_t[..., None]
-        return bvn_cdf(h, k, corr[..., None]) - ndtr(h) * ndtr(k)
+        return bvn_cov(h, k, corr[..., None])
 
     val = _integral(f, np.maximum(q - INTEGRAL_SDS * sd_s, r - INTEGRAL_SDS * sd_t),
                     np.minimum(q + INTEGRAL_SDS * sd_s, r + INTEGRAL_SDS * sd_t),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import pdtr, pdtrc
 
 from .errors import (
     NegativeWeightError,
@@ -22,6 +21,7 @@ from .errors import (
     UnboundedSupportError,
     ZeroMassError,
 )
+from .normal import stirling_remainder
 
 # exp(theta*x) overflows fast; bounds are valid for every theta, so capping
 # the search range only loosens, never breaks, the bound
@@ -196,6 +196,51 @@ class LatticePmf:
         return float(self.masses[idx:].sum())
 
 
+def _poisson_pmf(k: int, mu: float) -> float:
+    """Poisson(mu) mass at k, in Loader's saddle-point form (2000): exp(-bd0
+    - stirling_remainder(k)) / sqrt(2 pi k), where the deviance bd0 = k
+    log(k/mu) + mu - k is a series of positive terms in v = (k - mu)/(k +
+    mu) while |v| < 1/2, so that no O(k) terms cancel."""
+    if k == 0:
+        return math.exp(-mu)
+    v = (k - mu) / (k + mu)
+    if abs(v) < 0.5:
+        bd0 = (k - mu) * v
+        term = 2.0 * k * v
+        v2 = v * v
+        j = 1
+        while True:
+            term *= v2
+            nxt = bd0 + term / (2 * j + 1)
+            if nxt == bd0:
+                break
+            bd0 = nxt
+            j += 1
+    else:
+        bd0 = k * math.log(k / mu) + mu - k
+    return math.exp(-bd0 - float(stirling_remainder(k))) / math.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_tail(start: int, mu: float, step: int) -> float:
+    """P(N <= start) (step -1) or P(N >= start) (step +1) for N ~
+    Poisson(mu), start on the far side of the mode: the masses summed
+    outward from start by their ratio recurrence, until the geometric bound
+    on the rest is below the last bit."""
+    first = _poisson_pmf(start, mu)
+    if first == 0.0:
+        return 0.0
+    ratio = start / mu if step < 0 else mu / (start + 1)  # the largest ratio
+    if ratio <= 0.0:
+        return first
+    count = math.ceil(math.log(1e-17 * (1.0 - ratio)) / math.log(ratio)) + 1
+    if step < 0:
+        ks = np.arange(start, max(start - count, 0), -1)
+        ratios = ks / mu
+    else:
+        ratios = mu / np.arange(start + 1, start + count + 1)
+    return first * (1.0 + float(np.sum(np.cumprod(ratios))))
+
+
 def _poisson_window(mu: float, tol: float) -> tuple[int, np.ndarray, float]:
     """(a, masses, tail): Poisson(mu) masses on a window [a, b] whose two
     tails are each at most tol/2, rescaled so that masses plus tail is 1.
@@ -203,7 +248,7 @@ def _poisson_window(mu: float, tol: float) -> tuple[int, np.ndarray, float]:
     Bernstein's inequalities, P(N <= mu - d) <= exp(-d^2 / (2 mu)) and
     P(N >= mu + d) <= exp(-d^2 / (2 (mu + d/3))), place the window; the
     masses come from the ratio recurrence out from the mode, the tail from
-    the Poisson cdf and survival function (`pdtr`, `pdtrc`).
+    the masses summed outward from a - 1 and from b + 1.
     """
     log_t = math.log(2.0 / tol)
     a = max(0, math.floor(mu - math.sqrt(2.0 * log_t * mu)))
@@ -212,7 +257,9 @@ def _poisson_window(mu: float, tol: float) -> tuple[int, np.ndarray, float]:
     down = np.cumprod(np.arange(mode, a, -1) / mu)
     up = np.cumprod(mu / np.arange(mode + 1, b + 1))
     raw = np.concatenate((down[::-1], [1.0], up))
-    tail = float((pdtr(a - 1, mu) if a > 0 else 0.0) + pdtrc(b, mu))
+    tail = 0.0
+    if mu > 0.0:
+        tail = (_poisson_tail(a - 1, mu, -1) if a > 0 else 0.0) + _poisson_tail(b + 1, mu, 1)
     return a, raw * ((1.0 - tail) / math.fsum(raw)), tail
 
 

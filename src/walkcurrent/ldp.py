@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import log_expit, log_ndtr, logsumexp
 
 from .errors import (
     DegenerateWeightsError,
@@ -36,6 +35,7 @@ from .errors import (
 from .normal import (
     bvn_cdf,
     gated_rule,
+    log_ndtr,
     mean_excess,
     mvn_cdf_3,
     norm_cdf,
@@ -44,7 +44,7 @@ from .normal import (
     quadrature_ok,
     rule_sum,
 )
-from .occupancy import OccupancyModel
+from .occupancy import OccupancyModel, logsumexp
 from .simulate import (
     TILT_STREAM,
     ClassTable,
@@ -278,6 +278,15 @@ class RateParts:
     total: float
 
 
+def log_expit(x):
+    """log(1 / (1 + exp(-x))) elementwise, as scipy.special.log_expit forms it:
+    x - log1p(exp(x)) below 0 and -log1p(exp(-x)) above, so neither tail
+    overflows or rounds to 0."""
+    x = np.asarray(x, float)
+    neg = x < 0.0
+    return np.where(neg, x, 0.0) - np.log1p(np.exp(np.where(neg, x, -x)))
+
+
 def rate_decomposed(model: RateModel, x: float,
                     alpha: Optional[float] = None) -> RateParts:
     """Rate function split into its two mechanisms, by direct quadrature.
@@ -299,7 +308,7 @@ def rate_decomposed(model: RateModel, x: float,
 
     # Bernoulli relative entropy of the tilted crossing indicator
     z = model._y / math.sqrt(model.kappa2 * model.t)
-    log_cdf, log_sf = log_ndtr(z), log_ndtr(-z)
+    log_cdf, log_sf = log_ndtr(np.stack([z, -z]))
     logit_p = log_cdf - log_sf
     log_f = log_expit(logit_p - alpha)
     log_1mf = log_expit(alpha - logit_p)

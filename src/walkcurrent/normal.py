@@ -3,9 +3,10 @@
 Everything is parameterized by the *variance* (not the standard deviation),
 because variances of the form kappa2*t are what the covariance formulas and
 the rate-function integrands pass around.  CDFs go through the complementary
-error function so that tails keep full relative accuracy.  The upper tail of
-the Kolmogorov-Smirnov statistic lives here too, so that the normality
-diagnostics need no `scipy.stats`.
+error function so that tails keep full relative accuracy.  The special
+functions are numpy ports: the standard normal CDF and its logarithm
+(Cephes), the bivariate CDF (Genz), and the upper tails of the
+Kolmogorov-Smirnov statistics, so that the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -14,11 +15,127 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr, owens_t, smirnov
 
 from .errors import QuadratureConvergenceError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SQRT1_2 = math.sqrt(0.5)
+# Cephes' MAXLOG, log of the largest double: erfc(x) is 0 past x^2 = _MAXLOG
+_MAXLOG = 7.09782712893383996843e2
+
+# Cephes' rational approximations of erf and erfc (ndtr.c): erf(x) =
+# x T(x^2) / U(x^2) for |x| < 1, and erfc(x) = exp(-x^2) P(x) / Q(x) for
+# 1 <= x < 8, exp(-x^2) R(x) / S(x) above.  Each pair is one array, highest
+# power first, the shorter polynomial padded with leading zeros (which
+# leave Horner's scheme exact).
+_ERF_TU = np.array([
+    (0.0, 1.0),
+    (9.60497373987051638749e0, 3.35617141647503099647e1),
+    (9.00260197203842689217e1, 5.21357949780152679795e2),
+    (2.23200534594684319226e3, 4.59432382970980127987e3),
+    (7.00332514112805075473e3, 2.26290000613890934246e4),
+    (5.55923013010394962768e4, 4.92673942608635921086e4)])
+_ERFC_PQ = np.array([
+    (2.46196981473530512524e-10, 1.0),
+    (5.64189564831068821977e-1, 1.32281951154744992508e1),
+    (7.46321056442269912687e0, 8.67072140885989742329e1),
+    (4.86371970985681366614e1, 3.54937778887819891062e2),
+    (1.96520832956077098242e2, 9.75708501743205489753e2),
+    (5.26445194995477358631e2, 1.82390916687909736289e3),
+    (9.34528527171957607540e2, 2.24633760818710981792e3),
+    (1.02755188689515710272e3, 1.65666309194161350182e3),
+    (5.57535335369399327526e2, 5.57535340817727675546e2)])
+_ERFC_RS = np.array([
+    (0.0, 1.0),
+    (5.64189583547755073984e-1, 2.26052863220117276590e0),
+    (1.27536670759978104416e0, 9.39603524938001434673e0),
+    (5.01905042251180477414e0, 1.20489539808096656605e1),
+    (6.16021097993053585195e0, 1.70814450747565897222e1),
+    (7.40974269950448939160e0, 9.60896809063285878198e0),
+    (2.97886665372100240670e0, 3.36907645100081516050e0)])
+
+
+def _horner(x: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """A pair of polynomials (columns of `pair`, highest power first) at x,
+    as the two rows of one array, by Horner's scheme on both at once."""
+    rows = pair[:, :, None]
+    out = rows[0] * x
+    out += rows[1]
+    for c in rows[2:]:
+        out *= x
+        out += c
+    return out
+
+
+# ndtr works through its input in blocks of this many values, which keeps
+# the temporaries of its array passes in cache
+NDTR_BLOCK = 8192
+
+
+def _ndtr_block(a: np.ndarray) -> np.ndarray:
+    """ndtr(a sqrt 2) for a 1-d block, as Cephes' ndtr takes it: 1/2 +
+    erf(a)/2 where |a| < 1/sqrt 2, else erfc(|a|)/2 or its complement."""
+    z = np.abs(a)
+    z2 = z * z
+    tu = _horner(z2, _ERF_TU)
+    erf = z * tu[0] / tu[1]  # erf(z), used where z < 1
+    pq = _horner(z, _ERFC_PQ)
+    erfc = np.exp(-z2) * pq[0] / pq[1]
+    if z.max(initial=0.0) >= 8.0:
+        far = z >= 8.0
+        zf = z[far]
+        rs = _horner(zf, _ERFC_RS)
+        erfc[far] = np.exp(-zf * zf) * rs[0] / rs[1]
+    out = np.where(z < 1.0, 1.0 - erf, erfc)
+    out[z2 > _MAXLOG] = 0.0
+    out *= 0.5
+    np.subtract(1.0, out, out=out, where=a > 0.0)
+    np.copyto(out, 0.5 + 0.5 * np.copysign(erf, a), where=z < SQRT1_2)
+    return out
+
+
+def ndtr(x):
+    """Standard normal CDF, as Cephes' ndtr computes it: 1/2 + erf(x/sqrt 2)/2
+    near 0, erfc(|x|/sqrt 2)/2 (or its complement) elsewhere, so that the
+    lower tail keeps full relative accuracy down to the underflow near -38.5.
+    Arrays map elementwise; a scalar gives a 0-d result as numpy's ufuncs do.
+    """
+    x = np.asarray(x, float)
+    a = (x * SQRT1_2).ravel()
+    out = np.empty(a.shape)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for s in range(0, a.size, NDTR_BLOCK):
+            out[s:s + NDTR_BLOCK] = _ndtr_block(a[s:s + NDTR_BLOCK])
+    return out.reshape(x.shape)[()]
+
+
+# log ndtr(x) below this x is the asymptotic series, in LOG_NDTR_TERMS terms
+_LOG_NDTR_SERIES_BELOW = -20.0
+_LOG_NDTR_TERMS = 16
+
+
+def log_ndtr(x):
+    """log of the standard normal CDF with full relative accuracy: log1p of
+    minus the upper tail above -1, the log of ndtr down to -20, and below it
+    the asymptotic series -x^2/2 - log(-x sqrt(2 pi)) + log(1 - 1/x^2 +
+    3/x^4 - ...), whose terms fall below 1e-20 there."""
+    x = np.asarray(x, float)
+    high = x > -1.0
+    tail = ndtr(np.where(high, -x, x))
+    with np.errstate(divide="ignore"):
+        out = np.where(high, np.log1p(-tail), np.log(tail))
+    low = x <= _LOG_NDTR_SERIES_BELOW
+    if low.any():
+        xl = x[low]
+        inv = 1.0 / (xl * xl)
+        term = np.ones(xl.shape)
+        series = np.ones(xl.shape)
+        for i in range(1, _LOG_NDTR_TERMS):
+            term *= -(2 * i - 1) * inv
+            series += term
+        out[low] = (-0.5 * xl * xl - np.log(-xl) - 0.5 * math.log(2.0 * math.pi)
+                    + np.log(series))
+    return out[()]
 
 
 def norm_cdf(x, var):
@@ -71,33 +188,144 @@ def mean_excess(var, x):
     return out[()]
 
 
+def _genz_nodes(order: int):
+    """Gauss-Legendre nodes on [0, 2] and their weights, as Genz's bvnu
+    uses them."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 1.0 + x, w
+
+
+# Genz's node counts by |rho|: 6, 12 and 20 points below 0.3, 0.75 and 0.925
+_BVN_BRACKETS = ((0.3, *_genz_nodes(6)), (0.75, *_genz_nodes(12)),
+                 (0.925, *_genz_nodes(20)))
+_BVN_STRONG_NODES = _genz_nodes(20)
+# points per block, so that (points x nodes) temporaries stay small
+BVN_BLOCK = 8192
+
+
+def _bvn_moderate(h, k, r, nh, nk, x, w):
+    """P(X <= h, Y <= k) for |r| < 0.925: Drezner and Wesolowsky's integral
+    of the density over the correlation, from 0 to r, in Genz's
+    arcsine form."""
+    # arrays are (node, point), so that each pass runs along the points; a
+    # scalar r gives (node, 1) node terms
+    asr = 0.5 * np.arcsin(r)
+    sn = np.sin(x[:, None] * asr)
+    den = 1.0 - sn * sn
+    hs = 0.5 * (h * h + k * k)
+    # the exponent is at most 0: |sn hk| <= |hk| <= hs
+    e = sn * (h * k)
+    e -= hs
+    e /= den
+    return (w @ np.exp(e)) * (asr / (2.0 * math.pi)) + nh * nk
+
+
+def _bvn_strong(h, k, r, nh, nk):
+    """P(X <= h, Y <= k) for 0.925 <= |r| < 1: Genz's bvnu(-h, -k, r), which
+    integrates from |r| to 1 after an asymptotic expansion of the
+    singular part."""
+    x, w = _BVN_STRONG_NODES
+    # arrays are (node, point), so that each pass runs along the points; a
+    # scalar r gives (node, 1) node terms
+    neg = r < 0.0
+    as_ = 1.0 - r * r
+    a = np.sqrt(as_)
+    xs = (0.5 * x[:, None] * a) ** 2
+    rs = np.sqrt(1.0 - xs)
+    shrink, inv_rs = xs / (1.0 + rs) ** 2, 1.0 / rs
+    hh = -h
+    kk = np.where(neg, k, -k)
+    hk = hh * kk
+    bs = (hh - kk) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 80.0
+    # every exponent below is at most 0, since bs >= -4 hk
+    bvn = a * np.exp(-0.5 * (bs / as_ + hk)) * (
+        1.0 - c * (bs - as_) * (1.0 - d * bs) / 3.0 + c * d * as_ * as_)
+    b = np.sqrt(bs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = (np.exp(-0.5 * hk) * (SQRT_2PI * ndtr(-b / a)) * b
+                * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+    bvn = bvn - np.where(hk > -100.0, lead, 0.0)
+    expo = bs / xs
+    expo += hk
+    expo *= -0.5
+    # Genz drops the nodes whose exponent is below -100; the floor keeps
+    # exp off its slow path for huge negative arguments
+    drop = expo < -100.0
+    np.maximum(expo, -100.0, out=expo)
+    sp = 5.0 * d * xs
+    sp += 1.0
+    sp *= c * xs
+    sp += 1.0
+    sp *= np.exp(expo)
+    expo -= 0.5 * hk * shrink
+    sp -= np.exp(expo) * inv_rs
+    sp[drop] = 0.0
+    bvn = (0.5 * a * (w @ sp) - bvn) / (2.0 * math.pi)
+    # P(X > -h, Y > -k) for r > 0; for r < 0, the orthant with k flipped
+    flip = hh < 0.0
+    upper = np.where(flip, nk, nh) - ndtr(np.where(flip, -h, -k))
+    return np.where(neg, np.where(hh >= kk, -bvn, upper - bvn), bvn + np.minimum(nh, nk))
+
+
+def _bvn(h, k, rho):
+    """(cdf, ndtr(h), ndtr(k), shape): bvn_cdf's values and marginals as
+    flat arrays, and the broadcast shape to give them."""
+    h, k = np.asarray(h, float), np.asarray(k, float)
+    rho = np.asarray(rho, float)
+    shape = np.broadcast_shapes(h.shape, k.shape, rho.shape)
+    h, k = np.broadcast_to(h, shape).ravel(), np.broadcast_to(k, shape).ravel()
+    if rho.ndim:
+        rho = np.broadcast_to(rho, shape).ravel()
+    nh, nk = ndtr(h), ndtr(k)
+    out = np.full(h.shape, np.nan)
+    mag = np.broadcast_to(np.abs(rho), h.shape)
+    lo = 0.0
+    # an infinite h or k gives NaN here; it is set from the margins below
+    with np.errstate(invalid="ignore"):
+        for hi, x, w in _BVN_BRACKETS + ((1.0, None, None),):
+            idx = np.flatnonzero((mag >= lo) & (mag < hi))
+            lo = hi
+            for s in range(0, idx.size, BVN_BLOCK):
+                blk = idx[s:s + BVN_BLOCK]
+                r = rho if rho.ndim == 0 else rho[blk]
+                args = (h[blk], k[blk], r, nh[blk], nk[blk])
+                out[blk] = _bvn_strong(*args) if x is None else _bvn_moderate(*args, x, w)
+    out = np.clip(out, 0.0, 1.0)
+    out = np.where((h == 0.0) & (k == 0.0),
+                   0.25 + np.arcsin(np.where(mag < 1.0, rho, 0.0)) / (2.0 * math.pi), out)
+    out = np.where(rho >= 1.0, np.minimum(nh, nk), out)
+    out = np.where(rho <= -1.0, np.maximum(0.0, nh + nk - 1.0), out)
+    out = np.where(h == np.inf, nk, np.where(k == np.inf, nh, out))
+    out = np.where((h == -np.inf) | (k == -np.inf), 0.0, out)
+    return out, nh, nk, shape
+
+
+def _shaped(out: np.ndarray, shape):
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def bvn_cdf(h, k, rho):
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho.
 
-    Owen's-T identity; accurate to ~1e-15, which the covariance quadrature
-    cross-checks rely on.  Degenerate rho = +-1 are handled as hard limits.
-    Arrays broadcast; scalars give a float.
+    Genz's Gauss-Legendre form of Drezner and Wesolowsky's method (Stat.
+    Comput. 14, 2004), blockwise over the points; accurate to ~1e-16
+    absolute, which the covariance quadrature cross-checks rely on.
+    Degenerate rho = +-1 and h = k = 0 are handled as closed forms.  Arrays
+    broadcast; a scalar rho is shared by every point, an array rho is read
+    per point.  Scalars give a float.
     """
-    h, k, rho = np.broadcast_arrays(np.asarray(h, float), np.asarray(k, float),
-                                    np.asarray(rho, float))
-    swap = h == 0.0
-    h, k = np.where(swap, k, h), np.where(swap, h, k)
-    r = np.where(np.abs(rho) < 1.0, rho, 0.0)
-    den = np.sqrt(1.0 - r * r)
-    # signs compared, not h * k, which underflows to 0 for tiny h and k;
-    # the Owen's-T arguments divide before they subtract, since r * h
-    # rounds to 0 for a subnormal h
-    beta = np.where((h < 0.0) != (k < 0.0), 0.5, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_h = owens_t(h, (k / h - r) / den)
-        t_k = np.where(k == 0.0, np.copysign(0.25, h),
-                       owens_t(k, (h / k - r) / den))
-    nh, nk = ndtr(h), ndtr(k)
-    out = 0.5 * (nh + nk) - t_h - t_k - beta
-    out = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(r) / (2.0 * math.pi), out)
-    out = np.where(rho >= 1.0, np.minimum(nh, nk), out)
-    out = np.where(rho <= -1.0, np.maximum(0.0, nh + nk - 1.0), out)
-    return float(out) if out.ndim == 0 else out
+    out, _, _, shape = _bvn(h, k, rho)
+    return _shaped(out, shape)
+
+
+def bvn_cov(h, k, rho):
+    """bvn_cdf(h, k, rho) - ndtr(h) ndtr(k), the covariance of the indicators
+    of X <= h and Y <= k, reusing bvn_cdf's own marginals."""
+    out, nh, nk, shape = _bvn(h, k, rho)
+    return _shaped(out - nh * nk, shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -180,8 +408,8 @@ def mvn_cdf_3(upper, cov):
     """P(Z_i <= upper_i, i=1..3) for a centered trivariate normal.
 
     Deterministic evaluation: condition on the first coordinate and reduce
-    to a 1-d integral of Owen's-T bivariate CDFs (Genz, Stat. Comput. 14,
-    2004), by a Gauss-Legendre panel rule on node arrays.  `upper` may
+    to a 1-d integral of bivariate CDFs (Genz, Stat. Comput. 14, 2004), by
+    a Gauss-Legendre panel rule on node arrays.  `upper` may
     carry leading batch axes (shape (..., 3)); a single vector gives a
     float.  Requires a nonsingular covariance.
     """
@@ -238,7 +466,8 @@ def kolmogorov_sf(n: int, d: float) -> float:
     n d^2 >= 2.2, 0 where n d^2 >= 370, else one minus the CDF, by Durbin's
     matrix where n <= 1e5 and n d^1.5 <= 1.4 and by Pelz-Good otherwise.
     Each branch keeps scipy's operations and their order, so the two agree
-    bit for bit.
+    bit for bit, but for the one-sided tail, `smirnov`, which agrees with
+    scipy's to 1e-12.
     """
     if n <= KS_MIN_SAMPLES:
         raise ValueError(f"kolmogorov_sf needs more than {KS_MIN_SAMPLES} samples, got {n}")
@@ -268,6 +497,43 @@ def kolmogorov_sf(n: int, d: float) -> float:
     else:
         cdf = _pelz_good_cdf(n, x)
     return _unit(1.0 - np.clip(cdf, 0.0, 1.0))
+
+
+# Stirling's remainder at k = 0, ..., 9 (0 at k = 0, where it is unused)
+_STIRLING_SMALL = np.array([0.0] + [
+    math.lgamma(j + 1.0) - (j * math.log(j) - j + 0.5 * math.log(2.0 * math.pi * j))
+    for j in range(1, 10)])
+
+
+def stirling_remainder(k):
+    """log k! - (k log k - k + log(2 pi k) / 2) for integers k >= 1, the
+    remainder of Stirling's formula, elementwise: from math.lgamma for
+    k < 10, else the first eight terms of its series (error below 1e-17)."""
+    k = np.asarray(k, float)
+    small = k < _STIRLING_SMALL.size
+    kb = np.where(small, 10.0, k)
+    series = np.polyval(_STIRLING_COEFFS, 1.0 / (kb * kb)) / kb
+    return np.where(small, _STIRLING_SMALL[np.where(small, k, 0).astype(np.int64)],
+                    series)[()]
+
+
+def smirnov(n: int, d) -> float:
+    """P(D+_n >= d) for the one-sided Kolmogorov-Smirnov statistic of n
+    samples, 0 < d < 1: the Birnbaum-Tingey sum (Ann. Math. Statist. 22,
+    1951) over j <= n (1 - d) of C(n, j) (1 - d - j/n)^(n - j) (d + j/n)^(j - 1) d.
+
+    Each term is formed in log space, with Stirling's formula for C(n, j)
+    written so that its O(n) parts cancel before rounding: j log(1 + d n/j)
+    + (n - j) log(1 - d n/(n - j)) plus O(log n) terms.
+    """
+    d = float(d)
+    j = np.arange(1.0, min(math.floor(n * (1.0 - d)), n - 1) + 1.0)
+    m = n - j
+    with np.errstate(divide="ignore"):
+        log_terms = (j * np.log1p(d * n / j) + m * np.log1p(-np.minimum(d * n / m, 1.0))
+                     - np.log(d + j / n) + 0.5 * np.log(n / (2.0 * math.pi * j * m))
+                     + stirling_remainder(n) - stirling_remainder(j) - stirling_remainder(m))
+    return float(np.sum(d * np.exp(log_terms))) + math.exp(n * math.log1p(-d))
 
 
 def _unit(p) -> float:

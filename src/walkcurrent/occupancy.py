@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import MgfDomainError, NewtonConvergenceError
 
@@ -25,6 +24,27 @@ INF = math.inf
 def _result(arr: np.ndarray):
     """A 0-d result as a Python float, any other as the array itself."""
     return float(arr) if arr.ndim == 0 else arr
+
+
+def logsumexp(a, b=None, axis=None):
+    """log(sum(b * exp(a))) over `axis` (all axes by default), for weights
+    b >= 0 (1 by default), as scipy.special.logsumexp forms it: the largest
+    terms are factored out and the rest enter through log1p."""
+    a = np.asarray(a, float)
+    b = np.ones(a.shape) if b is None else np.broadcast_to(np.asarray(b, float), a.shape)
+    a = np.where(b != 0.0, a, -INF)
+    top = np.max(a, axis=axis, keepdims=True)
+    is_top = a == top
+    m = np.sum(np.where(is_top, b, 0.0), axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rest = np.sum(np.where(is_top, 0.0, b * np.exp(a - top)), axis=axis, keepdims=True)
+        out = np.log1p(rest / m) + np.log(m) + top
+        if not np.isfinite(out).all():
+            # an infinite maximum, or no positive weight: the plain sum is
+            # exact there
+            out = np.where(np.isfinite(out), out,
+                           np.log(np.sum(b * np.exp(a), axis=axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +62,8 @@ class OccupancyModel:
     _s: float = 0.0
     _values: Optional[np.ndarray] = field(default=None)
     _probs: Optional[np.ndarray] = field(default=None)
+    # custom: the normalized cdf of _probs, numpy's own Generator.choice table
+    _cdf: Optional[np.ndarray] = field(default=None)
 
     # ---------------------------------------------------------------- ctors
     @classmethod
@@ -90,7 +112,9 @@ class OccupancyModel:
         parr = parr / parr.sum()
         mean = float(np.dot(values, parr))
         var = float(np.dot((values - mean) ** 2, parr))
-        return cls(kind="custom", rho0=mean, v0=var, _values=values, _probs=parr)
+        cdf = parr.cumsum()
+        cdf /= cdf[-1]
+        return cls(kind="custom", rho0=mean, v0=var, _values=values, _probs=parr, _cdf=cdf)
 
     # ------------------------------------------------------------ cumulants
     @property
@@ -236,4 +260,6 @@ class OccupancyModel:
         if self.kind == "geometric":
             # numpy's geometric counts trials >= 1; subtract for support {0,1,...}
             return (rng.geometric(1.0 - self._s, size=size) - 1).astype(np.int64)
-        return rng.choice(self._values, size=size, p=self._probs).astype(np.int64)
+        # rng.choice(values, size, p=probs) draw for draw, without rebuilding
+        # and revalidating its table on every call
+        return self._values[self._cdf.searchsorted(rng.random(size), side="right")]

@@ -31,6 +31,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
+# numpy loads its random module on first use; every command that draws
+# needs it, so it loads with the package rather than in the first draw
+import numpy.random  # noqa: F401
 
 from .errors import TruncationBudgetError, WindowUnreachableError
 from .kernel import (JumpKernel, LatticePmf, chernoff_log_tail, marked_poisson_pmf,
@@ -654,16 +657,17 @@ def run_ensemble(config: ExperimentConfig) -> Iterator[CurrentField]:
 # --------------------------------------------------------------------------
 
 def _finite_site_pmfs(values: np.ndarray, probs: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # row m: Binomial(eta, p[m]), eta from the finite law; each row rescaled
-    # so rounding cannot build up.  scipy.stats is imported here, by the
-    # oracle alone, so that no command pays for it at start-up.
-    from scipy import stats
-
+    # row m: Binomial(eta, p[m]) mixed over eta from the finite law, each
+    # pmf C(eta, k) p^k (1 - p)^(eta - k) from exact binomial coefficients;
+    # each row rescaled so rounding cannot build up
     counts = np.arange(int(values[-1]) + 1)
-    binom = stats.binom.pmf(counts, values.astype(np.int64)[:, None, None], p[:, None])
-    out = np.zeros(binom.shape[1:])
-    for pv, pmf in zip(probs, binom):
-        out += pv * pmf
+    p = p[:, None]
+    q = 1.0 - p
+    out = np.zeros((p.size, counts.size))
+    for eta, pv in zip(values.tolist(), probs):
+        k = counts[:eta + 1]
+        comb = np.array([math.comb(eta, j) for j in k.tolist()], float)
+        out[:, :eta + 1] += pv * (comb * p ** k * q ** (eta - k))
     return out / np.array([math.fsum(row) for row in out])[:, None]
 
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import GridMismatchError, InsufficientReplicasError
 from .gaussian import LimitCovariance, limit_cov_matrix
-from .normal import kolmogorov_sf
+from .normal import kolmogorov_sf, ndtr
 
 # The smallest inputs the estimators accept; load_config checks the same
 # numbers, so that a config too small for its command fails before any
@@ -239,7 +238,8 @@ def normality_diagnostics(samples: np.ndarray, analytic_var: float,
     are dithered by Uniform(-lattice/2, lattice/2) so the KS statistic
     measures distance from the normal law rather than raw discreteness.
     The statistic D = max(D+, D-) is formed as `scipy.stats.ks_1samp` forms
-    it and its p-value is `normal.kolmogorov_sf`, so `ks_p` is `kstest`'s.
+    it and its p-value is `normal.kolmogorov_sf`, so `ks_p` is `kstest`'s
+    (to 1e-12 where the one-sided tail decides it).
     """
     x = np.asarray(samples, float)
     if x.size < MIN_NORMALITY_SAMPLES:

@@ -5,12 +5,14 @@ convolution of one dilated Poisson pmf per offset, the Poisson current as a
 Skellam law.  The functions here keep the earlier route -- a Poisson(tau)
 mixture of j-fold kernel convolutions, and a convolution of one truncated
 Poisson pmf per window site -- so the tests can compare the two.  They also
-keep the Poisson window with its tail read from `scipy.stats.poisson`, and
-a multi-time walk sampler built on `sample_displacement`.
+keep the Poisson window with its tail read from `scipy.stats.poisson`, the
+exact window tail from mpmath's incomplete gamma function, and a multi-time
+walk sampler built on `sample_displacement`.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import stats
 
@@ -97,6 +99,18 @@ def stats_poisson_window(mu, tol):
     raw = np.concatenate((down[::-1], [1.0], up))
     tail = float(stats.poisson.cdf(a - 1, mu) + stats.poisson.sf(b, mu))
     return a, raw * ((1.0 - tail) / math.fsum(raw)), tail
+
+
+def exact_poisson_tail(mu, tol):
+    """The tail mass P(N < a) + P(N > b) of kernel._poisson_window's window
+    [a, b], from the regularized incomplete gamma function in 30 digits:
+    P(N < a) = Q(a, mu) and P(N > b) = P(b + 1, mu)."""
+    log_t = math.log(2.0 / tol)
+    a = max(0, math.floor(mu - math.sqrt(2.0 * log_t * mu)))
+    b = math.ceil(mu + log_t / 3.0 + math.sqrt(log_t ** 2 / 9.0 + 2.0 * log_t * mu))
+    with mpmath.workdps(30):
+        low = mpmath.gammainc(a, mu, mpmath.inf, regularized=True) if a > 0 else 0
+        return float(low + mpmath.gammainc(b + 1, 0, mu, regularized=True))
 
 
 def sample_increments(kernel, times, rng, size=None):

@@ -337,6 +337,7 @@ class TestCliFailures:
         ("simulate", {"occupancy": {"type": "geometric", "rho": math.inf}}, "occupancy"),
         ("simulate", {"occupancy": {"type": "custom", "pmf": [[2.5, 1.0]]}}, "occupancy.pmf"),
         ("simulate", {"kernel": [[math.inf, 1.0]]}, "kernel"),
+        ("simulate", {"kernel": [[1.5, 0.7], [-1, 0.3]]}, "kernel"),
         ("fidi", {"fidi": dict(FIDI, times=[])}, "fidi.times"),
         ("fidi", {"fidi": dict(FIDI, times=[0.5, 1.0, 1.5, 2.0])}, "fidi.times"),
         ("fidi", {"fidi": dict(FIDI, times=[1.0, 0.5])}, "fidi.times"),
@@ -349,6 +350,7 @@ class TestCliFailures:
             "rate-table-kappa2-negative", "identity-checks-negative", "S-infinite",
             "t-grid-nan", "r-grid-nan", "seed-negative", "poisson-rho-infinite",
             "geometric-rho-infinite", "custom-value-fraction", "kernel-offset-infinite",
+            "kernel-offset-fraction",
             "fidi-no-times", "fidi-four-times",
             "fidi-times-descending", "fidi-time-zero", "fidi-rho-zero",
             "fidi-kappa2-negative", "fidi-x-length", "fidi-x-not-list"])
@@ -378,6 +380,41 @@ class TestCliFailures:
         err = capsys.readouterr().err
         assert "occupancy" in err and "Warning" not in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["simulate", "cov-check", "limit-tables",
+                                         "rate-table"])
+    def test_repeated_kernel_offset_exits_2(self, tmp_path, capsys, command):
+        # the kernel used to be read as a dict, so the last weight of offset
+        # 1 replaced the first and every command ran {1: 0.3, -1: 0.3}
+        extra = {"ldp": {"t": 1.0, "x_grid": [0.5]}}
+        cfg = write_cfg(tmp_path, kernel=[[1, 0.7], [-1, 0.3], [1, 0.3]], **extra)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        assert "error: kernel: offset 1 appears more than once" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["cov-check", "fbm-check", "limit-tables",
+                                         "rate-empirical", "rate-table"])
+    def test_kernel_that_never_moves_exits_2(self, tmp_path, capsys, command):
+        # kappa2 = 0 used to exit 3 at run time (cov-check, fbm-check,
+        # limit-tables) or exit 2 naming ldp.kappa2, a key the config lacks
+        extra = {"ldp": {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100],
+                         "x_grid": [0.5]}}
+        if command == "fbm-check":
+            extra.update(FBM_FIXED)
+        cfg = write_cfg(tmp_path, kernel=[[0, 1.0]], **extra)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        assert "error: kernel:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_kernel_that_never_moves_simulates_zeros(self, tmp_path):
+        cfg = write_cfg(tmp_path, kernel=[[0, 1.0]], replicas=100)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        report = json.loads(Path(os.path.join(out, "simulate.json")).read_text())
+        assert all(row["min"] == row["max"] == row["variance"] == 0.0
+                   for row in report["rows"])
 
     def test_empty_occupancy_simulates_zeros(self, tmp_path):
         cfg = write_cfg(tmp_path, occupancy={"type": "deterministic", "count": 0},

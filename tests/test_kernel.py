@@ -8,7 +8,8 @@ from scipy import stats as spstats
 
 import walkcurrent as wc
 from conftest import lattice_chisquare
-from pmf_oracles import convolution_walk_pmf, sample_increments, stats_poisson_window
+from pmf_oracles import (convolution_walk_pmf, exact_poisson_tail, sample_increments,
+                         stats_poisson_window)
 from walkcurrent import kernel as kernel_module
 
 
@@ -193,27 +194,32 @@ class TestWalkPmf:
 
 
 class TestPoissonWindow:
-    """The window's tail comes from scipy.special's pdtr and pdtrc; the
-    oracle reads it from scipy.stats.poisson.  They agree bit for bit."""
+    """The window's start and masses are those of the oracle that reads its
+    tail from scipy.stats.poisson, bit for bit.  The raw tail, summed
+    outward from a - 1 and b + 1, is checked against the incomplete gamma
+    function in 30 digits, to 1e-12 relative down to the smallest normal
+    float: scipy's own Poisson tails are off by up to 1e-8 relative at tol
+    1e-12 near mu = 1e6, so they cannot check it."""
 
     @staticmethod
-    def assert_same(got, want):
+    def assert_same(got, want, mu, tol):
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
-        assert got[2] == want[2]
+        exact = exact_poisson_tail(mu, tol)
+        assert abs(got[2] - exact) <= 1e-12 * max(exact, np.finfo(float).tiny)
 
     @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.5])
     def test_window_from_zero(self, mu):
         window = kernel_module._poisson_window(mu, 1e-12)
         assert window[0] == 0
-        self.assert_same(window, stats_poisson_window(mu, 1e-12))
+        self.assert_same(window, stats_poisson_window(mu, 1e-12), mu, 1e-12)
 
     def test_random_means(self):
         rng = np.random.default_rng(17)
         for mu in 10.0 ** rng.uniform(-3.0, 6.0, 100):
             for tol in (1e-12, 1e-300):
                 self.assert_same(kernel_module._poisson_window(mu, tol),
-                                 stats_poisson_window(mu, tol))
+                                 stats_poisson_window(mu, tol), mu, tol)
 
     def test_pmfs_unchanged_at_bench_configs(self, monkeypatch):
         drift = wc.validate_kernel({1: 0.7, -1: 0.3})

@@ -196,6 +196,21 @@ class TestSampling:
         assert abs(freq - 0.5) < 4 * se
         assert set(np.unique(counts)) <= {0, 3}
 
+    @pytest.mark.parametrize("pmf", [[(0, 0.5), (3, 0.5)], [(1, 0.2), (2, 0.3), (7, 0.5)],
+                                     [(4, 1.0)], [(0, 1e-9), (2, 0.7), (5, 0.3)]])
+    def test_custom_draw_is_generator_choice(self, pmf):
+        # the cdf built once at construction replays Generator.choice with
+        # p = probs draw for draw, and leaves the stream where it left it
+        m = OccupancyModel.custom(pmf)
+        for seed in range(20):
+            for size in (0, 1, 17, 1000):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = m.sample_counts(got_rng, size)
+                want = want_rng.choice(m._values, size=size, p=m._probs)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert got_rng.random() == want_rng.random()
+
     def test_geometric_moments(self, rng):
         m = OccupancyModel.geometric(1.5)
         counts = m.sample_counts(rng, 200_000)

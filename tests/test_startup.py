@@ -1,10 +1,9 @@
-"""What the CLI loads: no command of the ensemble or rate workloads imports
-scipy.stats or scipy.optimize.
+"""What the CLI loads: no command imports any part of scipy.
 
-Together the two take about 0.8 s to import, more than the commands' own
-work at acceptance scale, so an eager import of either fails here.  The
-commands run in a fresh interpreter, because the test suite itself imports
-scipy.stats.
+scipy.stats and scipy.optimize together take about 0.8 s to import, and
+scipy.special about 0.3 s, more than the commands' own work at acceptance
+scale, so an eager or lazy import of any of them fails here.  The commands
+run in a fresh interpreter, because the test suite itself imports scipy.
 """
 
 import json
@@ -75,3 +74,49 @@ def test_commands_skip_scipy_stats_and_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == str(
         {"after_ensembles": [], "after_rate_empirical": [], "after_rate_table": []})
+
+
+MORE_RUNS = {
+    "rate-empirical-deterministic": ("rate-empirical", dict(
+        CONFIGS["rate-empirical"], occupancy={"type": "deterministic", "count": 1})),
+    "rate-table-poisson": ("rate-table", dict(
+        CONFIGS["rate-table"], occupancy={"type": "poisson", "rho": 1.0})),
+    "fidi": ("fidi", {"fidi": {"times": [0.5, 1.0, 2.0], "rho": 1.0, "kappa2": 1.0,
+                               "x_vectors": [[0.5, 0.5, 0.5], [1.0, 0.5, -0.5]]}}),
+    "limit-tables": ("limit-tables", {"kernel": DRIFT,
+                                      "occupancy": {"type": "poisson", "rho": 1.0},
+                                      "limit": {"seed": 3, "count": 2,
+                                                "identity_checks": 2}}),
+}
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import walkcurrent.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+root, runs = sys.argv[1], json.loads(sys.argv[2])
+loaded = {"import": scipy_modules()}
+for label, command in runs:
+    code = cli.main([command, "--config", f"{root}/{label}.json", "--out", f"{root}/{label}"])
+    assert code in (0, 1), (label, code)
+    loaded[label] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    runs = {command: (command, config) for command, config in CONFIGS.items()}
+    runs.update(MORE_RUNS)
+    for label, (_, config) in runs.items():
+        (tmp_path / f"{label}.json").write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    order = [[label, command] for label, (command, _) in runs.items()]
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path),
+                           json.dumps(order)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert loaded == {label: [] for label in ["import"] + list(runs)}
