@@ -306,15 +306,23 @@ def load_config(path: str, overrides: Optional[dict] = None,
         if section.get("count", 1) < 1:
             raise ConfigValidationError(
                 f"limit.count: expected a positive integer, got {section['count']!r}")
-        if section.get("identity_checks", 0) < 0:
-            raise ConfigValidationError(f"limit.identity_checks: expected a nonnegative "
-                                        f"integer, got {section['identity_checks']!r}")
+        for key in ("identity_checks", "seed"):
+            if section.get(key, 0) < 0:
+                raise ConfigValidationError(f"limit.{key}: expected a nonnegative "
+                                            f"integer, got {section[key]!r}")
+        for key, positive in (("rho0", False), ("v0", False), ("kappa2", True)):
+            value = section.get(key, 1.0)
+            if not (is_finite_number(value) and (value > 0.0 or not positive and value == 0.0)):
+                raise ConfigValidationError(
+                    f"limit.{key}: expected a {'positive' if positive else 'nonnegative'} "
+                    f"number, got {value!r}")
         pairs = section.get("pairs")
         if pairs is not None and not (isinstance(pairs, list) and pairs and all(
                 isinstance(p, list) and len(p) == 4 and all(map(is_finite_number, p))
-                for p in pairs)):
+                and p[0] >= 0.0 and p[2] >= 0.0 for p in pairs)):
             raise ConfigValidationError(
-                f"limit.pairs: expected a nonempty list of [s, q, t, r], got {pairs!r}")
+                f"limit.pairs: expected a nonempty list of [s, q, t, r] with times "
+                f"s, t >= 0, got {pairs!r}")
         spec.limit = section
 
     spec.retain_points = _retain_points(resolved.get("retain_points", []),

@@ -47,8 +47,8 @@ def dynamic_cov(s, q, t, r, kappa2: float):
     Broadcasts over arrays of (s, q, t, r); scalars give a float.
     """
     s, q, t, r = _broadcast(s, q, t, r)
-    d = np.abs(q - r)
-    return _value(mean_excess(kappa2 * (t + s), d) - mean_excess(kappa2 * np.abs(t - s), d))
+    at_sum, at_gap = mean_excess(kappa2 * np.stack([t + s, np.abs(t - s)]), np.abs(q - r))
+    return _value(at_sum - at_gap)
 
 
 def initial_cov(s, q, t, r, kappa2: float):
@@ -57,9 +57,8 @@ def initial_cov(s, q, t, r, kappa2: float):
     Broadcasts like dynamic_cov.
     """
     s, q, t, r = _broadcast(s, q, t, r)
-    d = np.abs(q - r)
-    return _value(mean_excess(kappa2 * s, d) + mean_excess(kappa2 * t, d)
-                  - mean_excess(kappa2 * (t + s), d))
+    at_s, at_t, at_sum = mean_excess(kappa2 * np.stack([s, t, t + s]), np.abs(q - r))
+    return _value(at_s + at_t - at_sum)
 
 
 @dataclass(frozen=True)
@@ -393,9 +392,10 @@ class StochasticIntegralSampler:
 def covariance_table(params: LimitCovariance, pairs) -> list[dict]:
     """Rows of (s, q, t, r, initial, dynamic, cov) for goldens and docs."""
     s, q, t, r = np.asarray(pairs, float).reshape(-1, 4).T
-    ini = initial_cov(s, q, t, r, params.kappa2).tolist()
-    dyn = dynamic_cov(s, q, t, r, params.kappa2).tolist()
-    cov = limit_cov(params, (s, q), (t, r)).tolist()
+    ini = initial_cov(s, q, t, r, params.kappa2)
+    dyn = dynamic_cov(s, q, t, r, params.kappa2)
+    cov = params.rho0 * dyn + params.v0 * ini  # limit_cov, from the parts at hand
     return [{"s": s, "q": q, "t": t, "r": r,
              "initial_cov": i, "dynamic_cov": d, "cov": c}
-            for ((s, q), (t, r)), i, d, c in zip(pairs, ini, dyn, cov)]
+            for ((s, q), (t, r)), i, d, c in zip(pairs, ini.tolist(), dyn.tolist(),
+                                                 cov.tolist())]

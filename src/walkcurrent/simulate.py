@@ -16,11 +16,12 @@ signed sum of the particle counts in path classes, and the table holds each
 start site's class law, so a batch of replicas is one draw -- independent
 Poisson class counts under Poisson occupancy, and under any other law a
 class for each particle that moves (falls in a class with a nonzero sign),
-the others never drawn.  The particle engine (`simulate_replica`) draws
-every particle and its path; it is the independent check on the class
-engine and runs the ensembles whose classes outnumber the window sites.  An
-exact single-point distribution oracle (a Skellam law under Poisson
-occupancy) is provided for validation.
+read off its site's cumulative class law by one uniform, the others never
+drawn.  The particle engine (`simulate_replica`) draws every particle and
+its path; it is the independent check on the class engine and runs the
+ensembles whose classes outnumber the window sites.  An exact single-point
+distribution oracle (a Skellam law under Poisson occupancy) is provided for
+validation.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ DRAW_CELLS = 1 << 12
 # A site whose particles move with probability above this draws one uniform
 # per particle; one at or below it draws Poisson points over its particles
 DENSE_MOVE = 0.5
-# rows of one pass of the alias-table build, for the same reason
-ALIAS_ROWS = 256
+# A mover's class is read from its site's cumulative class law cut to this
+# many bits below the site index, so one sorted int64 array holds every row:
+# windows of under 2^(63 - CDF_BITS) sites, each class off by < 2^-CDF_BITS
+CDF_BITS = 40
 
 # Tail mass each Poisson window of the Skellam current pmf may drop: so far
 # below any tail that tail_geq reads that the windows reach the underflow.
@@ -344,38 +347,6 @@ def split_batches(replicas: int) -> list[range]:
     return out
 
 
-def _alias_tables(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Walker alias tables (accept, alias), one per row of probs; probs is
-    overwritten and becomes accept.
-
-    Column c of a row is drawn by picking a column uniformly and keeping it
-    with probability accept[c], else taking alias[c].  Vose's pairing runs
-    on ALIAS_ROWS rows at once: each pass settles one underfull column per
-    row against an overfull one.  Columns left when rounding runs out of
-    partners keep accept 1.
-    """
-    k = probs.shape[1]
-    probs *= k
-    alias = np.tile(np.arange(k, dtype=np.min_scalar_type(k - 1)), (probs.shape[0], 1))
-    for start in range(0, probs.shape[0], ALIAS_ROWS):
-        scaled = probs[start:start + ALIAS_ROWS]
-        block = alias[start:start + ALIAS_ROWS]
-        live = np.ones(scaled.shape, bool)
-        for _ in range(k):
-            small = live & (scaled < 1.0)
-            large = live & (scaled >= 1.0)
-            r = np.flatnonzero(small.any(axis=1) & large.any(axis=1))
-            if not r.size:
-                break
-            lo = small[r].argmax(axis=1)
-            hi = large[r].argmax(axis=1)
-            block[r, lo] = hi
-            live[r, lo] = False
-            scaled[r, hi] -= 1.0 - scaled[r, lo]
-        scaled[live] = 1.0
-    return probs, alias
-
-
 @dataclass(frozen=True, eq=False)
 class ClassTable:
     """Path classes of the certified window, with each start site's law.
@@ -391,9 +362,9 @@ class ClassTable:
     expected sign vector; occupancy is the law the table was built for.
     Under any occupancy law other than Poisson, move[m] = sum_c pi_m(c) is
     the probability that a particle started at site m moves (falls in a
-    class with a nonzero sign), and accept and alias are the Walker tables
-    of its conditional class law pi_m(c) / move[m]; the rows of sites with
-    move 0 are never read.
+    class with a nonzero sign), and cdf[m] is the cumulative sum of its
+    conditional class law pi_m(c) / move[m], ending at exactly 1; the rows
+    of sites with move 0 are all 0 and never read.
     """
 
     classes: np.ndarray     # int64, shape (ncls, 1 + len(t_grid))
@@ -401,9 +372,8 @@ class ClassTable:
     means: np.ndarray       # float, shape (ncls,)
     site_means: np.ndarray  # float, shape (nsites, len(t_grid) * len(r_grid))
     occupancy: OccupancyModel
-    move: Optional[np.ndarray] = None    # float, shape (nsites,)
-    accept: Optional[np.ndarray] = None  # float, shape (nsites, ncls)
-    alias: Optional[np.ndarray] = None   # unsigned, shape (nsites, ncls)
+    move: Optional[np.ndarray] = None  # float, shape (nsites,)
+    cdf: Optional[np.ndarray] = None   # float, shape (nsites, ncls)
 
     def draw(self, rng: np.random.Generator, size: int,
              cells: int = DRAW_CELLS) -> np.ndarray:
@@ -411,13 +381,13 @@ class ClassTable:
         row each.
 
         Poisson occupancy thins into independent Poisson class counts.  Any
-        other law draws which particles move, then each mover's class from
-        its site's alias table (`_draw_movers`).  The rows go at most
-        `cells` cells at a time, but at least one row, which bounds the
-        memory of one call: (replica, class) cells under Poisson occupancy,
-        particles at dense sites under a fixed count, (replica, site) counts
-        under a random count.  The split is fixed by the table, `size` and
-        `cells`.
+        other law draws which particles move, then each mover's class by
+        inverting its site's cumulative class law (`_draw_movers`).  The
+        rows go at most `cells` cells at a time, but at least one row, which
+        bounds the memory of one call: (replica, class) cells under Poisson
+        occupancy, particles at dense sites under a fixed count, (replica,
+        site) counts under a random count.  The split is fixed by the table,
+        `size` and `cells`.
         """
         if self.move is None:
             width, part = self.means.size, self._draw_class_counts
@@ -449,9 +419,10 @@ class ClassTable:
         particles at a sparse site are unit intervals of a Poisson process of
         rate hazard = -log(1 - move[m]); a particle moves iff a point hits
         it, with probability move[m], independently of the others.  Each
-        mover then takes a class from its site's alias table.
+        mover then takes a class from one uniform (`_pick_classes`): the
+        dense sites' movers in site order, then the sparse sites'.
         """
-        nsites, ncls = self.accept.shape
+        nsites, ncls = self.cdf.shape
         occ = self.occupancy
         fixed = occ.v0 == 0.0
         if fixed:
@@ -481,16 +452,28 @@ class ClassTable:
         # particle -> (site, replica) cell
         cell = moved // k if fixed else np.searchsorted(ends, moved, side="right")
         site, replica = np.divmod(cell, size)
-        # the mover's column is the integer part of ncls u; the fractional
-        # part decides the alias
-        u = rng.random(moved.size)
-        u *= ncls
-        cls = u.astype(np.int64)  # u < ncls, so cls <= ncls - 1
-        u -= cls
-        flat = site * ncls + cls
-        cls = np.where(u >= self.accept.ravel()[flat], self.alias.ravel()[flat], cls)
+        cls = self._pick_classes(site, rng.random(moved.size))
         tally = np.bincount(replica * ncls + cls, minlength=size * ncls)
         return tally.reshape(size, ncls) @ self.signs
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """cdf as one sorted int64 array: entry (m, c) is (m << CDF_BITS) +
+        floor(cdf[m, c] 2^CDF_BITS), cast buffer by buffer with no float copy."""
+        keys = np.multiply(self.cdf, 2.0 ** CDF_BITS, out=np.empty(self.cdf.shape, np.int64),
+                           casting="unsafe")
+        keys += np.arange(self.cdf.shape[0], dtype=np.int64)[:, None] << CDF_BITS
+        return keys.ravel()
+
+    def _pick_classes(self, site: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Class of each mover at window site `site` with uniform u in
+        [0, 1): the first class c with floor(cdf[site, c] 2^CDF_BITS) >
+        floor(u 2^CDF_BITS), by one search of `_keys`.  A mover's row ends at
+        2^CDF_BITS, so the class is in its row; a class with pi_site(c) = 0
+        has the key before it (or the row's start), so it is never picked.
+        Queries in site order keep the search in cache."""
+        query = (site << CDF_BITS) + (u * 2.0 ** CDF_BITS).astype(np.int64)
+        return np.searchsorted(self._keys, query, side="right") - site * self.cdf.shape[1]
 
     def moments(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact mean and covariance of the flattened grid currents under
@@ -615,16 +598,19 @@ def _table_from_laws(occ: OccupancyModel, classes: np.ndarray, signs: np.ndarray
                      probs: np.ndarray) -> ClassTable:
     """The ClassTable of `_site_class_laws`'s output under occupancy occ;
     probs is overwritten."""
+    if occ.kind != "poisson" and probs.shape[0] >= 1 << (63 - CDF_BITS):
+        raise WindowUnreachableError(
+            f"a non-Poisson class table needs fewer than 2^{63 - CDF_BITS} window sites")
     means = occ.rho0 * probs.sum(axis=0)
     site_means = probs @ signs
-    move = accept = alias = None
+    move = cdf = None
     if occ.kind != "poisson":
-        move = np.minimum(probs.sum(axis=1), 1.0)
-        live = move > 0.0
-        probs[live] /= move[live, None]
-        accept, alias = _alias_tables(probs)
+        cdf = np.cumsum(probs, axis=1, out=probs)
+        move = np.minimum(cdf[:, -1], 1.0)
+        live = cdf[:, -1] > 0.0
+        cdf[live] /= cdf[live, -1:]
     return ClassTable(classes=classes, signs=signs, means=means, site_means=site_means,
-                      occupancy=occ, move=move, accept=accept, alias=alias)
+                      occupancy=occ, move=move, cdf=cdf)
 
 
 def batch_currents(config: ExperimentConfig, table: Optional[ClassTable],

@@ -206,12 +206,17 @@ def mean_report(batches: Sequence[EnsembleAccumulator],
 
 def scaling_exponent(t_values: Sequence[float],
                      variances: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares slope of log variance against log time, with its SE."""
+    """Least-squares slope of log variance against log time, with its SE.
+    A variance that is not positive (too few replicas to vary) raises."""
     t = np.asarray(t_values, float)
     v = np.asarray(variances, float)
     if t.size < MIN_SCALING_TIMES:
         raise InsufficientReplicasError(
             f"scaling fit needs >= {MIN_SCALING_TIMES} distinct times")
+    for ti, vi in zip(t.tolist(), v.tolist()):
+        if not vi > 0.0:
+            raise InsufficientReplicasError(
+                f"scaling fit needs positive variances, got {vi!r} at t = {ti!r}")
     x = np.log(t)
     y = np.log(v)
     xc = x - x.mean()

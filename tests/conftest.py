@@ -86,9 +86,5 @@ def lattice_two_sample(a, b, min_expected=5.0):
 
 def site_class_laws(table):
     """pi_m(c) rebuilt from a non-Poisson class table: site m's move
-    probability times the conditional class law its alias tables draw."""
-    nsites, k = table.accept.shape
-    cond = table.accept / k
-    np.add.at(cond, (np.repeat(np.arange(nsites), k), table.alias.ravel()),
-              ((1.0 - table.accept) / k).ravel())
-    return table.move[:, None] * cond
+    probability times the steps of its cumulative conditional class law."""
+    return table.move[:, None] * np.diff(table.cdf, axis=1, prepend=0.0)

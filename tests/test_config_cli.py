@@ -329,6 +329,12 @@ class TestCliFailures:
         ("rate-table", {"ldp": {"t": 1.0, "kappa2": -1.0, "x_grid": [0.5]}}, "ldp.kappa2"),
         ("limit-tables", {"limit": {"count": 4, "identity_checks": -1}},
          "limit.identity_checks"),
+        ("limit-tables", {"limit": {"rho0": -1}}, "limit.rho0"),
+        ("limit-tables", {"limit": {"v0": math.inf}}, "limit.v0"),
+        ("limit-tables", {"limit": {"kappa2": "x"}}, "limit.kappa2"),
+        ("limit-tables", {"limit": {"seed": -3}}, "limit.seed"),
+        ("limit-tables", {"limit": {"pairs": [[-1, 0, 1, 0]]}}, "limit.pairs"),
+        ("limit-tables", {"limit": {"pairs": [[1, 0, -0.5, 0]]}}, "limit.pairs"),
         ("simulate", {"S": math.inf}, "S must"),
         ("simulate", {"t_grid": [0.5, math.nan]}, "t_grid"),
         ("simulate", {"r_grid": [math.nan]}, "r_grid"),
@@ -347,7 +353,9 @@ class TestCliFailures:
         ("fidi", {"fidi": dict(FIDI, x_vectors=[[0.5]])}, "fidi.x_vectors"),
         ("fidi", {"fidi": dict(FIDI, x_vectors=0.5)}, "fidi.x_vectors"),
     ], ids=["x-grid-empty", "limit-count-zero", "limit-pairs-empty", "rate-table-t-zero",
-            "rate-table-kappa2-negative", "identity-checks-negative", "S-infinite",
+            "rate-table-kappa2-negative", "identity-checks-negative", "limit-rho0-negative",
+            "limit-v0-infinite", "limit-kappa2-string", "limit-seed-negative",
+            "limit-pair-s-negative", "limit-pair-t-negative", "S-infinite",
             "t-grid-nan", "r-grid-nan", "seed-negative", "poisson-rho-infinite",
             "geometric-rho-infinite", "custom-value-fraction", "kernel-offset-infinite",
             "kernel-offset-fraction",
@@ -445,6 +453,18 @@ class TestCliFailures:
         assert main([command, "--config", cfg, "--out", out] + argv) == 2
         assert key in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_zero_variance_exits_3_with_manifest(self, tmp_path, capsys):
+        # at n = 4 this seed's two replicas agree at t = 0.25: the fit used
+        # to write "slope": NaN, warn three times and exit 1
+        cfg = write_cfg(tmp_path, **dict(FBM_FIXED, n=4, S=0.5, replicas=2, master_seed=2))
+        out = str(tmp_path / "out")
+        assert main(["fbm-check", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "at t = 0.25" in err and "Warning" not in err
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
+        assert manifest["status"] == "failed" and "at t = 0.25" in manifest["error"]
+        assert not os.path.exists(os.path.join(out, "fbm_check.json"))
 
 
 class TestManifestTelemetry:

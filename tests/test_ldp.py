@@ -407,7 +407,7 @@ class TestTiltedTailEstimate:
     def test_likelihood_ratio_undoes_site_row_tilt(self, alpha):
         # one particle per site: the proposal is the convolution of the
         # tilted site rows, read back from the move probabilities and the
-        # alias tables that draw them
+        # cumulative rows that draw them
         cfg = tail_config(occupancy=OccupancyModel.deterministic(1))
         table, log_const = _tilted_table(cfg, 1.0, 0.0, alpha)
         rows = site_class_laws(table)

@@ -14,7 +14,7 @@ from scipy import stats as spstats
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample, site_class_laws
 from pmf_oracles import poisson_site_current_pmf
-from walkcurrent.simulate import BATCH_STREAM, _table_from_laws
+from walkcurrent.simulate import BATCH_STREAM, CDF_BITS, _table_from_laws
 from window_oracles import bisection_truncation_radius
 
 
@@ -286,6 +286,34 @@ class TestMoverDraw:
         z = (rows.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / rows.shape[0])
         assert np.abs(z).max() < 4.0
         assert np.abs(np.cov(rows.T) - cov).max() < 0.05 * np.diag(cov).max()
+
+    def test_pick_stays_in_row_and_skips_zero_mass(self):
+        # rows whose first or last classes have no mass, read at uniforms
+        # from 0 to just below 1, the row's own steps among them: every pick
+        # is a class of positive mass in the mover's own row, the last
+        # site's included, and each class's law is off by under 2^-CDF_BITS
+        probs = np.array([[0.0, 0.0, 0.5, 0.25], [0.25, 0.5, 0.0, 0.0],
+                          [0.0, 0.3, 0.0, 0.0], [0.1, 0.0, 0.0, 0.2]])
+        classes = np.arange(8, dtype=np.int64).reshape(4, 2)
+        table = _table_from_laws(wc.OccupancyModel.deterministic(1), classes,
+                                 np.eye(4, dtype=np.int64), probs.copy())
+        edges = [0.0, 2.0 ** -53, 2.0 ** -41, 2.0 ** -40, 0.5, 1.0 - 2.0 ** -40,
+                 np.nextafter(1.0, 0.0)]
+        for m in range(4):
+            u = np.concatenate((edges, table.cdf[m, table.cdf[m] < 1.0]))
+            cls = table._pick_classes(np.full(u.size, m), u)
+            assert np.all((cls >= 0) & (cls < 4)) and np.all(probs[m, cls] > 0.0), (m, cls)
+        assert table._keys[-1] == 4 << CDF_BITS
+        steps = np.diff(table._keys.reshape(4, 4), axis=1,
+                        prepend=(np.arange(4) << CDF_BITS)[:, None]) / 2.0 ** CDF_BITS
+        assert np.abs(steps - probs / table.move[:, None]).max() < 2.0 ** -CDF_BITS
+
+    def test_sites_past_the_key_range_raise(self):
+        # the site index takes the key bits above CDF_BITS
+        probs = np.broadcast_to(0.5, (1 << (63 - CDF_BITS), 1))
+        with pytest.raises(wc.WindowUnreachableError, match="window sites"):
+            _table_from_laws(wc.OccupancyModel.deterministic(1), np.zeros((1, 2), np.int64),
+                             np.ones((1, 1), np.int64), probs)
 
     def test_empty_law_draws_zeros(self):
         # a mean-0 law (allowed for simulate) draws no particle at all
@@ -608,9 +636,9 @@ class TestCellEngine:
     def test_non_poisson_runs_on_classes(self):
         # one table for every law: the same classes and site laws, the
         # expected counts scaled by the mean occupancy, and move
-        # probabilities and alias tables for the per-mover draw
+        # probabilities and cumulative class laws for the per-mover draw
         poisson = wc.class_table(small_config())
-        assert poisson.move is None and poisson.accept is None
+        assert poisson.move is None and poisson.cdf is None
         for occ in (wc.OccupancyModel.deterministic(1), wc.OccupancyModel.geometric(1.0),
                     wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)])):
             table = wc.class_table(small_config(occupancy=occ))
@@ -619,12 +647,12 @@ class TestCellEngine:
             assert np.allclose(table.means, occ.rho0 * poisson.means, rtol=1e-14, atol=0)
             nsites = table.site_means.shape[0]
             assert table.move.shape == (nsites,)
-            assert table.accept.shape == table.alias.shape == (nsites, table.means.size)
+            assert table.cdf.shape == (nsites, table.means.size)
 
-    def test_alias_tables_reproduce_site_laws(self):
+    def test_cumulative_rows_reproduce_site_laws(self):
         # the site laws pi_m rebuilt from the move probabilities and the
-        # conditional alias tables give the table's class means and site
-        # sign means, and the particles that do not move the rest
+        # cumulative conditional class laws give the table's class means
+        # and site sign means, and the particles that do not move the rest
         cfg = small_config(occupancy=wc.OccupancyModel.deterministic(1))
         table = wc.class_table(cfg)
         probs = site_class_laws(table)

@@ -171,6 +171,12 @@ class TestScalingExponent:
         with pytest.raises(wc.InsufficientReplicasError):
             wc.scaling_exponent([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan])
+    def test_nonpositive_variance_names_its_time(self, bad):
+        # it has no log: the slope used to be NaN, with RuntimeWarnings
+        with pytest.raises(wc.InsufficientReplicasError, match="at t = 2.0"):
+            wc.scaling_exponent([0.5, 1.0, 2.0, 4.0], [0.5, 0.7, bad, 1.4])
+
 
 class TestNormalityDiagnostics:
     def test_gaussian_samples_pass(self, rng):
