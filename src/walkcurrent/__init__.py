@@ -78,10 +78,7 @@ from .gaussian import (
 )
 from .normal import mean_excess
 from .stats import (
-    ComparisonReport,
     EnsembleAccumulator,
-    MeanReport,
-    NormalityReport,
     covariance_report,
     mean_report,
     merge_accumulators,

@@ -18,15 +18,6 @@ from . import runner
 
 OUT_ENV = "WALKCURRENT_OUT"
 
-COV_COLUMNS = ("t_a", "r_a", "t_b", "r_b", "empirical", "analytic",
-               "std_error", "z_score", "band", "checked", "ok")
-MEAN_COLUMNS = ("t", "r", "mean", "std_error", "ratio", "ok")
-RATE_COLUMNS = ("x", "alpha", "occupancy_cost", "crossing_cost",
-                "rate", "rate_dual", "residual")
-LIMIT_COLUMNS = ("s", "q", "t", "r", "initial_cov", "dynamic_cov", "cov")
-SIM_COLUMNS = ("t", "r", "count", "mean", "variance", "min", "max")
-FBM_COLUMNS = ("t", "var_empirical", "var_analytic")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -63,21 +54,15 @@ def _out_dir(args) -> str:
     return out
 
 
-# What each command writes: (report kind, CSV columns, rows key).  The
-# report goes out in the --format, but a kind without CSV columns only as
-# JSON, and a kind in ALWAYS_JSON as JSON in either format.  Each EXTRA_CSV
-# table (same triple) is written as CSV whatever the format.
-REPORTS = {
-    "simulate": ("simulate", SIM_COLUMNS, "rows"),
-    "cov-check": ("cov_check", COV_COLUMNS, "covariance"),
-    "fbm-check": ("fbm_check", FBM_COLUMNS, "rows"),
-    "rate-table": ("rate_table", RATE_COLUMNS, "rows"),
-    "rate-empirical": ("rate_empirical", None, "rows"),
-    "fidi": ("fidi", None, "rows"),
-    "limit-tables": ("limit_tables", LIMIT_COLUMNS, "rows"),
-}
+# How each report is written.  It goes out in the --format, to a file named
+# after its kind, and its CSV columns are its rows' keys; the rows are under
+# "rows" unless ROWS_KEY names another key.  A kind in JSON_ONLY is written
+# only as JSON, and a kind in ALWAYS_JSON as JSON in either format.  Each
+# EXTRA_CSV table (file name, rows key) is written as CSV whatever the format.
+ROWS_KEY = {"cov_check": "covariance"}
+JSON_ONLY = ("rate_empirical", "fidi")
 ALWAYS_JSON = ("cov_check", "fbm_check")
-EXTRA_CSV = {"cov-check": (("mean_check", MEAN_COLUMNS, "means"),)}
+EXTRA_CSV = {"cov_check": [("mean_check", "means")]}
 
 
 def _experiment(args, spec, telemetry: dict):
@@ -114,22 +99,19 @@ def _run(args, spec, out: str, outputs: list, telemetry: dict) -> bool:
     """Run one command, appending its artifacts to `outputs` as they are
     written."""
     report, passed = _experiment(args, spec, telemetry)
-    kind, columns, rows_key = REPORTS[args.command]
-    if kind == "rate_table" and spec.occupancy.kind == "poisson":
-        columns += ("rate_closed",)
-    tables = [(kind, columns, rows_key)] if columns and args.format == "csv" else []
-    for name, cols, key in tables + list(EXTRA_CSV.get(args.command, ())):
+    kind = report["kind"]
+    rows_key = ROWS_KEY.get(kind, "rows")
+    tables = [(kind, rows_key)] if args.format == "csv" and kind not in JSON_ONLY else []
+    for name, key in tables + EXTRA_CSV.get(kind, []):
         path = os.path.join(out, f"{name}.csv")
-        outputs.append((path, "csv", runner.write_csv(path, name, cols, report[key])))
+        outputs.append((path, "csv", runner.write_csv(path, name, report[key])))
     if not tables or kind in ALWAYS_JSON:
         path = os.path.join(out, f"{kind}.json")
         runner.write_json(path, report)
         outputs.append((path, "json", len(report[rows_key])))
     if args.command == "simulate" and args.dump:
         path = os.path.join(out, "replicas.csv")
-        n = runner.write_csv(path, "replica_dump",
-                             ("replica", "t", "r", "Y", "Y_scaled"),
-                             runner.replica_dump_rows(spec.experiment))
+        n = runner.write_csv(path, "replica_dump", runner.replica_dump_rows(spec.experiment))
         outputs.append((path, "csv", n))
     return passed
 

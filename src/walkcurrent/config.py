@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,6 +66,11 @@ SECTION_KEYS = {
 OCCUPANCY_KEYS = {"poisson": ("rho",), "deterministic": ("count",),
                   "geometric": ("rho",), "custom": ("pmf",)}
 
+# Bands that are tolerances or thresholds and so must not be negative;
+# ks_p_min is a probability, and slope_lo <= slope_hi.
+NONNEGATIVE_BANDS = ("cov_z", "cov_rel", "mean_ratio", "skew_band", "kurt_band",
+                     "duality_tol")
+
 # Keys whose values must be integers (n_values: a list of them).
 INTEGER_KEYS = {None: ("n", "replicas", "master_seed"),
                 "ldp": ("samples", "n_values"),
@@ -87,6 +93,36 @@ def _check_integer(value, key: str) -> None:
             raise ConfigValidationError(f"{key}: expected an integer, got {value!r}")
 
 
+def _check_number(value, key: str, many: bool = False) -> None:
+    """Reject a bool or a string where a number (a list of them if `many`)
+    belongs: "S": "0.25" and "T": true must not run as 0.25 and 1.0.
+    Finiteness and range are left to the checks of the key's reader."""
+    if (many and not isinstance(value, list)) or any(
+            isinstance(v, bool) or not isinstance(v, numbers.Real)
+            for v in (value if many else [value])):
+        raise ConfigValidationError(
+            f"{key}: expected {'a list of numbers' if many else 'a number'}, got {value!r}")
+
+
+def _check_bands(bands: dict) -> None:
+    """A bad band must fail here, not after the ensemble it judges."""
+    for key, value in bands.items():
+        if not is_finite_number(value):
+            raise ConfigValidationError(
+                f"bands.{key}: expected a finite number, got {value!r}")
+    for key in NONNEGATIVE_BANDS:
+        if bands[key] < 0.0:
+            raise ConfigValidationError(
+                f"bands.{key}: expected a nonnegative number, got {bands[key]!r}")
+    if not 0.0 <= bands["ks_p_min"] <= 1.0:
+        raise ConfigValidationError(
+            f"bands.ks_p_min: expected a probability in [0, 1], got {bands['ks_p_min']!r}")
+    if bands["slope_lo"] > bands["slope_hi"]:
+        raise ConfigValidationError(
+            f"bands.slope_lo: expected at most bands.slope_hi = {bands['slope_hi']!r}, "
+            f"got {bands['slope_lo']!r}")
+
+
 def _validate_keys(resolved: dict) -> None:
     """Reject unknown keys at every level and non-integral integer keys."""
     _check_known(resolved, TOP_KEYS, "config")
@@ -107,17 +143,18 @@ def build_kernel(pairs) -> JumpKernel:
 
     try:
         offsets = [off for off, _ in pairs]
-        weights = [float(w) for _, w in pairs]
+        weights = [w for _, w in pairs]
     except (TypeError, ValueError) as exc:
         raise ConfigValidationError(f"kernel: expected [[offset, weight], ...]: {exc}")
     _check_integer(offsets, "kernel")  # an offset of 1.5 must not run as 1
+    _check_number(weights, "kernel", many=True)
     offsets = [int(off) for off in offsets]
     repeated = [off for off in offsets if offsets.count(off) > 1]
     if repeated:
         # a mapping would keep only the last weight of a repeated offset
         raise ConfigValidationError(f"kernel: offset {repeated[0]} appears more than once")
     try:
-        return validate_kernel(dict(zip(offsets, weights)))
+        return validate_kernel(dict(zip(offsets, map(float, weights))))
     except WalkCurrentError as exc:
         raise ConfigValidationError(f"kernel: {exc}")
 
@@ -131,6 +168,8 @@ def build_occupancy(obj) -> OccupancyModel:
     if "count" in obj:
         _check_integer(obj["count"], "occupancy.count")
     try:
+        if kind in ("poisson", "geometric"):
+            _check_number(obj["rho"], "occupancy.rho")
         if kind == "poisson":
             return OccupancyModel.poisson(float(obj["rho"]))
         if kind == "deterministic":
@@ -138,9 +177,10 @@ def build_occupancy(obj) -> OccupancyModel:
         if kind == "geometric":
             return OccupancyModel.geometric(float(obj["rho"]))
         if kind == "custom":
-            pmf = [(v, float(p)) for v, p in obj["pmf"]]
+            pmf = obj["pmf"]
             _check_integer([v for v, _ in pmf], "occupancy.pmf")
-            return OccupancyModel.custom(pmf)
+            _check_number([p for _, p in pmf], "occupancy.pmf", many=True)
+            return OccupancyModel.custom([(v, float(p)) for v, p in pmf])
     except KeyError as exc:
         raise ConfigValidationError(f"occupancy '{kind}' is missing field {exc}")
     except (TypeError, ValueError) as exc:
@@ -214,6 +254,7 @@ def load_config(path: str, overrides: Optional[dict] = None,
     if resolved["master_seed"] < 0:
         raise ConfigValidationError(
             f"master_seed: expected a nonnegative integer, got {resolved['master_seed']!r}")
+    _check_bands(resolved["bands"])
 
     spec = RunSpec(raw=resolved, config_hash=canonical_hash(resolved),
                    bands=resolved["bands"])
@@ -235,6 +276,8 @@ def load_config(path: str, overrides: Optional[dict] = None,
     needs_sim = command in ("simulate", "cov-check", "fbm-check", "rate-empirical")
     if needs_sim:
         _require(resolved, SIM_KEYS, command)
+        for key in ("T", "S", "window_tol", "t_grid", "r_grid"):
+            _check_number(resolved[key], key, many=key.endswith("_grid"))
         try:
             spec.experiment = ExperimentConfig(
                 n=int(resolved["n"]),
@@ -389,6 +432,7 @@ def _check_tail_section(section: dict, spec: RunSpec) -> None:
 def _retain_points(raw, experiment: Optional[ExperimentConfig]) -> tuple:
     """(t, r) pairs, each on the experiment's grid when there is one."""
     try:
+        _check_number([v for point in raw for v in point], "retain_points", many=True)
         points = tuple((float(t), float(r)) for t, r in raw)
     except (TypeError, ValueError):
         raise ConfigValidationError("retain_points: expected [[t, r], ...]")

@@ -89,18 +89,19 @@ QUAD_ORDER = 24
 class RateModel:
     """Inputs of the single-point rate apparatus: occupancy law, kappa2, t.
 
-    y_cut is the quadrature truncation half-width; when omitted it is
-    solved so that a rigorous bound on the discarded Gaussian tails stays
-    below quad_tol for every tilt up to lambda_max.  The quadrature nodes
-    on [-y_cut, y_cut] are fixed here, once per model.
+    y_cut, the quadrature truncation half-width, is derived: it is solved
+    so that a rigorous bound on the discarded Gaussian tails stays below
+    quad_tol for every tilt up to the class constant lambda_max.  The
+    quadrature nodes on [-y_cut, y_cut] are fixed here, once per model.
     """
+
+    lambda_max = 40.0  # not a field: the largest |tilt| any model takes
 
     occupancy: OccupancyModel
     kappa2: float
     t: float
     quad_tol: float = 1e-10
-    lambda_max: float = 40.0
-    y_cut: Optional[float] = None
+    y_cut: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         if not self.occupancy.mgf_domain_is_real:
@@ -109,8 +110,7 @@ class RateModel:
                 "for every real tilt; geometric occupancy is not")
         if not (self.kappa2 > 0.0 and self.t > 0.0):
             raise ValueError("kappa2 and t must be positive")
-        if self.y_cut is None:
-            object.__setattr__(self, "y_cut", self._solve_y_cut())
+        object.__setattr__(self, "y_cut", self._solve_y_cut())
         # nodes on [0, y_cut], then their mirror images; a node's particle
         # crosses with probability sf(|y|) on either side
         nodes, w_coarse, w_fine = panel_rule(QUAD_PANELS, QUAD_ORDER)

@@ -178,30 +178,18 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
     mean_rep = mean_report(batches, points)
     checked = set((float(t), float(r)) for t, r in (check_points or points))
 
-    rows = []
     cov_ok = True
-    for row in cov_rep.rows:
-        in_check = row.point_a in checked and row.point_b in checked
-        band = max(z_band * row.std_error, rel_band * abs(row.analytic))
-        ok = abs(row.empirical - row.analytic) <= band
-        if in_check and not ok:
-            cov_ok = False
-        rows.append({
-            "t_a": row.point_a[0], "r_a": row.point_a[1],
-            "t_b": row.point_b[0], "r_b": row.point_b[1],
-            "empirical": row.empirical, "analytic": row.analytic,
-            "std_error": row.std_error, "z_score": row.z_score,
-            "band": band, "checked": in_check, "ok": ok,
-        })
-    mean_rows = []
+    for row in cov_rep["rows"]:
+        band = max(z_band * row["std_error"], rel_band * abs(row["analytic"]))
+        row.update(band=band,
+                   checked=((row["t_a"], row["r_a"]) in checked
+                            and (row["t_b"], row["r_b"]) in checked),
+                   ok=abs(row["empirical"] - row["analytic"]) <= band)
+        cov_ok = cov_ok and (row["ok"] or not row["checked"])
     mean_ok = True
-    for row in mean_rep.rows:
-        ok = row.ratio <= mean_band
-        if row.point in checked and not ok:
-            mean_ok = False
-        mean_rows.append({"t": row.point[0], "r": row.point[1],
-                          "mean": row.mean, "std_error": row.std_error,
-                          "ratio": row.ratio, "ok": ok})
+    for row in mean_rep["rows"]:
+        row["ok"] = row["ratio"] <= mean_band
+        mean_ok = mean_ok and (row["ok"] or (row["t"], row["r"]) not in checked)
 
     normality = {}
     norm_ok = True
@@ -212,23 +200,20 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
             diag = normality_diagnostics(
                 samples, params_var, lattice=lattice,
                 rng=np.random.default_rng(config.master_seed + 1))
-            ok = (abs(diag.skewness) <= bands["skew_band"]
-                  and abs(diag.excess_kurtosis) <= bands["kurt_band"]
-                  and diag.ks_p > bands["ks_p_min"])
-            norm_ok = norm_ok and ok
-            normality[f"{pt[0]:g},{pt[1]:g}"] = {
-                "skewness": diag.skewness, "excess_kurtosis": diag.excess_kurtosis,
-                "ks_p": diag.ks_p, "ok": ok,
-            }
+            diag["ok"] = (abs(diag["skewness"]) <= bands["skew_band"]
+                          and abs(diag["excess_kurtosis"]) <= bands["kurt_band"]
+                          and diag["ks_p"] > bands["ks_p_min"])
+            norm_ok = norm_ok and diag["ok"]
+            normality[f"{pt[0]:g},{pt[1]:g}"] = diag
 
     passed = cov_ok and mean_ok and norm_ok
     report = {
         "kind": "cov_check", "schema_version": 1,
         "replicas": config.replicas,
-        "max_abs_z": cov_rep.max_abs_z,
-        "frac_within_3": cov_rep.frac_within_3,
-        "max_mean_ratio": mean_rep.max_ratio,
-        "covariance": rows, "means": mean_rows, "normality": normality,
+        "max_abs_z": cov_rep["max_abs_z"],
+        "frac_within_3": cov_rep["frac_within_3"],
+        "max_mean_ratio": mean_rep["max_ratio"],
+        "covariance": cov_rep["rows"], "means": mean_rep["rows"], "normality": normality,
         "passed": passed,
     }
     return report, passed
@@ -460,15 +445,18 @@ def _fmt(value):
     return value
 
 
-def write_csv(path: str, kind: str, colnames: Sequence[str], rows) -> int:
-    """RFC-4180 CSV with a schema comment line; returns the row count."""
+def write_csv(path: str, kind: str, rows) -> int:
+    """RFC-4180 CSV with a schema comment line, whose columns are the first
+    row's keys in order; returns the row count."""
     count = 0
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         fh.write(f"# schema=walkcurrent.{kind}.v{SCHEMA_CSV}\n")
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(colnames)
         for row in rows:
+            if not count:
+                colnames = list(row)
+                writer.writerow(colnames)
             writer.writerow([_fmt(row[c]) for c in colnames])
             count += 1
     os.replace(tmp, path)

@@ -4,7 +4,8 @@ Accumulators hold single-pass stable means and centered second cross-moments
 over a fixed list of grid points; merging two accumulators is exact (Chan's
 parallel update), so replica batches can be combined in any partition while
 agreeing to float round-off.  Reports compare empirical moments against the
-analytic limit covariance with jackknife-over-batches standard errors.
+analytic limit covariance with jackknife-over-batches standard errors; each
+is a plain dict, and its row dicts are the rows the experiments write.
 """
 
 from __future__ import annotations
@@ -124,28 +125,13 @@ def _jackknife_se(full_stat: np.ndarray, loo_stats: Sequence[np.ndarray]) -> np.
     return np.sqrt((B - 1) / B * np.sum((arr - bar) ** 2, axis=0))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    point_a: Tuple[float, float]
-    point_b: Tuple[float, float]
-    empirical: float
-    analytic: float
-    std_error: float
-    z_score: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: Tuple[ComparisonRow, ...]
-    max_abs_z: float
-    frac_within_3: float
-
-
 def covariance_report(batches: Sequence[EnsembleAccumulator],
                       params: LimitCovariance,
-                      points: Sequence[Tuple[float, float]]) -> ComparisonReport:
+                      points: Sequence[Tuple[float, float]]) -> dict:
     """Empirical vs analytic covariance for every point pair, with jackknife
-    standard errors over the replica batches."""
+    standard errors over the replica batches: the rows, each keyed (t_a,
+    r_a, t_b, r_b, empirical, analytic, std_error, z_score), with the
+    largest |z| and the share of |z| <= 3."""
     if len(batches) < 2:
         raise InsufficientReplicasError("covariance report needs >= 2 batches")
     total = merge_accumulators(batches)
@@ -163,31 +149,20 @@ def covariance_report(batches: Sequence[EnsembleAccumulator],
             diff = emp[i, j] - ana[i, j]
             # a pair that never varies (a t = 0 row) has SE 0: compare exactly
             z = diff / se[i, j] if se[i, j] > 0 else (0.0 if diff == 0 else math.inf)
-            rows.append(ComparisonRow(point_a=tuple(points[i]), point_b=tuple(points[j]),
-                                      empirical=float(emp[i, j]), analytic=float(ana[i, j]),
-                                      std_error=float(se[i, j]), z_score=float(z)))
-    zs = np.array([abs(r.z_score) for r in rows])
-    return ComparisonReport(rows=tuple(rows), max_abs_z=float(np.max(zs)),
-                            frac_within_3=float(np.mean(zs <= 3.0)))
-
-
-@dataclass(frozen=True)
-class MeanRow:
-    point: Tuple[float, float]
-    mean: float
-    std_error: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class MeanReport:
-    rows: Tuple[MeanRow, ...]
-    max_ratio: float
+            (t_a, r_a), (t_b, r_b) = points[i], points[j]
+            rows.append({"t_a": t_a, "r_a": r_a, "t_b": t_b, "r_b": r_b,
+                         "empirical": float(emp[i, j]), "analytic": float(ana[i, j]),
+                         "std_error": float(se[i, j]), "z_score": float(z)})
+    zs = np.array([abs(r["z_score"]) for r in rows])
+    return {"rows": rows, "max_abs_z": float(np.max(zs)),
+            "frac_within_3": float(np.mean(zs <= 3.0))}
 
 
 def mean_report(batches: Sequence[EnsembleAccumulator],
-                points: Sequence[Tuple[float, float]]) -> MeanReport:
-    """|mean| / SE per point, for the null that the scaled mean vanishes."""
+                points: Sequence[Tuple[float, float]]) -> dict:
+    """|mean| / SE per point, for the null that the scaled mean vanishes:
+    the rows, each keyed (t, r, mean, std_error, ratio), with the largest
+    ratio."""
     if len(batches) < 2:
         raise InsufficientReplicasError("mean report needs >= 2 batches")
     total = merge_accumulators(batches)
@@ -196,12 +171,12 @@ def mean_report(batches: Sequence[EnsembleAccumulator],
             f"mean report needs >= {MIN_REPORT_REPLICAS} replicas")
     se = np.sqrt(np.diag(total.cov()) / total.count)
     rows = []
-    for k, pt in enumerate(points):
+    for k, (t, r) in enumerate(points):
         s = se[k]
         ratio = abs(total.mean[k]) / s if s > 0 else (0.0 if total.mean[k] == 0 else np.inf)
-        rows.append(MeanRow(point=tuple(pt), mean=float(total.mean[k]),
-                            std_error=float(s), ratio=float(ratio)))
-    return MeanReport(rows=tuple(rows), max_ratio=float(max(r.ratio for r in rows)))
+        rows.append({"t": t, "r": r, "mean": float(total.mean[k]),
+                     "std_error": float(s), "ratio": float(ratio)})
+    return {"rows": rows, "max_ratio": float(max(row["ratio"] for row in rows))}
 
 
 def scaling_exponent(t_values: Sequence[float],
@@ -227,17 +202,11 @@ def scaling_exponent(t_values: Sequence[float],
     return slope, stderr
 
 
-@dataclass(frozen=True)
-class NormalityReport:
-    skewness: float
-    excess_kurtosis: float
-    ks_p: float
-
-
 def normality_diagnostics(samples: np.ndarray, analytic_var: float,
                           lattice: Optional[float] = None,
-                          rng: Optional[np.random.Generator] = None) -> NormalityReport:
-    """Moment diagnostics plus a KS test against Normal(0, analytic_var).
+                          rng: Optional[np.random.Generator] = None) -> dict:
+    """Moment diagnostics plus a KS test against Normal(0, analytic_var),
+    keyed (skewness, excess_kurtosis, ks_p).
 
     `lattice` is the spacing of lattice-valued samples; when given, samples
     are dithered by Uniform(-lattice/2, lattice/2) so the KS statistic
@@ -262,4 +231,4 @@ def normality_diagnostics(samples: np.ndarray, analytic_var: float,
     cdf = ndtr(np.sort(x) / math.sqrt(analytic_var))
     n = cdf.size
     d = max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n))
-    return NormalityReport(skewness=skew, excess_kurtosis=kurt, ks_p=kolmogorov_sf(n, d))
+    return {"skewness": skew, "excess_kurtosis": kurt, "ks_p": kolmogorov_sf(n, d)}

@@ -251,6 +251,54 @@ class TestCliCommands:
         assert code == 0
         assert os.path.exists(os.path.join(out, "limit_tables.csv"))
 
+    # Each CSV artifact's header, as pinned before the columns came from the
+    # report rows' keys, and the files each --format writes besides the
+    # manifest (a CSV file named None holds JSON).
+    RATE_COLUMNS = ("x", "alpha", "occupancy_cost", "crossing_cost", "rate", "rate_dual",
+                    "residual")
+    LDP = {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100], "x_grid": [0.5]}
+
+    @pytest.mark.parametrize("command, extra, csv_files, json_files", [
+        ("simulate", {"replicas": 50},
+         {"simulate.csv": ("t", "r", "count", "mean", "variance", "min", "max"),
+          "replicas.csv": ("replica", "t", "r", "Y", "Y_scaled")},
+         {"simulate.json"}),
+        ("cov-check", {"replicas": 200},
+         {"cov_check.csv": ("t_a", "r_a", "t_b", "r_b", "empirical", "analytic",
+                            "std_error", "z_score", "band", "checked", "ok"),
+          "mean_check.csv": ("t", "r", "mean", "std_error", "ratio", "ok"),
+          "cov_check.json": None},
+         {"cov_check.json", "mean_check.csv"}),
+        ("fbm-check", FBM_FIXED,
+         {"fbm_check.csv": ("t", "var_empirical", "var_analytic"), "fbm_check.json": None},
+         {"fbm_check.json"}),
+        ("rate-table", {"ldp": LDP},
+         {"rate_table.csv": RATE_COLUMNS + ("rate_closed",)}, {"rate_table.json"}),
+        ("rate-table", {"ldp": LDP,
+                        "occupancy": {"type": "custom", "pmf": [[0, 0.5], [2, 0.5]]}},
+         {"rate_table.csv": RATE_COLUMNS}, {"rate_table.json"}),
+        ("rate-empirical", {"ldp": LDP}, {"rate_empirical.json": None},
+         {"rate_empirical.json"}),
+        ("fidi", {"fidi": {"times": [1.0], "rho": 1.0, "kappa2": 1.0, "x_vectors": [[0.5]]}},
+         {"fidi.json": None}, {"fidi.json"}),
+        ("limit-tables", {"limit": {"count": 2}},
+         {"limit_tables.csv": ("s", "q", "t", "r", "initial_cov", "dynamic_cov", "cov")},
+         {"limit_tables.json"}),
+    ], ids=["simulate", "cov-check", "fbm-check", "rate-table-poisson", "rate-table-custom",
+            "rate-empirical", "fidi", "limit-tables"])
+    def test_csv_headers_and_file_sets(self, tmp_path, command, extra, csv_files, json_files):
+        cfg = write_cfg(tmp_path, **extra)
+        for fmt, files in (("csv", set(csv_files)), ("json", json_files)):
+            out = str(tmp_path / fmt)
+            dump = ["--dump"] if command == "simulate" and fmt == "csv" else []
+            assert main([command, "--config", cfg, "--out", out, "--format", fmt] + dump) == 0
+            assert set(os.listdir(out)) == files | {"manifest.json"}
+        for name, header in csv_files.items():
+            if header is not None:
+                lines = (tmp_path / "csv" / name).read_text().splitlines()
+                assert lines[0].startswith("# schema=walkcurrent.")
+                assert lines[1] == ",".join(header)
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
@@ -352,6 +400,31 @@ class TestCliFailures:
         ("fidi", {"fidi": dict(FIDI, kappa2=-1.0)}, "fidi.kappa2"),
         ("fidi", {"fidi": dict(FIDI, x_vectors=[[0.5]])}, "fidi.x_vectors"),
         ("fidi", {"fidi": dict(FIDI, x_vectors=0.5)}, "fidi.x_vectors"),
+        # a bad band ran the whole ensemble, then exited 3 with a TypeError
+        ("cov-check", {"bands": {"cov_z": "x"}}, "bands.cov_z"),
+        ("cov-check", {"bands": {"cov_rel": True}}, "bands.cov_rel"),
+        ("cov-check", {"bands": {"mean_ratio": math.nan}}, "bands.mean_ratio"),
+        ("cov-check", {"bands": {"skew_band": -0.1}}, "bands.skew_band"),
+        ("cov-check", {"bands": {"kurt_band": math.inf}}, "bands.kurt_band"),
+        ("cov-check", {"bands": {"ks_p_min": 1.5}}, "bands.ks_p_min"),
+        ("fbm-check", dict(FBM_FIXED, bands={"slope_lo": 0.6, "slope_hi": 0.4}),
+         "bands.slope_lo"),
+        ("rate-table", {"ldp": {"t": 1.0, "x_grid": [0.5]}, "bands": {"duality_tol": -1e-6}},
+         "bands.duality_tol"),
+        # a bool or a string ran as the number it converts to, or failed
+        # with a message that named no key
+        ("simulate", {"S": "0.25"}, "S: expected a number"),
+        ("simulate", {"T": True}, "T: expected a number"),
+        ("simulate", {"window_tol": "x"}, "window_tol"),
+        ("simulate", {"t_grid": "ab"}, "t_grid"),
+        ("simulate", {"t_grid": [0.5, "1.0"]}, "t_grid"),
+        ("simulate", {"r_grid": [False]}, "r_grid"),
+        ("simulate", {"kernel": [[1, True], [-1, 0.3]]}, "kernel"),
+        ("simulate", {"occupancy": {"type": "poisson", "rho": True}}, "occupancy.rho"),
+        ("simulate", {"occupancy": {"type": "geometric", "rho": "1"}}, "occupancy.rho"),
+        ("simulate", {"occupancy": {"type": "custom", "pmf": [[0, 0.5], [2, "0.5"]]}},
+         "occupancy.pmf"),
+        ("simulate", {"retain_points": [[1.0, "0"]]}, "retain_points"),
     ], ids=["x-grid-empty", "limit-count-zero", "limit-pairs-empty", "rate-table-t-zero",
             "rate-table-kappa2-negative", "identity-checks-negative", "limit-rho0-negative",
             "limit-v0-infinite", "limit-kappa2-string", "limit-seed-negative",
@@ -361,7 +434,12 @@ class TestCliFailures:
             "kernel-offset-fraction",
             "fidi-no-times", "fidi-four-times",
             "fidi-times-descending", "fidi-time-zero", "fidi-rho-zero",
-            "fidi-kappa2-negative", "fidi-x-length", "fidi-x-not-list"])
+            "fidi-kappa2-negative", "fidi-x-length", "fidi-x-not-list",
+            "band-string", "band-bool", "band-nan", "band-negative", "band-infinite",
+            "ks-p-min-above-1", "slope-band-reversed", "duality-tol-negative",
+            "S-string", "T-bool", "window-tol-string", "t-grid-string", "t-grid-entry-string",
+            "r-grid-entry-bool", "kernel-weight-bool", "poisson-rho-bool",
+            "geometric-rho-string", "custom-prob-string", "retain-point-string"])
     def test_vacuous_or_nonfinite_input_exits_2(self, tmp_path, capsys, command, extra, key):
         # each passed with nothing checked, or failed only after compute
         cfg = write_cfg(tmp_path, **extra)
@@ -605,6 +683,15 @@ class TestStrictConfig:
                            command="simulate")
         assert spec.experiment.n == 100
         assert spec.experiment.replicas == 2000
+
+    def test_integer_numbers_accepted(self, tmp_path):
+        # JSON integers are numbers wherever a number is expected
+        cfg = write_cfg(tmp_path, T=1, S=1, t_grid=[1], r_grid=[0], kernel=[[1, 1], [-1, 1]],
+                        occupancy={"type": "poisson", "rho": 1},
+                        bands={"cov_z": 4, "ks_p_min": 0, "slope_lo": 0, "slope_hi": 1})
+        spec = load_config(cfg, command="cov-check")
+        assert spec.experiment.S == 1.0 and spec.experiment.t_grid == (1.0,)
+        assert spec.occupancy.rho0 == 1.0
 
     @pytest.mark.parametrize("quad_tol", [0.0, -1e-10, "1e-10"])
     def test_bad_quad_tol_rejected(self, tmp_path, quad_tol):

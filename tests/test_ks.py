@@ -113,7 +113,7 @@ class TestNormalityPValue:
     ]
 
     def check(self, x, var=1.0):
-        got = wc.normality_diagnostics(x, var).ks_p
+        got = wc.normality_diagnostics(x, var)["ks_p"]
         assert abs(got - kstest_p(x, var)) <= 1e-12
         return ks_branch(x.size, statistic(x, var))
 
@@ -139,7 +139,7 @@ class TestNormalityPValue:
         lattice = 2500 ** -0.25
         x = lattice * rng.poisson(30.0, size=20_000) - 30.0 * lattice
         got = wc.normality_diagnostics(x, 30.0 * lattice ** 2, lattice=lattice,
-                                       rng=np.random.default_rng(9)).ks_p
+                                       rng=np.random.default_rng(9))["ks_p"]
         dithered = x + np.random.default_rng(9).uniform(-0.5 * lattice, 0.5 * lattice,
                                                         size=x.size)
         assert abs(got - kstest_p(dithered, 30.0 * lattice ** 2)) <= 1e-12

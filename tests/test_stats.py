@@ -113,7 +113,7 @@ class TestCovarianceReport:
         gg = wc.build_grid_gaussian(params, pts)
         draws = wc.sample_limit_process(gg, rng, size=100_000)
         report = wc.covariance_report(fill(draws, 50), params, pts)
-        assert report.max_abs_z <= 4.0
+        assert report["max_abs_z"] <= 4.0
 
     def test_z_scores_calibrated(self, rng):
         # across synthetic repetitions the z-scores should be ~standard normal
@@ -124,7 +124,7 @@ class TestCovarianceReport:
         for _ in range(25):
             draws = wc.sample_limit_process(gg, rng, size=5000)
             report = wc.covariance_report(fill(draws, 50), params, pts)
-            zs.extend(r.z_score for r in report.rows)
+            zs.extend(r["z_score"] for r in report["rows"])
         assert 0.8 <= np.std(zs) <= 1.2
 
     def test_needs_replicas_and_batches(self, rng):
@@ -141,13 +141,13 @@ class TestMeanReport:
         pts = [(1.0, 0.0), (2.0, 0.0)]
         draws = rng.normal(size=(20_000, 2))
         report = wc.mean_report(fill(draws, 50), pts)
-        assert report.max_ratio < 4.0
-        assert all(r.std_error > 0 for r in report.rows)
+        assert report["max_ratio"] < 4.0
+        assert all(r["std_error"] > 0 for r in report["rows"])
 
     def test_shifted_data_flagged(self, rng):
         draws = rng.normal(size=(5000, 1)) + 0.5
         report = wc.mean_report(fill(draws, 10), [(1.0, 0.0)])
-        assert report.max_ratio > 10.0
+        assert report["max_ratio"] > 10.0
 
 
 class TestScalingExponent:
@@ -184,14 +184,14 @@ class TestNormalityDiagnostics:
         gg = wc.build_grid_gaussian(params, [(1.0, 0.0)])
         draws = wc.sample_limit_process(gg, rng, size=50_000)[:, 0]
         diag = wc.normality_diagnostics(draws, gg.cov[0, 0])
-        assert diag.ks_p > 0.01
-        assert abs(diag.skewness) < 0.05 and abs(diag.excess_kurtosis) < 0.1
+        assert diag["ks_p"] > 0.01
+        assert abs(diag["skewness"]) < 0.05 and abs(diag["excess_kurtosis"]) < 0.1
 
     def test_cauchy_samples_fail(self, rng):
         draws = rng.standard_cauchy(size=50_000)
         diag = wc.normality_diagnostics(draws, 1.0)
-        assert abs(diag.excess_kurtosis) > 10.0
-        assert diag.ks_p < 1e-6
+        assert abs(diag["excess_kurtosis"]) > 10.0
+        assert diag["ks_p"] < 1e-6
 
     def test_lattice_dithering(self, rng):
         # integer-rounded normals fail the raw KS but pass once dithered
@@ -200,8 +200,8 @@ class TestNormalityDiagnostics:
         raw = wc.normality_diagnostics(draws, sd * sd)
         dithered = wc.normality_diagnostics(draws, sd * sd + 1.0 / 12.0, lattice=1.0,
                                             rng=np.random.default_rng(1))
-        assert raw.ks_p < 1e-4
-        assert dithered.ks_p > 0.01
+        assert raw["ks_p"] < 1e-4
+        assert dithered["ks_p"] > 0.01
 
     def test_needs_samples(self, rng):
         with pytest.raises(wc.InsufficientReplicasError):
