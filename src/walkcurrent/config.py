@@ -189,9 +189,21 @@ def build_occupancy(obj) -> OccupancyModel:
                                 "poisson/deterministic/geometric/custom")
 
 
+def _integral_as_int(value):
+    """value with every integral float, however deep, written as an int."""
+    if isinstance(value, dict):
+        return {k: _integral_as_int(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_integral_as_int(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def canonical_hash(resolved: dict) -> str:
-    """Stable hex digest of the config, independent of key order."""
-    clean = {k: v for k, v in resolved.items() if k not in RUNTIME_KEYS}
+    """Stable hex digest of the config, independent of key order and of
+    whether an integral number is written as an int or a float."""
+    clean = {k: _integral_as_int(v) for k, v in resolved.items() if k not in RUNTIME_KEYS}
     blob = json.dumps(clean, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

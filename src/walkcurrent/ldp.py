@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -430,7 +431,11 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     if ess < TAIL_MIN_ESS:
         raise DegenerateWeightsError(
             f"effective sample size {ess:.1f} below {TAIL_MIN_ESS}")
-    p_hat = math.exp(log_sum - math.log(total))
+    log_p = log_sum - math.log(total)
+    p_hat = math.exp(log_p)
+    if p_hat < sys.float_info.min:
+        raise DegenerateWeightsError(
+            f"tail estimate underflows at x = {x}, n = {config.n}: log p_hat = {log_p:.1f}")
     second = math.exp(log_sum2 - math.log(total))
     var = max(second - p_hat * p_hat, 0.0)
     se = math.sqrt(var / total)

@@ -60,6 +60,9 @@ DENSE_MOVE = 0.5
 # many bits below the site index, so one sorted int64 array holds every row:
 # windows of under 2^(63 - CDF_BITS) sites, each class off by < 2^-CDF_BITS
 CDF_BITS = 40
+# Cells of one block of the guide table's build (rows x buckets): 256 rows
+# at 128 buckets, so its temporaries add well under a megabyte to peak memory
+GUIDE_CELLS = 1 << 15
 
 # Tail mass each Poisson window of the Skellam current pmf may drop: so far
 # below any tail that tail_geq reads that the windows reach the underflow.
@@ -364,7 +367,8 @@ class ClassTable:
     the probability that a particle started at site m moves (falls in a
     class with a nonzero sign), and cdf[m] is the cumulative sum of its
     conditional class law pi_m(c) / move[m], ending at exactly 1; the rows
-    of sites with move 0 are all 0 and never read.
+    of sites with move 0 are all 0 and never read.  guide is the rows'
+    guide table (`_guide_table`).
     """
 
     classes: np.ndarray     # int64, shape (ncls, 1 + len(t_grid))
@@ -374,6 +378,7 @@ class ClassTable:
     occupancy: OccupancyModel
     move: Optional[np.ndarray] = None  # float, shape (nsites,)
     cdf: Optional[np.ndarray] = None   # float, shape (nsites, ncls)
+    guide: Optional[np.ndarray] = None  # int16 or int32, shape (nsites, buckets)
 
     def draw(self, rng: np.random.Generator, size: int,
              cells: int = DRAW_CELLS) -> np.ndarray:
@@ -410,49 +415,53 @@ class ClassTable:
                      sparse: np.ndarray, hazard: np.ndarray) -> np.ndarray:
         """Rows of `size` replicas, drawing only the particles that move.
 
-        The call's particles are numbered site by site, and within a site
-        replica by replica.  Under a fixed count k every site holds size k
-        of them, and particle g belongs to replica (g // k) mod size; under a
-        random count the counts are drawn site-major and cumulated, and a
-        particle's replica is read from the cumulative counts.  A particle
-        at a dense site moves iff its uniform falls below move[m].  The
-        particles at a sparse site are unit intervals of a Poisson process of
-        rate hazard = -log(1 - move[m]); a particle moves iff a point hits
-        it, with probability move[m], independently of the others.  Each
-        mover then takes a class from one uniform (`_pick_classes`): the
-        dense sites' movers in site order, then the sparse sites'.
+        A particle at a dense site moves iff its uniform falls below
+        move[m].  The particles at a sparse site are unit intervals of a
+        Poisson process of rate hazard = -log(1 - move[m]); a particle moves
+        iff a point hits it, with probability move[m], independently of the
+        others.  Under a fixed count k a site holds size k particles in the
+        call, replica by replica, k each: the dense sites' uniforms are one
+        (dense site, particle) block, and a sparse site's hit particle p
+        belongs to replica p // k.  Under a random count the counts are drawn
+        site-major and cumulated, the call's particles are numbered site by
+        site, and within a site replica by replica, and a particle's replica
+        is read from the cumulative counts.  Each mover then takes a class
+        from one uniform (`_pick_classes`): the dense sites' movers in site
+        order, then the sparse sites'.
         """
         nsites, ncls = self.cdf.shape
         occ = self.occupancy
-        fixed = occ.v0 == 0.0
-        if fixed:
+        if occ.v0 == 0.0:
             k = int(occ.rho0)
             if k == 0:
                 return np.zeros((size, self.signs.shape[1]), np.int64)
-            site_counts = np.full(nsites, size * k)
-            first = np.arange(0, nsites * size * k, size * k)
+            per_site = size * k
+            # dense sites: one uniform per particle
+            row, col = np.nonzero(rng.random((dense.size, per_site)) < self.move[dense, None])
+            # sparse sites: Poisson points on uniform particles
+            points = rng.poisson(per_site * hazard)
+            hits = _distinct(np.repeat(sparse * per_site, points)
+                             + (rng.random(points.sum()) * per_site).astype(np.int64))
+            hit_site, hit_col = np.divmod(hits, per_site)
+            site = np.concatenate((dense[row], hit_site))
+            replica = np.concatenate((col, hit_col)) // k
         else:
             ends = np.cumsum(occ.sample_counts(rng, nsites * size))
             first = np.concatenate(([0], ends[size - 1:-1:size]))
             site_counts = ends[size - 1::size] - first
-        # dense sites: one uniform per particle
-        counts = site_counts[dense]
-        below = np.repeat(self.move[dense], counts)
-        hit = np.flatnonzero(rng.random(below.size) < below)
-        moved = hit + np.repeat(first[dense] - (np.cumsum(counts) - counts), counts)[hit]
-        # sparse sites: Poisson points on uniform particles, one mover per
-        # particle hit; a sort finds the particles hit more than once
-        points = rng.poisson(site_counts[sparse] * hazard)
-        owner = np.repeat(sparse, points)
-        hits = first[owner] + (rng.random(owner.size) * site_counts[owner]).astype(np.int64)
-        hits.sort()
-        once = np.ones(hits.size, bool)
-        once[1:] = hits[1:] != hits[:-1]
-        moved = np.concatenate((moved, hits[once]))
-        # particle -> (site, replica) cell
-        cell = moved // k if fixed else np.searchsorted(ends, moved, side="right")
-        site, replica = np.divmod(cell, size)
-        cls = self._pick_classes(site, rng.random(moved.size))
+            # dense sites: one uniform per particle
+            counts = site_counts[dense]
+            below = np.repeat(self.move[dense], counts)
+            hit = np.flatnonzero(rng.random(below.size) < below)
+            moved = hit + np.repeat(first[dense] - (np.cumsum(counts) - counts), counts)[hit]
+            # sparse sites: Poisson points on uniform particles
+            points = rng.poisson(site_counts[sparse] * hazard)
+            owner = np.repeat(sparse, points)
+            hits = _distinct(first[owner]
+                             + (rng.random(owner.size) * site_counts[owner]).astype(np.int64))
+            cell = np.searchsorted(ends, np.concatenate((moved, hits)), side="right")
+            site, replica = np.divmod(cell, size)
+        cls = self._pick_classes(site, rng.random(site.size))
         tally = np.bincount(replica * ncls + cls, minlength=size * ncls)
         return tally.reshape(size, ncls) @ self.signs
 
@@ -468,12 +477,26 @@ class ClassTable:
     def _pick_classes(self, site: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Class of each mover at window site `site` with uniform u in
         [0, 1): the first class c with floor(cdf[site, c] 2^CDF_BITS) >
-        floor(u 2^CDF_BITS), by one search of `_keys`.  A mover's row ends at
-        2^CDF_BITS, so the class is in its row; a class with pi_site(c) = 0
-        has the key before it (or the row's start), so it is never picked.
-        Queries in site order keep the search in cache."""
+        floor(u 2^CDF_BITS).  A mover's row ends at 2^CDF_BITS, so the class
+        is in its row; a class with pi_site(c) = 0 has the key before it (or
+        the row's start), so it is never picked.
+
+        The query (site << CDF_BITS) + floor(u 2^CDF_BITS), shifted right,
+        is the mover's guide cell.  A cell's first class is the pick, or the
+        class after it when the mover is at or past that class's key.  The
+        movers of a cell holding two or more class steps (guide -1) are found
+        by one search of `_keys` instead; queries in site order keep it in
+        cache.
+        """
         query = (site << CDF_BITS) + (u * 2.0 ** CDF_BITS).astype(np.int64)
-        return np.searchsorted(self._keys, query, side="right") - site * self.cdf.shape[1]
+        ncls = self.cdf.shape[1]
+        shift = CDF_BITS + 1 - self.guide.shape[1].bit_length()
+        cls = self.guide.ravel()[query >> shift].astype(np.int64)
+        crowded = np.flatnonzero(cls < 0)
+        cls += self._keys[site * ncls + cls] <= query
+        cls[crowded] = (np.searchsorted(self._keys, query[crowded], side="right")
+                        - site[crowded] * ncls)
+        return cls
 
     def moments(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact mean and covariance of the flattened grid currents under
@@ -594,6 +617,53 @@ def class_table(config: ExperimentConfig) -> Optional[ClassTable]:
     return _table_from_laws(config.occupancy, *laws)
 
 
+def _distinct(hits: np.ndarray) -> np.ndarray:
+    """The particles hit, sorted, each once: a sort finds the particles
+    hit more than once."""
+    hits.sort()
+    once = np.ones(hits.size, bool)
+    once[1:] = hits[1:] != hits[:-1]
+    return hits[once]
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of cumulative class rows (Chen and Asau, AIIE
+    Trans. 6, 1974), on the keys floor(cdf[m, c] 2^CDF_BITS).
+
+    Each row's key range [0, 2^CDF_BITS) splits into B equal buckets, B the
+    least power of two at least 2 ncls.  guide[m, b] is the number of
+    classes whose key is at most the bucket's start b 2^CDF_BITS / B, capped
+    at ncls - 1: the first class a uniform in the bucket can take.  When two
+    or more keys fall strictly inside the bucket it holds -1 instead.  int16
+    while ncls fits, otherwise int32.  Built GUIDE_CELLS cells at a time.
+    """
+    nsites, ncls = cdf.shape
+    buckets = 1 << (2 * ncls - 1).bit_length()
+    shift = CDF_BITS + 1 - buckets.bit_length()
+    guide = np.empty((nsites, buckets),
+                     np.int16 if ncls <= np.iinfo(np.int16).max else np.int32)
+    step = max(1, GUIDE_CELLS // buckets)
+    classes = np.tile(np.arange(ncls, dtype=guide.dtype), min(step, nsites))
+    for a in range(0, nsites, step):
+        block = cdf[a:a + step]
+        keys = np.multiply(block, 2.0 ** CDF_BITS, out=np.empty(block.shape, np.int64),
+                           casting="unsafe")
+        # class c holds the buckets whose start is at or past key c - 1 and
+        # before key c, ceil(key / 2^shift) the first bucket past a key; the
+        # last class's run ends at B, so a row of move 0 holds ncls - 1
+        ends = (keys + ((1 << shift) - 1)) >> shift
+        ends[:, -1] = buckets
+        cells = guide[a:a + step].reshape(-1)
+        cells[:] = np.repeat(classes[:keys.size], np.diff(ends, axis=1, prepend=0).ravel())
+        # two keys strictly inside a bucket: sorted keys with the same
+        # bucket, the lower one off the bucket's start
+        inside = keys >> shift
+        crowded = (inside[:, 1:] == inside[:, :-1]) & (keys[:, :-1] & ((1 << shift) - 1) != 0)
+        row, col = np.nonzero(crowded)
+        cells[row * buckets + inside[row, col]] = -1
+    return guide
+
+
 def _table_from_laws(occ: OccupancyModel, classes: np.ndarray, signs: np.ndarray,
                      probs: np.ndarray) -> ClassTable:
     """The ClassTable of `_site_class_laws`'s output under occupancy occ;
@@ -603,14 +673,15 @@ def _table_from_laws(occ: OccupancyModel, classes: np.ndarray, signs: np.ndarray
             f"a non-Poisson class table needs fewer than 2^{63 - CDF_BITS} window sites")
     means = occ.rho0 * probs.sum(axis=0)
     site_means = probs @ signs
-    move = cdf = None
+    move = cdf = guide = None
     if occ.kind != "poisson":
         cdf = np.cumsum(probs, axis=1, out=probs)
         move = np.minimum(cdf[:, -1], 1.0)
         live = cdf[:, -1] > 0.0
         cdf[live] /= cdf[live, -1:]
+        guide = _guide_table(cdf)
     return ClassTable(classes=classes, signs=signs, means=means, site_means=site_means,
-                      occupancy=occ, move=move, cdf=cdf)
+                      occupancy=occ, move=move, cdf=cdf, guide=guide)
 
 
 def batch_currents(config: ExperimentConfig, table: Optional[ClassTable],

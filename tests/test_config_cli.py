@@ -115,6 +115,26 @@ class TestCanonicalHash:
         d = dict(BASE, bands=dict(), window_tol=1e-6)
         assert canonical_hash(d) == canonical_hash(dict(d, workers=8, out="/tmp/x"))
 
+    def test_integral_floats_hash_as_ints(self):
+        # a number written as 1 or 1.0 loads the same experiment
+        assert canonical_hash({"T": 1}) == canonical_hash({"T": 1.0})
+        assert canonical_hash({"t_grid": [0.5, 1]}) == canonical_hash({"t_grid": [0.5, 1.0]})
+        nested = {"ldp": {"t": 1.0, "n_values": [100.0, 400]}, "kernel": [[1.0, 0.7], [-1, 0.3]]}
+        assert canonical_hash(nested) == canonical_hash(
+            {"ldp": {"t": 1, "n_values": [100, 400]}, "kernel": [[1, 0.7], [-1, 0.3]]})
+        assert canonical_hash({"T": 1.5}) != canonical_hash({"T": 1})
+
+    def test_bools_hash_as_bools(self):
+        assert canonical_hash({"flag": True}) != canonical_hash({"flag": 1})
+        assert canonical_hash({"flag": False}) != canonical_hash({"flag": 0.0})
+
+    def test_integral_float_configs_share_hash(self, tmp_path):
+        a = load_config(write_cfg(tmp_path, name="a.json", T=1, t_grid=[0.5, 1]),
+                        command="simulate")
+        b = load_config(write_cfg(tmp_path, name="b.json", T=1.0, t_grid=[0.5, 1.0]),
+                        command="simulate")
+        assert a.config_hash == b.config_hash
+
 
 class TestCliCommands:
     def test_simulate_and_dump(self, tmp_path):
@@ -345,6 +365,33 @@ class TestCliFailures:
         assert manifest["status"] == "failed"
         assert "RuntimeError: boom" in manifest["error"]
 
+
+    @pytest.mark.parametrize("x", [10, 50])
+    def test_rate_empirical_underflow_exits_3(self, tmp_path, capsys, x):
+        # the benchmark's rare-events config far out in the tail: the
+        # estimate underflows to 0 at some n, which stops the run with a
+        # message naming x, n and log p_hat and no traceback
+        cfg = write_cfg(tmp_path, t_grid=[1.0], replicas=1,
+                        ldp={"t": 1.0, "r": 0.0, "x": x, "samples": 40_000,
+                             "n_values": [100, 400, 1600]})
+        out = str(tmp_path / "out")
+        assert main(["rate-empirical", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert f"tail estimate underflows at x = {x:.1f}, n = " in err and "log p_hat" in err
+        manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
+        assert manifest["status"] == "failed" and "Traceback" not in manifest["error"]
+        assert manifest["error"] in err
+
+    def test_rate_empirical_x5_passes(self, tmp_path):
+        # the same config at x = 5 stays within float range at every n
+        cfg = write_cfg(tmp_path, t_grid=[1.0], replicas=1,
+                        ldp={"t": 1.0, "r": 0.0, "x": 5, "samples": 40_000,
+                             "n_values": [100, 400, 1600]})
+        out = str(tmp_path / "out")
+        assert main(["rate-empirical", "--config", cfg, "--out", out]) == 0
+        rows = json.loads(Path(os.path.join(out, "rate_empirical.json")).read_text())["rows"]
+        assert [row["n"] for row in rows] == [100, 400, 1600]
+        assert all(row["p_hat"] > 0.0 for row in rows)
 
     @pytest.mark.parametrize("ldp, extra, key", [
         ({"samples": 0}, {}, "ldp.samples"),

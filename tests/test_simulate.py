@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from scipy import stats as spstats
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample, site_class_laws
 from pmf_oracles import poisson_site_current_pmf
-from walkcurrent.simulate import BATCH_STREAM, CDF_BITS, _table_from_laws
+from walkcurrent.simulate import BATCH_STREAM, CDF_BITS, _table_from_laws, batch_currents
 from window_oracles import bisection_truncation_radius
 
 
@@ -321,6 +322,122 @@ class TestMoverDraw:
             cfg = small_config(occupancy=occ)
             rows = wc.class_table(cfg).draw(batch_rng(cfg, 0), 300)
             assert rows.shape == (300, 2) and not rows.any()
+
+
+def search_pick(table, site, u):
+    """The class pick as one search of the whole key array: the reference
+    the guide table must reproduce."""
+    query = (site << CDF_BITS) + (u * 2.0 ** CDF_BITS).astype(np.int64)
+    return np.searchsorted(table._keys, query, side="right") - site * table.cdf.shape[1]
+
+
+def pick_edges(table, m):
+    """Uniforms at which a pick of row m can go wrong: the ends of [0, 1),
+    the bits just above CDF_BITS, every step of the row's keys and the
+    point just below it, and every guide bucket's start and the point just
+    below it."""
+    keys = table._keys.reshape(table.cdf.shape)[m] - (m << CDF_BITS)
+    buckets = np.arange(table.guide.shape[1]) / table.guide.shape[1]
+    u = np.concatenate(([0.0, 2.0 ** -53, 2.0 ** -41, 2.0 ** -40, np.nextafter(1.0, 0.0)],
+                        keys / 2.0 ** CDF_BITS, np.maximum(keys - 1, 0) / 2.0 ** CDF_BITS,
+                        buckets, np.nextafter(buckets, 0.0)))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+# a class's mass: none, tiny (a cluster of them crowds one guide bucket,
+# some below 2^-CDF_BITS apart) or ordinary
+CLASS_MASS = st.one_of(st.just(0.0), st.floats(1e-14, 1e-6), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def row_laws(draw):
+    """Site class laws of a few rows: the first row's first and last
+    classes have no mass, and the last row has move 0."""
+    ncls = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(CLASS_MASS, min_size=ncls, max_size=ncls),
+                         min_size=1, max_size=5))
+    probs = np.array(rows + [[0.0] * ncls])
+    probs[0, [0, -1]] = 0.0
+    return probs / np.maximum(probs.sum(axis=1), 1.0)[:, None]
+
+
+class TestGuideTable:
+    """The guide pick against one search of the whole key array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_laws(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    def test_pick_matches_search(self, probs, extra):
+        nsites, ncls = probs.shape
+        table = _table_from_laws(wc.OccupancyModel.deterministic(1),
+                                 np.zeros((ncls, 2), np.int64), np.ones((ncls, 1), np.int64),
+                                 probs.copy())
+        buckets = table.guide.shape[1]
+        assert buckets >= 2 * ncls and buckets & (buckets - 1) == 0 and buckets < 4 * ncls
+        assert table.guide.dtype == np.int16
+        keys = table._keys.reshape(nsites, ncls) - (np.arange(nsites)[:, None] << CDF_BITS)
+        starts = np.arange(buckets) << (CDF_BITS + 1 - buckets.bit_length())
+        for m in np.flatnonzero(table.move > 0.0):
+            # the guide's definition, bucket by bucket
+            first = np.searchsorted(keys[m], starts, side="right")
+            inside = np.searchsorted(keys[m], starts + starts[1], side="left") - first
+            assert np.array_equal(table.guide[m], np.where(inside >= 2, -1, first)), m
+            u = np.concatenate((pick_edges(table, m), extra))
+            site = np.full(u.size, m)
+            cls = table._pick_classes(site, u)
+            assert np.array_equal(cls, search_pick(table, site, u)), m
+            assert np.all(probs[m, cls] > 0.0), m
+
+    def test_rows_past_int16_classes(self):
+        # a guide of more than 32,767 classes is int32; the picks reach the
+        # classes past int16's range and match the search
+        ncls = 40_000
+        probs = np.full((2, ncls), 1.0 / ncls)
+        probs[1, :ncls // 2] = 0.0
+        probs[1] *= 2.0
+        table = _table_from_laws(wc.OccupancyModel.deterministic(1),
+                                 np.zeros((ncls, 2), np.int64), np.ones((ncls, 1), np.int64),
+                                 probs.copy())
+        assert table.guide.dtype == np.int32 and table.guide.max() == ncls - 1
+        rng = np.random.default_rng(11)
+        for m in range(2):
+            u = np.concatenate((pick_edges(table, m), rng.random(5000)))
+            site = np.full(u.size, m)
+            cls = table._pick_classes(site, u)
+            assert np.array_equal(cls, search_pick(table, site, u)), m
+            assert np.all(probs[m, cls] > 0.0) and cls.max() > np.iinfo(np.int16).max, m
+
+
+# Streams of the class draws: the sha256 of every batch's rows (int64) of a
+# 400-replica ensemble at the benchmark's fbm-check shape under four
+# occupancy laws, and at the acceptance shape under Poisson occupancy
+FBM_SHAPE = dict(n=2500, T=4.0, S=0.1, t_grid=(0.25, 0.5, 1.0, 2.0, 4.0), r_grid=(0.0,))
+ACCEPT_SHAPE = dict(n=2500, T=1.0, S=0.5, t_grid=(0.5, 1.0), r_grid=(-0.5, 0.0, 0.5))
+STREAM_GOLDENS = [
+    (FBM_SHAPE, wc.OccupancyModel.deterministic(1),
+     "d5152d19dee16729e7e55b432aaf145787902c87307196bff4cd13601c30654b"),
+    (FBM_SHAPE, wc.OccupancyModel.deterministic(2),
+     "d1f2353e61fa4f2fc8f41768a893434a658d8e0f3d722d89afa797e890ac5368"),
+    (FBM_SHAPE, wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
+     "3cc46dce60a7da7740ec521bebe07ad0968c6f01ac08163127cb7502a95ffde4"),
+    (FBM_SHAPE, wc.OccupancyModel.geometric(1.0),
+     "d02a26da48698a7e8d4d942ddcf466fc73007302ac00928d168fcce8a8d7c129"),
+    (ACCEPT_SHAPE, wc.OccupancyModel.poisson(1.0),
+     "f937267aba19e2092863140abf99d81dba1c4d84966affdafe7e2fb049595a46"),
+]
+
+
+def test_class_draw_streams_pinned():
+    # a change to any class draw's random stream, or to what it does with
+    # the draws, moves one of these digests
+    for shape, occ, digest in STREAM_GOLDENS:
+        cfg = wc.ExperimentConfig(kernel=wc.validate_kernel({1: 0.7, -1: 0.3}), occupancy=occ,
+                                  master_seed=20261019, replicas=400, **shape)
+        table = wc.class_table(cfg)
+        sha = hashlib.sha256()
+        for index, batch in enumerate(wc.split_batches(cfg.replicas)):
+            rows = batch_currents(cfg, table, index, batch)
+            sha.update(np.ascontiguousarray(rows, np.int64).tobytes())
+        assert sha.hexdigest() == digest, occ.kind
 
 
 class TestRunEnsemble:
