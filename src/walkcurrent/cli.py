@@ -49,8 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args) -> str:
+    """The output directory, made if missing; one that cannot be made is a
+    configuration error."""
     out = args.out or os.environ.get(OUT_ENV) or "runs"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigValidationError(f"--out: cannot make output directory {out!r}: {exc}")
     return out
 
 

@@ -415,8 +415,8 @@ def _check_ensemble(command: str, spec: RunSpec) -> None:
 
 def _check_tail_section(section: dict, spec: RunSpec) -> None:
     """rate-empirical's inputs: an occupancy law the tilted sampler takes,
-    positive counts, and a point (t, r) of the grid whose window the
-    truncation radius certifies."""
+    positive counts, strictly ascending n_values, and a point (t, r) of the
+    grid whose window the truncation radius certifies."""
     kind = spec.occupancy.kind
     if kind not in TILTED_OCCUPANCY:
         raise ConfigValidationError(
@@ -432,9 +432,12 @@ def _check_tail_section(section: dict, spec: RunSpec) -> None:
         raise ConfigValidationError(
             f"ldp.samples: expected a positive integer, got {section['samples']!r}")
     n_values = section["n_values"]
-    if not isinstance(n_values, list) or not n_values or min(n_values) < 1:
+    if (not isinstance(n_values, list) or not n_values or min(n_values) < 1
+            or any(b <= a for a, b in zip(n_values, n_values[1:]))):
+        # the trend criterion reads the rate gaps in list order
         raise ConfigValidationError(
-            f"ldp.n_values: expected a nonempty list of positive integers, got {n_values!r}")
+            f"ldp.n_values: expected a strictly ascending nonempty list of positive "
+            f"integers, got {n_values!r}")
     point = (float(section["t"]), float(section["r"]))
     if point not in spec.experiment.grid_points():
         raise ConfigValidationError(

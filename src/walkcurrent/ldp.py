@@ -436,10 +436,11 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     if p_hat < sys.float_info.min:
         raise DegenerateWeightsError(
             f"tail estimate underflows at x = {x}, n = {config.n}: log p_hat = {log_p:.1f}")
-    second = math.exp(log_sum2 - math.log(total))
-    var = max(second - p_hat * p_hat, 0.0)
-    se = math.sqrt(var / total)
-    return TailEstimate(p_hat=p_hat, relative_se=se / p_hat,
+    # se / p_hat = sqrt((total sum w^2 / (sum w)^2 - 1) / total), taken in
+    # logs: p_hat^2 underflows where p_hat nears the float floor
+    relative_se = math.sqrt(max(math.expm1(log_sum2 + math.log(total) - 2.0 * log_sum), 0.0)
+                            / total)
+    return TailEstimate(p_hat=p_hat, relative_se=relative_se,
                         empirical_rate=-math.log(p_hat) / sqrt_n,
                         ess=ess, alpha=float(alpha), threshold=threshold,
                         samples=total)

@@ -132,6 +132,8 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
     payloads = [(config, table, index, batch, retain_idx, RETAIN_CAP)
                 for index, batch in enumerate(batches)]
     start = time.perf_counter()
+    # a pool starts all its workers at once, so it gets no more than batches
+    workers = min(workers, len(payloads))
     if workers > 1:
         # one chunk per worker pickles the table once per worker
         with ProcessPoolExecutor(max_workers=workers) as pool:

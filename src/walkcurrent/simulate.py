@@ -514,42 +514,40 @@ class ClassTable:
                 + (self.occupancy.v0 - self.occupancy.rho0) * outer)
 
 
-def _suffix_laws(config: ExperimentConfig, lo: int, hi: int,
-                 anchors: np.ndarray) -> Optional[dict]:
-    """Class suffix (c_1, ..., c_K) -> (first site, probabilities over the
-    window sites from it), built backward from the last grid time; None when
-    the live suffixes at some time outnumber the window sites.
+def _site_class_laws(config: ExperimentConfig, lo: int, hi: int):
+    """(classes, signs, rows) for the nonempty classes with a nonzero sign:
+    rows[m, c] = pi_m(c).  None when the live classes at any cut outnumber
+    the window sites.
 
-    A suffix (c_k, ..., c_K) is a function of the position at time k - 1:
-    the probability of going on to that suffix.  At each grid time every
-    suffix function is cut at that time's lines, and each nonzero piece is
-    correlated with the walk pmf of the gap before it (one np.convolve);
-    all-zero pieces are pruned.  Positions are kept to the range reachable
-    from the window.
+    One backward pass of cuts builds the laws.  A class tail (c_k, ..., c_K)
+    is a function of the position at time k - 1: the probability of going
+    on to that tail.  Cut k splits every tail function at grid time k's
+    lines, and correlates each nonzero piece with the walk pmf of the gap
+    before time k (one np.convolve); all-zero pieces are pruned, and
+    positions are kept to the range reachable from the window.  The last
+    cut is the start intervals: at the anchors, with no walk, over the
+    window, so each piece there is a window site's class law.
     """
-    pmfs = []
-    reach = [(lo, hi)]  # positions reachable from the window, per grid time
+    nsites = hi - lo + 1
+    anchors = np.asarray(config.anchors(), np.int64)
+    # (lines, walk pmf of the gap before them, positions reachable from the
+    # window before the gap) per cut, the start cut first
+    cuts = [(anchors, None, (lo, hi))]
+    a, b = lo, hi
     prev_t = 0.0
-    for t in config.t_grid:
+    for t, shift in zip(config.t_grid, config.line_shifts()):
         gap = config.n * (t - prev_t)
         prev_t = t
         wp = walk_pmf(config.kernel, gap) if gap > 0.0 else None
-        a, b = reach[-1]
+        cuts.append((anchors + shift, wp, (a, b)))
         if wp is not None:
             a, b = a + wp.offset_min, b + wp.offset_min + wp.masses.size - 1
-        pmfs.append(wp)
-        reach.append((a, b))
 
-    a, b = reach[-1]
-    suffixes = {(): (a, np.ones(b - a + 1))}
-    for k in range(len(pmfs), 0, -1):
-        lines = anchors + config.line_shifts()[k - 1]
-        wp = pmfs[k - 1]
-        a, b = reach[k - 1]
+    laws = {(): (a, np.ones(b - a + 1))}
+    for lines, wp, (a, b) in reversed(cuts):
         split = {}
-        for suffix, (first, vals) in suffixes.items():
-            cuts = np.clip(lines - first + 1, 0, vals.size)
-            bounds = np.concatenate(([0], cuts, [vals.size]))
+        for tail, (first, vals) in laws.items():
+            bounds = np.concatenate(([0], np.clip(lines - first + 1, 0, vals.size), [vals.size]))
             for c in range(anchors.size + 1):
                 piece = vals[bounds[c]:bounds[c + 1]]
                 if not piece.any():
@@ -560,40 +558,12 @@ def _suffix_laws(config: ExperimentConfig, lo: int, hi: int,
                     start -= wp.offset_min + wp.masses.size - 1
                 i, j = max(a - start, 0), min(b + 1 - start, piece.size)
                 if i < j and piece[i:j].any():
-                    split[(c,) + suffix] = (start + i, piece[i:j])
-        if len(split) > hi - lo + 1:
+                    split[(c,) + tail] = (start + i, piece[i:j])
+        if len(split) > nsites:
             return None
-        suffixes = split
-    return suffixes
+        laws = split
 
-
-def _site_class_laws(config: ExperimentConfig, lo: int, hi: int):
-    """(classes, signs, rows) for the nonempty classes with a nonzero sign:
-    rows[m, c] = pi_m(c).  None when the live suffixes or the nonempty
-    classes outnumber the window sites.
-
-    At time 0 a site's start interval j completes its suffix's class.
-    """
-    nsites = hi - lo + 1
-    anchors = np.asarray(config.anchors(), np.int64)
-    suffixes = _suffix_laws(config, lo, hi, anchors)
-    if suffixes is None:
-        return None
-    # the sites of start interval j are window sites edges[j] .. edges[j + 1] - 1
-    edges = np.concatenate(([0], np.clip(anchors - lo + 1, 0, nsites), [nsites]))
-    names, spans = [], []
-    for j in range(anchors.size + 1):
-        for suffix, (first, vals) in sorted(suffixes.items()):
-            a, b = max(first - lo, edges[j]), min(first - lo + vals.size, edges[j + 1])
-            if a >= b:  # the suffix's sites miss start interval j
-                continue
-            piece = vals[a + lo - first:b + lo - first]
-            if piece.any():
-                names.append((j,) + suffix)
-                spans.append((a, b, piece))
-    if len(names) > nsites:
-        return None
-
+    names = sorted(laws)
     classes = np.array(names, np.int64)
     idx = np.arange(anchors.size)
     signs = ((classes[:, 1:, None] <= idx).astype(np.int64)
@@ -601,15 +571,15 @@ def _site_class_laws(config: ExperimentConfig, lo: int, hi: int):
     keep = np.flatnonzero(np.any(signs != 0, axis=1))
     rows = np.zeros((nsites, keep.size))
     for c, i in enumerate(keep):
-        a, b, vals = spans[i]
-        rows[a:b, c] = vals
+        first, vals = laws[names[i]]
+        rows[first - lo:first - lo + vals.size, c] = vals
     return classes[keep], signs[keep], rows
 
 
 def class_table(config: ExperimentConfig) -> Optional[ClassTable]:
     """The path-class table of the certified window, or None for the
-    particle engine: when the live class suffixes at any grid time, or the
-    nonempty classes, outnumber the window sites."""
+    particle engine: when the live classes at any cut outnumber the window
+    sites."""
     lo, hi = window_span(config, truncation_radius(config))
     laws = _site_class_laws(config, lo, hi)
     if laws is None:

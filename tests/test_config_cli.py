@@ -187,6 +187,37 @@ class TestCliCommands:
             b = Path(os.path.join(out2, name)).read_bytes()
             assert a == b, f"{name} differs across worker counts"
 
+    def test_pool_capped_at_batch_count(self, tmp_path, monkeypatch):
+        # a stand-in pool that records its size and maps in this process:
+        # 64 workers for 50 batches get a pool of 50, and the same reports
+        from walkcurrent import runner
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        cfg = write_cfg(tmp_path, replicas=200)
+        reports = []
+        for workers in (1, 64):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["cov-check", "--config", cfg, "--out", out,
+                         "--workers", str(workers)]) == 0
+            reports.append([Path(os.path.join(out, name)).read_bytes()
+                            for name in ("cov_check.csv", "cov_check.json", "mean_check.csv")])
+        assert sizes == [50]
+        assert reports[0] == reports[1]
+
     def test_deterministic_fbm_check_worker_count_invariance(self, tmp_path):
         # the per-mover draw of a fixed count, byte-identical across worker
         # counts like the Poisson draw above
@@ -319,6 +350,29 @@ class TestCliCommands:
                 assert lines[0].startswith("# schema=walkcurrent.")
                 assert lines[1] == ",".join(header)
 
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, monkeypatch, via_env):
+        # an output path that is a regular file stops the run before any
+        # compute, with a message naming --out and no traceback
+        from walkcurrent import runner
+
+        def never(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(runner, "rate_table_experiment", never)
+        cfg = write_cfg(tmp_path, ldp={"t": 1.0, "x_grid": [0.5]})
+        path = tmp_path / "taken"
+        path.write_bytes(b"not a directory")
+        argv = ["rate-table", "--config", cfg]
+        if via_env:
+            monkeypatch.setenv("WALKCURRENT_OUT", str(path))
+        else:
+            argv += ["--out", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert path.read_bytes() == b"not a directory"
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
@@ -398,13 +452,16 @@ class TestCliFailures:
         ({"samples": -4000}, {}, "ldp.samples"),
         ({"n_values": []}, {}, "ldp.n_values"),
         ({"n_values": [0]}, {}, "ldp.n_values"),
+        ({"n_values": [400, 100]}, {}, "ldp.n_values"),
+        ({"n_values": [100, 100]}, {}, "ldp.n_values"),
         # t = 0 on the grid: the positivity check, not the grid check
         ({"t": 0}, {"t_grid": [0.0, 1.0]}, "ldp.t"),
         ({}, {"occupancy": {"type": "custom", "pmf": [[0, 0.5], [2, 0.5]]}}, "occupancy"),
         ({"r": 5}, {}, "ldp.r"),
         ({"t": 0.75}, {}, "ldp.t"),
     ], ids=["samples-zero", "samples-negative", "n-values-empty", "n-values-zero",
-            "t-zero", "custom-occupancy", "r-off-grid", "t-off-grid"])
+            "n-values-descending", "n-values-repeated", "t-zero", "custom-occupancy",
+            "r-off-grid", "t-off-grid"])
     def test_bad_rate_empirical_input_exits_2(self, tmp_path, capsys, ldp, extra, key):
         section = {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100]}
         cfg = write_cfg(tmp_path, ldp=dict(section, **ldp), **extra)

@@ -446,6 +446,16 @@ class TestTiltedTailEstimate:
         assert est.threshold == 100
         assert abs(est.p_hat - exact) <= 3.0 * est.p_hat * est.relative_se
 
+    def test_relative_se_far_in_the_tail(self):
+        # p_hat = 5.3e-194 at n = 1600, x = 6: its square underflows, yet the
+        # relative error stays positive; at x = 1 it is the direct
+        # sqrt((mean w^2 - p_hat^2) / samples) / p_hat
+        cfg = tail_config(n=1600, seed=5)
+        far = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 6.0, samples=40_000)
+        assert far.p_hat < 1e-190 and far.relative_se > 0.0
+        near = wc.tilted_tail_estimate(cfg, 1.0, 0.0, 1.0, samples=40_000)
+        assert near.relative_se == pytest.approx(0.014044835943248773, rel=1e-12)
+
     def test_geometric_rejected(self):
         cfg = tail_config(occupancy=OccupancyModel.geometric(1.0))
         with pytest.raises((ValueError, wc.MgfDomainError)):

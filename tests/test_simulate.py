@@ -15,7 +15,8 @@ from scipy import stats as spstats
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample, site_class_laws
 from pmf_oracles import poisson_site_current_pmf
-from walkcurrent.simulate import BATCH_STREAM, CDF_BITS, _table_from_laws, batch_currents
+from walkcurrent.simulate import (BATCH_STREAM, CDF_BITS, _site_class_laws, _table_from_laws,
+                                  batch_currents)
 from window_oracles import bisection_truncation_radius
 
 
@@ -438,6 +439,58 @@ def test_class_draw_streams_pinned():
             rows = batch_currents(cfg, table, index, batch)
             sha.update(np.ascontiguousarray(rows, np.int64).tobytes())
         assert sha.hexdigest() == digest, occ.kind
+
+
+def law_config(occupancy=None, kernel=None, **shape):
+    return wc.ExperimentConfig(kernel=wc.validate_kernel(kernel or {1: 0.7, -1: 0.3}),
+                               occupancy=occupancy or wc.OccupancyModel.poisson(1.0),
+                               master_seed=1, **shape)
+
+
+# The class laws (classes, signs, rows) of _site_class_laws over each config's
+# certified window -- or over the window of a wider grid, for the one-point
+# config of the tilted sampler -- pinned by the sha256 of every array's shape
+# and bytes; None pins the fallback
+LAW_GOLDENS = {
+    "acceptance": (law_config(**ACCEPT_SHAPE), None,
+                   "72c66d50a41b0758cd3cefa7527d5ed638d4acc90589fd8c8f2f937617d233ef"),
+    "fbm-fixed": (law_config(occupancy=wc.OccupancyModel.deterministic(1), **FBM_SHAPE), None,
+                  "1169676d7f763227a03b945fad2dcc0ef2b3cefa69e06b1ce1c47c20e2827bc8"),
+    "time-zero-row": (law_config(n=25, T=0.5, S=0.4, t_grid=(0.0, 0.5),
+                                 r_grid=(-0.4, 0.0, 0.4)), None,
+                      "6768e741e83103c5210db6c086bc1c0a210f49c47717a4956570444de3de5921"),
+    "zero-offset-kernel": (law_config(kernel={-1: 0.2, 0: 0.5, 1: 0.3}, n=100, T=1.0, S=0.25,
+                                      t_grid=(0.5, 1.0), r_grid=(-0.2, 0.2)), None,
+                           "0b53315e1ecbc2f7db145d32f8c13c011289c950f4f4a9929f5e327314e3b650"),
+    "wide-kernel": (law_config(kernel={2: 0.5, -1: 0.5}, n=100, T=1.0, S=0.25,
+                               t_grid=(0.25, 1.0), r_grid=(0.0, 0.2)), None,
+                    "77a90ab97665b92b3046f392e27051835de55cce45d2b8b36d571af39ca459b3"),
+    "repeated-anchors": (law_config(n=4, T=1.0, S=0.25, t_grid=(0.5, 1.0),
+                                    r_grid=(0.1, 0.2)), None,
+                         "bb70311e02e63968e1c3862ec391856ef8bdcf67f3895b231a5bab7a29c25162"),
+    "tilted-point": (law_config(n=2500, T=1.0, S=0.5, t_grid=(1.0,), r_grid=(0.5,)),
+                     law_config(**ACCEPT_SHAPE),
+                     "b8acb33e6efdc2a77388b85cf026386fd01e21e08c822469e4fc8d3a8a258987"),
+    "fallback": (law_config(n=4, T=1.0, S=1.0, t_grid=(0.25, 0.5, 0.75, 1.0),
+                            r_grid=(-1.0, -0.5, 0.0, 0.5, 1.0)), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_GOLDENS))
+def test_class_laws_pinned(name):
+    # a change to the cuts, the convolutions or the class order of the
+    # table build moves one of these digests
+    cfg, window_cfg, digest = LAW_GOLDENS[name]
+    lo, hi = wc.window_span(window_cfg or cfg, wc.truncation_radius(window_cfg or cfg))
+    laws = _site_class_laws(cfg, lo, hi)
+    if digest is None:
+        assert laws is None
+        return
+    sha = hashlib.sha256()
+    for arr in laws:
+        sha.update(repr(arr.shape).encode())
+        sha.update(np.ascontiguousarray(arr).tobytes())
+    assert sha.hexdigest() == digest
 
 
 class TestRunEnsemble:
