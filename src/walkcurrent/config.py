@@ -42,6 +42,9 @@ DEFAULTS = {
     },
 }
 
+# limit-tables draws this many pairs, from this seed, where no pairs are given
+LIMIT_DEFAULTS = {"count": 12, "seed": 7}
+
 RUNTIME_KEYS = ("workers", "out", "format")
 
 # Commands whose checks divide by the mean occupancy or solve within its
@@ -378,6 +381,11 @@ def load_config(path: str, overrides: Optional[dict] = None,
             raise ConfigValidationError(
                 f"limit.pairs: expected a nonempty list of [s, q, t, r] with times "
                 f"s, t >= 0, got {pairs!r}")
+        count = len(pairs) if pairs is not None else section.get("count", LIMIT_DEFAULTS["count"])
+        if section.get("identity_checks", 0) > count:
+            raise ConfigValidationError(
+                f"limit.identity_checks: expected at most the {count} pairs, "
+                f"got {section['identity_checks']!r}")
         spec.limit = section
 
     spec.retain_points = _retain_points(resolved.get("retain_points", []),

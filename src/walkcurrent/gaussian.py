@@ -131,7 +131,7 @@ def _integral(values_at, lo, hi, what: str):
     def at_nodes(nodes):
         return values_at(lo[..., None] + span[..., None] * nodes)
 
-    return gated_rule(at_nodes, INTEGRAL_PANELS, INTEGRAL_ORDER, 1e-12,
+    return gated_rule(at_nodes, span.shape, INTEGRAL_PANELS, INTEGRAL_ORDER, 1e-12,
                       INTEGRAL_MAX_PANELS, what, scale=span)
 
 

@@ -27,7 +27,8 @@ from .normal import stirling_remainder
 # the search range only loosens, never breaks, the bound
 MGF_THETA_CAP = 50.0
 CHERNOFF_GRID = 256
-CHERNOFF_ROWS = 32
+# lines either side of the envelope's line whose minimum a distance takes
+ENVELOPE_REACH = 3
 PMF_LENGTH_CAP = 50_000_000
 # total mass a walk pmf may drop
 WALK_MASS_TOL = 1e-12
@@ -302,27 +303,47 @@ def walk_pmf(kernel: JumpKernel, tau: float) -> LatticePmf:
     return marked_poisson_pmf(kernel.offsets, tau * kernel.probs, WALK_MASS_TOL)
 
 
-def chernoff_log_tail(kernel: JumpKernel, tau: float, deltas) -> np.ndarray:
-    """log of a two-sided Chernoff bound on P(|X(tau) - v*tau| >= delta).
-
-    Minimizes exp(tau*(M(+-theta)-1) -+ theta*v*tau - theta*delta) over a
-    fixed log-spaced theta grid; every grid point gives a valid bound, so
-    the minimum does too.  Not capped at log(1); callers cap as needed.
-    """
-    deltas = np.atleast_1d(np.asarray(deltas, float))
+def chernoff_lines(kernel: JumpKernel, tau: float):
+    """(theta, base_hi, base_lo) on the fixed log-spaced theta grid: the
+    log-MGFs tau*(M(+-theta)-1) -+ theta*v*tau of X(tau) - v*tau and of its
+    negative, so that base - theta*delta is the log Chernoff bound of one
+    side at distance delta."""
     theta = np.logspace(-4, math.log10(kernel.mgf_radius), CHERNOFF_GRID)
     mg_plus = np.sum(kernel.probs * np.exp(np.outer(theta, kernel.offsets)), axis=1)
     mg_minus = np.sum(kernel.probs * np.exp(np.outer(-theta, kernel.offsets)), axis=1)
     base_hi = tau * (mg_plus - 1.0) - theta * kernel.v * tau   # log E e^{th(X-v tau)}
     base_lo = tau * (mg_minus - 1.0) + theta * kernel.v * tau  # log E e^{-th(X-v tau)}
-    # blocks of CHERNOFF_ROWS deltas keep the (deltas x theta) temporaries small
-    hi = np.empty(deltas.size)
-    lo = np.empty(deltas.size)
-    for s in range(0, deltas.size, CHERNOFF_ROWS):
-        ext = theta[None, :] * deltas[s:s + CHERNOFF_ROWS, None]
-        hi[s:s + CHERNOFF_ROWS] = np.min(base_hi[None, :] - ext, axis=1)
-        lo[s:s + CHERNOFF_ROWS] = np.min(base_lo[None, :] - ext, axis=1)
-    return np.logaddexp(hi, lo)
+    return theta, base_hi, base_lo
+
+
+def _envelope_min(theta: np.ndarray, base: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """min over the grid of base - theta*delta for each delta, read off the
+    lower envelope of these lines.  base is convex in theta, so every line
+    lies on the envelope, between its crossings with its two neighbours; a
+    binary search over the running maximum of the crossings finds each
+    delta's line, and the minimum runs over it and ENVELOPE_REACH lines
+    either side, which absorbs the crossings' rounding."""
+    with np.errstate(invalid="ignore"):  # inf - inf where exp overflowed
+        crossings = np.maximum.accumulate(np.diff(base) / np.diff(theta))
+    near = (np.searchsorted(crossings, deltas)[:, None]
+            + np.arange(-ENVELOPE_REACH, ENVELOPE_REACH + 1))
+    np.clip(near, 0, theta.size - 1, out=near)
+    return np.min(base[near] - theta[near] * deltas[:, None], axis=1)
+
+
+def chernoff_log_tail(kernel: JumpKernel, tau: float, deltas) -> np.ndarray:
+    """log of a two-sided Chernoff bound on P(|X(tau) - v*tau| >= delta).
+
+    Minimizes exp(tau*(M(+-theta)-1) -+ theta*v*tau - theta*delta) over a
+    fixed log-spaced theta grid; every grid point gives a valid bound, so
+    the minimum does too.  Each side's minimum is taken near its lower
+    envelope's line at delta, and equals the minimum over the whole grid.
+    Not capped at log(1); callers cap as needed.
+    """
+    deltas = np.atleast_1d(np.asarray(deltas, float))
+    theta, base_hi, base_lo = chernoff_lines(kernel, tau)
+    return np.logaddexp(_envelope_min(theta, base_hi, deltas),
+                        _envelope_min(theta, base_lo, deltas))
 
 
 def chernoff_tail(kernel: JumpKernel, tau: float, delta: int) -> float:

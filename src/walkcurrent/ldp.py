@@ -583,7 +583,10 @@ def build_multi_time_spec(times: Sequence[float], rho: float,
             for invert in (False, True)] for u in patterns])
 
     panels, order = SPEC_RULES[k]
-    rates = rho * gated_rule(pattern_probs, panels, order, SPEC_TOL,
+    # at three times, the trivariate CDFs of one call double their panels
+    # together; from 16 panels on, the nodes come in more than one block,
+    # and each block's CDFs meet the same gate on their own
+    rates = rho * gated_rule(pattern_probs, (len(patterns), 2), panels, order, SPEC_TOL,
                              SPEC_MAX_PANELS, "pattern rate", scale=x_max)
     return MultiTimeSpec(times=times, rho=rho, kappa2=kappa2,
                          patterns=tuple(patterns),

@@ -67,31 +67,55 @@ def _horner(x: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return out
 
 
-# ndtr works through its input in blocks of this many values, which keeps
-# the temporaries of its array passes in cache
-NDTR_BLOCK = 8192
+# The cell budget of every kernel block: ndtr works through its values,
+# bvn_cdf through its (Genz node, point) cells and gated_rule through its
+# (point, node) cells in blocks of at most this many, which keeps the
+# temporaries of their array passes in cache.  Block lengths are multiples
+# of BLOCK_ALIGN: a matrix-vector product (OpenBLAS dgemv) computes the
+# outputs past the last multiple of 4 in a loop of their own, which rounds
+# differently, so only blocks of whole multiples leave every value as one
+# call over all the points gives it.
+BLOCK_CELLS = 1 << 13
+BLOCK_ALIGN = 16
 
 
-def _ndtr_block(a: np.ndarray) -> np.ndarray:
-    """ndtr(a sqrt 2) for a 1-d block, as Cephes' ndtr takes it: 1/2 +
-    erf(a)/2 where |a| < 1/sqrt 2, else erfc(|a|)/2 or its complement."""
+def _block_length(cells_per_item: int) -> int:
+    """Items per block: as many as BLOCK_CELLS cells hold, rounded down to
+    a multiple of BLOCK_ALIGN, and at least BLOCK_ALIGN."""
+    return max(BLOCK_CELLS // max(cells_per_item, 1) // BLOCK_ALIGN, 1) * BLOCK_ALIGN
+
+
+def _ndtr_block(a: np.ndarray, out: np.ndarray) -> None:
+    """ndtr(a sqrt 2) for a 1-d block into out, as Cephes' ndtr takes it:
+    1/2 + erf(a)/2 where |a| < 1/sqrt 2, else erfc(|a|)/2 or its
+    complement.  Each pass that can runs in place, so that the block holds
+    few temporaries."""
     z = np.abs(a)
     z2 = z * z
     tu = _horner(z2, _ERF_TU)
-    erf = z * tu[0] / tu[1]  # erf(z), used where z < 1
+    erf = z * tu[0]
+    erf /= tu[1]  # erf(z), used where z < 1
+    del tu
     pq = _horner(z, _ERFC_PQ)
-    erfc = np.exp(-z2) * pq[0] / pq[1]
-    if z.max(initial=0.0) >= 8.0:
-        far = z >= 8.0
+    np.negative(z2, out=out)
+    np.exp(out, out=out)
+    out *= pq[0]
+    out /= pq[1]  # erfc(z)
+    del pq
+    # a NaN fails the test, so it leaves the other values of its block alone
+    far = z >= 8.0
+    if far.any():
         zf = z[far]
         rs = _horner(zf, _ERFC_RS)
-        erfc[far] = np.exp(-zf * zf) * rs[0] / rs[1]
-    out = np.where(z < 1.0, 1.0 - erf, erfc)
+        out[far] = np.exp(-zf * zf) * rs[0] / rs[1]
+    np.subtract(1.0, erf, out=out, where=z < 1.0)
     out[z2 > _MAXLOG] = 0.0
     out *= 0.5
     np.subtract(1.0, out, out=out, where=a > 0.0)
-    np.copyto(out, 0.5 + 0.5 * np.copysign(erf, a), where=z < SQRT1_2)
-    return out
+    np.copysign(erf, a, out=erf)
+    erf *= 0.5
+    erf += 0.5
+    np.copyto(out, erf, where=z < SQRT1_2)
 
 
 def ndtr(x):
@@ -104,8 +128,8 @@ def ndtr(x):
     a = (x * SQRT1_2).ravel()
     out = np.empty(a.shape)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for s in range(0, a.size, NDTR_BLOCK):
-            out[s:s + NDTR_BLOCK] = _ndtr_block(a[s:s + NDTR_BLOCK])
+        for s in range(0, a.size, BLOCK_CELLS):
+            _ndtr_block(a[s:s + BLOCK_CELLS], out[s:s + BLOCK_CELLS])
     return out.reshape(x.shape)[()]
 
 
@@ -188,21 +212,6 @@ def mean_excess(var, x):
     return out[()]
 
 
-def _genz_nodes(order: int):
-    """Gauss-Legendre nodes on [0, 2] and their weights, as Genz's bvnu
-    uses them."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 1.0 + x, w
-
-
-# Genz's node counts by |rho|: 6, 12 and 20 points below 0.3, 0.75 and 0.925
-_BVN_BRACKETS = ((0.3, *_genz_nodes(6)), (0.75, *_genz_nodes(12)),
-                 (0.925, *_genz_nodes(20)))
-_BVN_STRONG_NODES = _genz_nodes(20)
-# points per block, so that (points x nodes) temporaries stay small
-BVN_BLOCK = 8192
-
-
 def _bvn_moderate(h, k, r, nh, nk, x, w):
     """P(X <= h, Y <= k) for |r| < 0.925: Drezner and Wesolowsky's integral
     of the density over the correlation, from 0 to r, in Genz's
@@ -220,11 +229,10 @@ def _bvn_moderate(h, k, r, nh, nk, x, w):
     return (w @ np.exp(e)) * (asr / (2.0 * math.pi)) + nh * nk
 
 
-def _bvn_strong(h, k, r, nh, nk):
+def _bvn_strong(h, k, r, nh, nk, x, w):
     """P(X <= h, Y <= k) for 0.925 <= |r| < 1: Genz's bvnu(-h, -k, r), which
     integrates from |r| to 1 after an asymptotic expansion of the
     singular part."""
-    x, w = _BVN_STRONG_NODES
     # arrays are (node, point), so that each pass runs along the points; a
     # scalar r gives (node, 1) node terms
     neg = r < 0.0
@@ -269,6 +277,23 @@ def _bvn_strong(h, k, r, nh, nk):
     return np.where(neg, np.where(hh >= kk, -bvn, upper - bvn), bvn + np.minimum(nh, nk))
 
 
+@functools.cache
+def _bvn_rules():
+    """(upper |rho|, nodes, weights, form) for Genz's brackets: 6, 12 and
+    20 Gauss-Legendre nodes on [0, 2] below |rho| = 0.3, 0.75 and 0.925,
+    the moderate form, and 20 with the strong form below 1.  Built on the
+    first call, so that a run that never needs them skips numpy.polynomial."""
+    rules = []
+    for hi, order, form in ((0.3, 6, _bvn_moderate), (0.75, 12, _bvn_moderate),
+                            (0.925, 20, _bvn_moderate), (1.0, 20, _bvn_strong)):
+        x, w = np.polynomial.legendre.leggauss(order)
+        x = 1.0 + x
+        x.setflags(write=False)
+        w.setflags(write=False)
+        rules.append((hi, x, w, form))
+    return tuple(rules)
+
+
 def _bvn(h, k, rho):
     """(cdf, ndtr(h), ndtr(k), shape): bvn_cdf's values and marginals as
     flat arrays, and the broadcast shape to give them."""
@@ -280,25 +305,34 @@ def _bvn(h, k, rho):
         rho = np.broadcast_to(rho, shape).ravel()
     nh, nk = ndtr(h), ndtr(k)
     out = np.full(h.shape, np.nan)
-    mag = np.broadcast_to(np.abs(rho), h.shape)
+    mag = np.abs(rho)
     lo = 0.0
     # an infinite h or k gives NaN here; it is set from the margins below
     with np.errstate(invalid="ignore"):
-        for hi, x, w in _BVN_BRACKETS + ((1.0, None, None),):
-            idx = np.flatnonzero((mag >= lo) & (mag < hi))
+        for hi, x, w, form in _bvn_rules():
+            step = _block_length(x.size)
+            if rho.ndim:
+                idx = np.flatnonzero((mag >= lo) & (mag < hi))
+                blocks = [idx[s:s + step] for s in range(0, idx.size, step)]
+            else:  # a shared rho puts every point in one bracket, read in slices
+                blocks = [slice(s, s + step) for s in range(0, h.size if lo <= mag < hi else 0,
+                                                             step)]
             lo = hi
-            for s in range(0, idx.size, BVN_BLOCK):
-                blk = idx[s:s + BVN_BLOCK]
+            for blk in blocks:
                 r = rho if rho.ndim == 0 else rho[blk]
-                args = (h[blk], k[blk], r, nh[blk], nk[blk])
-                out[blk] = _bvn_strong(*args) if x is None else _bvn_moderate(*args, x, w)
-    out = np.clip(out, 0.0, 1.0)
-    out = np.where((h == 0.0) & (k == 0.0),
-                   0.25 + np.arcsin(np.where(mag < 1.0, rho, 0.0)) / (2.0 * math.pi), out)
-    out = np.where(rho >= 1.0, np.minimum(nh, nk), out)
-    out = np.where(rho <= -1.0, np.maximum(0.0, nh + nk - 1.0), out)
-    out = np.where(h == np.inf, nk, np.where(k == np.inf, nh, out))
-    out = np.where((h == -np.inf) | (k == -np.inf), 0.0, out)
+                out[blk] = form(h[blk], k[blk], r, nh[blk], nk[blk], x, w)
+    np.clip(out, 0.0, 1.0, out=out)
+    origin = (h == 0.0) & (k == 0.0)
+    if origin.any():
+        np.copyto(out, 0.25 + np.arcsin(np.where(mag < 1.0, rho, 0.0)) / (2.0 * math.pi),
+                  where=origin)
+    if np.any(rho >= 1.0):
+        np.copyto(out, np.minimum(nh, nk), where=rho >= 1.0)
+    if np.any(rho <= -1.0):
+        np.copyto(out, np.maximum(0.0, nh + nk - 1.0), where=rho <= -1.0)
+    np.copyto(out, nh, where=k == np.inf)
+    np.copyto(out, nk, where=h == np.inf)
+    np.copyto(out, 0.0, where=(h == -np.inf) | (k == -np.inf))
     return out, nh, nk, shape
 
 
@@ -374,18 +408,26 @@ def quadrature_ok(err, epsabs: float, magnitude) -> bool:
     return bool(np.all(np.asarray(err) <= limit))
 
 
-def gated_rule(values_at, panels: int, order: int, epsabs: float,
+def gated_rule(values_at, shape: tuple, panels: int, order: int, epsabs: float,
                max_panels: int, what: str, scale=1.0):
     """scale times the integral over [0, 1] of a panel-rule integrand.
 
-    values_at(nodes) gives the integrand at the panel_rule nodes on its
-    last axis.  Until the doubling error estimate, times scale, meets
-    quadrature_ok, the panels double, up to max_panels; then it raises
-    QuadratureConvergenceError.
+    values_at(nodes) gives the integrand at the given panel_rule nodes on
+    its last axis, as an array of shape `shape + nodes.shape` (or one that
+    broadcasts to it).  It is called on blocks of at most BLOCK_CELLS
+    (point, node) cells, but at least BLOCK_ALIGN nodes, and the blocks
+    fill one array of values, so an integrand that is elementwise along
+    its nodes gives the same sums whatever the blocks.  Until the doubling
+    error estimate, times scale, meets quadrature_ok, the panels double,
+    up to max_panels; then it raises QuadratureConvergenceError.
     """
+    step = _block_length(math.prod(shape))
     while True:
         nodes, w_coarse, w_fine = panel_rule(panels, order)
-        val, err = rule_sum(values_at(nodes), w_coarse, w_fine)
+        values = np.empty(shape + nodes.shape)
+        for s in range(0, nodes.size, step):
+            values[..., s:s + step] = values_at(nodes[s:s + step])
+        val, err = rule_sum(values, w_coarse, w_fine)
         val, err = val * scale, err * scale
         if quadrature_ok(err, epsabs, np.abs(val)):
             return val
@@ -433,7 +475,7 @@ def mvn_cdf_3(upper, cov):
         k = (upper[..., 2:3] - slope[1] * z) / sd3
         return norm_pdf(z, s11) * bvn_cdf(h, k, rho)
 
-    val = gated_rule(values_at, MVN_PANELS, MVN_ORDER, 1e-12, MVN_MAX_PANELS,
+    val = gated_rule(values_at, span.shape, MVN_PANELS, MVN_ORDER, 1e-12, MVN_MAX_PANELS,
                      "trivariate normal CDF", scale=span)
     return float(val) if val.ndim == 0 else val
 

@@ -16,13 +16,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .config import DEFAULTS
+from .config import DEFAULTS, LIMIT_DEFAULTS
 from .gaussian import (
     LimitCovariance,
     covariance_table,
@@ -135,6 +134,8 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
     # a pool starts all its workers at once, so it gets no more than batches
     workers = min(workers, len(payloads))
     if workers > 1:
+        # imported here, so that a run at one worker loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
         # one chunk per worker pickles the table once per worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_job, payloads,
@@ -384,8 +385,8 @@ def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None):
         pairs = [((float(s), float(q)), (float(t), float(r)))
                  for s, q, t, r in section["pairs"]]
     else:
-        rng = np.random.default_rng(int(section.get("seed", 7)))
-        count = int(section.get("count", 12))
+        rng = np.random.default_rng(int(section.get("seed", LIMIT_DEFAULTS["seed"])))
+        count = int(section.get("count", LIMIT_DEFAULTS["count"]))
         pairs = []
         for _ in range(count):
             s, t = rng.uniform(0.05, 3.0, size=2)

@@ -189,8 +189,9 @@ class TestCliCommands:
 
     def test_pool_capped_at_batch_count(self, tmp_path, monkeypatch):
         # a stand-in pool that records its size and maps in this process:
-        # 64 workers for 50 batches get a pool of 50, and the same reports
-        from walkcurrent import runner
+        # 64 workers for 50 batches get a pool of 50, and the same reports.
+        # The runner imports the pool from concurrent.futures when it starts one
+        import concurrent.futures
         sizes = []
 
         class InlinePool:
@@ -206,7 +207,7 @@ class TestCliCommands:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = write_cfg(tmp_path, replicas=200)
         reports = []
         for workers in (1, 64):
@@ -481,6 +482,12 @@ class TestCliFailures:
         ("rate-table", {"ldp": {"t": 1.0, "kappa2": -1.0, "x_grid": [0.5]}}, "ldp.kappa2"),
         ("limit-tables", {"limit": {"count": 4, "identity_checks": -1}},
          "limit.identity_checks"),
+        # more checks than pairs checked only the pairs, and said nothing
+        ("limit-tables", {"limit": {"count": 3, "identity_checks": 10}},
+         "limit.identity_checks"),
+        ("limit-tables", {"limit": {"identity_checks": 13}}, "limit.identity_checks"),
+        ("limit-tables", {"limit": {"pairs": [[1, 0, 1, 0]], "identity_checks": 2}},
+         "limit.identity_checks"),
         ("limit-tables", {"limit": {"rho0": -1}}, "limit.rho0"),
         ("limit-tables", {"limit": {"v0": math.inf}}, "limit.v0"),
         ("limit-tables", {"limit": {"kappa2": "x"}}, "limit.kappa2"),
@@ -530,7 +537,9 @@ class TestCliFailures:
          "occupancy.pmf"),
         ("simulate", {"retain_points": [[1.0, "0"]]}, "retain_points"),
     ], ids=["x-grid-empty", "limit-count-zero", "limit-pairs-empty", "rate-table-t-zero",
-            "rate-table-kappa2-negative", "identity-checks-negative", "limit-rho0-negative",
+            "rate-table-kappa2-negative", "identity-checks-negative",
+            "identity-checks-above-count", "identity-checks-above-default-count",
+            "identity-checks-above-pairs", "limit-rho0-negative",
             "limit-v0-infinite", "limit-kappa2-string", "limit-seed-negative",
             "limit-pair-s-negative", "limit-pair-t-negative", "S-infinite",
             "t-grid-nan", "r-grid-nan", "seed-negative", "poisson-rho-infinite",

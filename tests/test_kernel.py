@@ -11,6 +11,7 @@ from conftest import lattice_chisquare
 from pmf_oracles import (convolution_walk_pmf, exact_poisson_tail, sample_increments,
                          stats_poisson_window)
 from walkcurrent import kernel as kernel_module
+from window_oracles import brute_force_chernoff_log_tail
 
 
 class TestValidateKernel:
@@ -314,12 +315,15 @@ class TestChernoffTail:
         # the theta-minimum taken over the whole (deltas x theta) array at once
         tau = 300.0
         deltas = np.arange(size, dtype=float) * 0.75
-        theta = np.logspace(-4, math.log10(wide_kernel.mgf_radius), kernel_module.CHERNOFF_GRID)
-        mg_plus = np.sum(wide_kernel.probs * np.exp(np.outer(theta, wide_kernel.offsets)), axis=1)
-        mg_minus = np.sum(wide_kernel.probs * np.exp(np.outer(-theta, wide_kernel.offsets)), axis=1)
-        base_hi = tau * (mg_plus - 1.0) - theta * wide_kernel.v * tau
-        base_lo = tau * (mg_minus - 1.0) + theta * wide_kernel.v * tau
-        ext = theta[None, :] * deltas[:, None]
-        ref = np.logaddexp(np.min(base_hi[None, :] - ext, axis=1),
-                           np.min(base_lo[None, :] - ext, axis=1))
+        ref = brute_force_chernoff_log_tail(wide_kernel, tau, deltas)
         assert np.array_equal(kernel_module.chernoff_log_tail(wide_kernel, tau, deltas), ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_KERNELS, st.floats(-1.0, 7.0), st.integers(0, 20_000))
+    def test_envelope_minimum_is_the_grid_minimum(self, raw, log_tau, start):
+        # a window block's distances, as the window certification asks for them
+        kernel = wc.validate_kernel(raw)
+        tau = 10.0 ** log_tau
+        deltas = np.maximum(np.arange(start, start + 512, dtype=float) - 1.0, 0.0)
+        assert np.array_equal(kernel_module.chernoff_log_tail(kernel, tau, deltas),
+                              brute_force_chernoff_log_tail(kernel, tau, deltas))

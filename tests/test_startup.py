@@ -1,9 +1,13 @@
-"""What the CLI loads: no command imports any part of scipy.
+"""What the CLI loads: no command imports any part of scipy, and the
+ensembles at one worker load no process pool and no numpy.polynomial.
 
 scipy.stats and scipy.optimize together take about 0.8 s to import, and
 scipy.special about 0.3 s, more than the commands' own work at acceptance
-scale, so an eager or lazy import of any of them fails here.  The commands
-run in a fresh interpreter, because the test suite itself imports scipy.
+scale, so an eager or lazy import of any of them fails here.  The process
+pool (multiprocessing, about 10 ms and 2 MB) serves only more than one
+worker, and numpy.polynomial only the Gauss-Legendre tables of the
+quadratures, which the ensembles never read.  The commands run in a fresh
+interpreter, because the test suite itself imports scipy.
 """
 
 import json
@@ -46,14 +50,17 @@ from walkcurrent import cli
 
 def run(command):
     code = cli.main([command, "--config", f"{root}/{command}.json",
-                     "--out", f"{root}/{command}"])
+                     "--out", f"{root}/{command}", "--workers", "1"])
     assert code in (0, 1), (command, code)
 
 root = sys.argv[1]
 run("cov-check")
 run("fbm-check")
 loaded = {"after_ensembles": sorted(m for m in ("scipy.stats", "scipy.optimize")
-                                    if m in sys.modules)}
+                                    if m in sys.modules),
+          "pool_or_polynomial": sorted(m for m in ("concurrent.futures.process",
+                                                   "multiprocessing", "numpy.polynomial")
+                                       if m in sys.modules)}
 run("rate-empirical")
 loaded["after_rate_empirical"] = sorted(m for m in ("scipy.stats", "scipy.optimize")
                                         if m in sys.modules)
@@ -73,7 +80,8 @@ def test_commands_skip_scipy_stats_and_optimize(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == str(
-        {"after_ensembles": [], "after_rate_empirical": [], "after_rate_table": []})
+        {"after_ensembles": [], "pool_or_polynomial": [], "after_rate_empirical": [],
+         "after_rate_table": []})
 
 
 MORE_RUNS = {
