@@ -407,6 +407,12 @@ def _check_ensemble(command: str, spec: RunSpec) -> None:
             raise ConfigValidationError(
                 f"replicas: cov-check needs at least {MIN_REPORT_REPLICAS}, "
                 f"got {exp.replicas}")
+        # every current at t = 0 is 0, so a grid with no later time checks nothing
+        if max(exp.t_grid) <= 0.0:
+            raise ConfigValidationError("t_grid: cov-check needs a positive time")
+        if any(t <= 0.0 for t, _ in spec.retain_points):
+            raise ConfigValidationError(
+                "retain_points: the normality diagnostics need a positive time")
         if spec.retain_points and exp.replicas < MIN_NORMALITY_SAMPLES:
             raise ConfigValidationError(
                 f"retain_points: the normality diagnostics need at least "

@@ -47,14 +47,6 @@ class JumpKernel:
     probs: np.ndarray
     v: float
     kappa2: float
-    mgf_radius: float
-
-    def log_mgf(self, theta):
-        """log E exp(theta * xi) for a single jump xi; theta may be an array."""
-        theta = np.asarray(theta, float)
-        ext = theta[..., None] * self.offsets
-        m = np.max(ext, axis=-1, keepdims=True)
-        return (np.log(np.sum(self.probs * np.exp(ext - m), axis=-1)) + m[..., 0])[()]
 
 
 def validate_kernel(raw: Mapping[int, float]) -> JumpKernel:
@@ -87,8 +79,7 @@ def validate_kernel(raw: Mapping[int, float]) -> JumpKernel:
     probs = weights / weights.sum()
     v = float(np.sum(offsets * probs))
     kappa2 = float(np.sum(offsets.astype(float) ** 2 * probs))
-    return JumpKernel(offsets=offsets, probs=probs, v=v, kappa2=kappa2,
-                      mgf_radius=MGF_THETA_CAP)
+    return JumpKernel(offsets=offsets, probs=probs, v=v, kappa2=kappa2)
 
 
 def sample_displacement(kernel: JumpKernel, tau: float, rng: np.random.Generator,
@@ -308,7 +299,7 @@ def chernoff_lines(kernel: JumpKernel, tau: float):
     log-MGFs tau*(M(+-theta)-1) -+ theta*v*tau of X(tau) - v*tau and of its
     negative, so that base - theta*delta is the log Chernoff bound of one
     side at distance delta."""
-    theta = np.logspace(-4, math.log10(kernel.mgf_radius), CHERNOFF_GRID)
+    theta = np.logspace(-4, math.log10(MGF_THETA_CAP), CHERNOFF_GRID)
     mg_plus = np.sum(kernel.probs * np.exp(np.outer(theta, kernel.offsets)), axis=1)
     mg_minus = np.sum(kernel.probs * np.exp(np.outer(-theta, kernel.offsets)), axis=1)
     base_hi = tau * (mg_plus - 1.0) - theta * kernel.v * tau   # log E e^{th(X-v tau)}

@@ -387,12 +387,13 @@ class ClassTable:
 
         Poisson occupancy thins into independent Poisson class counts.  Any
         other law draws which particles move, then each mover's class by
-        inverting its site's cumulative class law (`_draw_movers`).  The
-        rows go at most `cells` cells at a time, but at least one row, which
-        bounds the memory of one call: (replica, class) cells under Poisson
-        occupancy, particles at dense sites under a fixed count, (replica,
-        site) counts under a random count.  The split is fixed by the table,
-        `size` and `cells`.
+        inverting its site's cumulative class law, in one pass whose fixed
+        and random counts differ only in where a site's particles sit
+        (`_draw_movers`).  The rows go at most `cells` cells at a time, but
+        at least one row, which bounds the memory of one call: (replica,
+        class) cells under Poisson occupancy, particles at dense sites under
+        a fixed count, (replica, site) counts under a random count.  The
+        split is fixed by the table, `size` and `cells`.
         """
         if self.move is None:
             width, part = self.means.size, self._draw_class_counts
@@ -415,52 +416,46 @@ class ClassTable:
                      sparse: np.ndarray, hazard: np.ndarray) -> np.ndarray:
         """Rows of `size` replicas, drawing only the particles that move.
 
+        The call's particles are numbered site by site, and within a site
+        replica by replica: site m's run starts at first[m] and holds
+        site_counts[m].  Under a fixed count k that is size k particles at
+        every site, and particle p is in cell p // k; under a random count
+        the counts are drawn site-major and cumulated, and a particle's cell
+        is read from the cumulative counts.  Cell c is replica c % size of
+        site c // size.
+
         A particle at a dense site moves iff its uniform falls below
         move[m].  The particles at a sparse site are unit intervals of a
         Poisson process of rate hazard = -log(1 - move[m]); a particle moves
         iff a point hits it, with probability move[m], independently of the
-        others.  Under a fixed count k a site holds size k particles in the
-        call, replica by replica, k each: the dense sites' uniforms are one
-        (dense site, particle) block, and a sparse site's hit particle p
-        belongs to replica p // k.  Under a random count the counts are drawn
-        site-major and cumulated, the call's particles are numbered site by
-        site, and within a site replica by replica, and a particle's replica
-        is read from the cumulative counts.  Each mover then takes a class
-        from one uniform (`_pick_classes`): the dense sites' movers in site
-        order, then the sparse sites'.
+        others.  Each mover then takes a class from one uniform
+        (`_pick_classes`): the dense sites' movers in site order, then the
+        sparse sites'.
         """
         nsites, ncls = self.cdf.shape
         occ = self.occupancy
         if occ.v0 == 0.0:
             k = int(occ.rho0)
-            if k == 0:
-                return np.zeros((size, self.signs.shape[1]), np.int64)
-            per_site = size * k
-            # dense sites: one uniform per particle
-            row, col = np.nonzero(rng.random((dense.size, per_site)) < self.move[dense, None])
-            # sparse sites: Poisson points on uniform particles
-            points = rng.poisson(per_site * hazard)
-            hits = _distinct(np.repeat(sparse * per_site, points)
-                             + (rng.random(points.sum()) * per_site).astype(np.int64))
-            hit_site, hit_col = np.divmod(hits, per_site)
-            site = np.concatenate((dense[row], hit_site))
-            replica = np.concatenate((col, hit_col)) // k
+            first = np.arange(nsites) * (k * size)
+            site_counts = np.full(nsites, k * size)
         else:
             ends = np.cumsum(occ.sample_counts(rng, nsites * size))
             first = np.concatenate(([0], ends[size - 1:-1:size]))
             site_counts = ends[size - 1::size] - first
-            # dense sites: one uniform per particle
-            counts = site_counts[dense]
-            below = np.repeat(self.move[dense], counts)
-            hit = np.flatnonzero(rng.random(below.size) < below)
-            moved = hit + np.repeat(first[dense] - (np.cumsum(counts) - counts), counts)[hit]
-            # sparse sites: Poisson points on uniform particles
-            points = rng.poisson(site_counts[sparse] * hazard)
-            owner = np.repeat(sparse, points)
-            hits = _distinct(first[owner]
-                             + (rng.random(owner.size) * site_counts[owner]).astype(np.int64))
-            cell = np.searchsorted(ends, np.concatenate((moved, hits)), side="right")
-            site, replica = np.divmod(cell, size)
+        # dense sites: one uniform per particle
+        counts = site_counts[dense]
+        below = np.repeat(self.move[dense], counts)
+        hit = np.flatnonzero(rng.random(below.size) < below)
+        moved = hit + np.repeat(first[dense] - (np.cumsum(counts) - counts), counts)[hit]
+        # sparse sites: Poisson points on uniform particles
+        points = rng.poisson(site_counts[sparse] * hazard)
+        owner = np.repeat(sparse, points)
+        hits = _distinct(first[owner]
+                         + (rng.random(owner.size) * site_counts[owner]).astype(np.int64))
+        particles = np.concatenate((moved, hits))
+        cell = (particles // k if occ.v0 == 0.0
+                else np.searchsorted(ends, particles, side="right"))
+        site, replica = np.divmod(cell, size)
         cls = self._pick_classes(site, rng.random(site.size))
         tally = np.bincount(replica * ncls + cls, minlength=size * ncls)
         return tally.reshape(size, ncls) @ self.signs

@@ -118,7 +118,7 @@ def _leave_one_out(batches: Sequence[EnsembleAccumulator]):
     return [prefix[i].merge(suffix[i + 1]) for i in range(B)]
 
 
-def _jackknife_se(full_stat: np.ndarray, loo_stats: Sequence[np.ndarray]) -> np.ndarray:
+def _jackknife_se(loo_stats: Sequence[np.ndarray]) -> np.ndarray:
     B = len(loo_stats)
     arr = np.stack(loo_stats)
     bar = arr.mean(axis=0)
@@ -141,7 +141,7 @@ def covariance_report(batches: Sequence[EnsembleAccumulator],
     emp = total.cov()
     ana = limit_cov_matrix(params, points)
     loo = [a.cov() for a in _leave_one_out(batches)]
-    se = _jackknife_se(emp, loo)
+    se = _jackknife_se(loo)
     rows = []
     p = len(points)
     for i in range(p):
@@ -215,6 +215,8 @@ def normality_diagnostics(samples: np.ndarray, analytic_var: float,
     it and its p-value is `normal.kolmogorov_sf`, so `ks_p` is `kstest`'s
     (to 1e-12 where the one-sided tail decides it).
     """
+    if not analytic_var > 0.0:
+        raise ValueError(f"normality diagnostics need a positive variance, got {analytic_var!r}")
     x = np.asarray(samples, float)
     if x.size < MIN_NORMALITY_SAMPLES:
         raise InsufficientReplicasError(

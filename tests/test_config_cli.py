@@ -536,6 +536,12 @@ class TestCliFailures:
         ("simulate", {"occupancy": {"type": "custom", "pmf": [[0, 0.5], [2, "0.5"]]}},
          "occupancy.pmf"),
         ("simulate", {"retain_points": [[1.0, "0"]]}, "retain_points"),
+        # no positive time printed PASS on rows of 0.0 with band 0.0; a
+        # retained point at t = 0 ran every replica, then wrote a NaN
+        # kurtosis and exited 1
+        ("cov-check", {"t_grid": [0.0]}, "t_grid"),
+        ("cov-check", {"t_grid": [0.0, 0.5], "retain_points": [[0.0, 0.0]],
+                       "replicas": 10_000}, "retain_points"),
     ], ids=["x-grid-empty", "limit-count-zero", "limit-pairs-empty", "rate-table-t-zero",
             "rate-table-kappa2-negative", "identity-checks-negative",
             "identity-checks-above-count", "identity-checks-above-default-count",
@@ -552,7 +558,8 @@ class TestCliFailures:
             "ks-p-min-above-1", "slope-band-reversed", "duality-tol-negative",
             "S-string", "T-bool", "window-tol-string", "t-grid-string", "t-grid-entry-string",
             "r-grid-entry-bool", "kernel-weight-bool", "poisson-rho-bool",
-            "geometric-rho-string", "custom-prob-string", "retain-point-string"])
+            "geometric-rho-string", "custom-prob-string", "retain-point-string",
+            "cov-check-no-positive-time", "cov-check-retain-time-zero"])
     def test_vacuous_or_nonfinite_input_exits_2(self, tmp_path, capsys, command, extra, key):
         # each passed with nothing checked, or failed only after compute
         cfg = write_cfg(tmp_path, **extra)

@@ -410,35 +410,58 @@ class TestGuideTable:
 
 # Streams of the class draws: the sha256 of every batch's rows (int64) of a
 # 400-replica ensemble at the benchmark's fbm-check shape under four
-# occupancy laws, and at the acceptance shape under Poisson occupancy
+# occupancy laws, and at the acceptance shape under Poisson, fixed and
+# random counts; and of the benchmark's own 3,000-replica fbm-check
+# ensemble, whose batches each take two draw calls
 FBM_SHAPE = dict(n=2500, T=4.0, S=0.1, t_grid=(0.25, 0.5, 1.0, 2.0, 4.0), r_grid=(0.0,))
 ACCEPT_SHAPE = dict(n=2500, T=1.0, S=0.5, t_grid=(0.5, 1.0), r_grid=(-0.5, 0.0, 0.5))
+ZERO_OR_TWO = wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)])
 STREAM_GOLDENS = [
-    (FBM_SHAPE, wc.OccupancyModel.deterministic(1),
+    (FBM_SHAPE, wc.OccupancyModel.deterministic(1), 400,
      "d5152d19dee16729e7e55b432aaf145787902c87307196bff4cd13601c30654b"),
-    (FBM_SHAPE, wc.OccupancyModel.deterministic(2),
+    (FBM_SHAPE, wc.OccupancyModel.deterministic(2), 400,
      "d1f2353e61fa4f2fc8f41768a893434a658d8e0f3d722d89afa797e890ac5368"),
-    (FBM_SHAPE, wc.OccupancyModel.custom([(0, 0.5), (2, 0.5)]),
+    (FBM_SHAPE, ZERO_OR_TWO, 400,
      "3cc46dce60a7da7740ec521bebe07ad0968c6f01ac08163127cb7502a95ffde4"),
-    (FBM_SHAPE, wc.OccupancyModel.geometric(1.0),
+    (FBM_SHAPE, wc.OccupancyModel.geometric(1.0), 400,
      "d02a26da48698a7e8d4d942ddcf466fc73007302ac00928d168fcce8a8d7c129"),
-    (ACCEPT_SHAPE, wc.OccupancyModel.poisson(1.0),
+    (ACCEPT_SHAPE, wc.OccupancyModel.poisson(1.0), 400,
      "f937267aba19e2092863140abf99d81dba1c4d84966affdafe7e2fb049595a46"),
+    (ACCEPT_SHAPE, wc.OccupancyModel.deterministic(1), 400,
+     "7bdf3855a7355e57c95f56a55c07ee8cdd0978922e6ce5bed1aa510401f4e6d1"),
+    (ACCEPT_SHAPE, ZERO_OR_TWO, 400,
+     "d9f91b1b389e9b2c71a0a6ff30918ca041b07311d417a62e4718b466b69c1a99"),
+    (FBM_SHAPE, wc.OccupancyModel.deterministic(1), 3000,
+     "7bd08ffdc4a615ba1b2bbf09bb8f6247064ce12dda5306060f345fc884e2a92c"),
 ]
+
+
+def stream_digest(shape, occ, replicas):
+    """sha256 of every batch's rows of an ensemble drawn by the class engine."""
+    cfg = wc.ExperimentConfig(kernel=wc.validate_kernel({1: 0.7, -1: 0.3}), occupancy=occ,
+                              master_seed=20261019, replicas=replicas, **shape)
+    table = wc.class_table(cfg)
+    sha = hashlib.sha256()
+    for index, batch in enumerate(wc.split_batches(cfg.replicas)):
+        rows = batch_currents(cfg, table, index, batch)
+        sha.update(np.ascontiguousarray(rows, np.int64).tobytes())
+    return sha.hexdigest()
 
 
 def test_class_draw_streams_pinned():
     # a change to any class draw's random stream, or to what it does with
     # the draws, moves one of these digests
-    for shape, occ, digest in STREAM_GOLDENS:
-        cfg = wc.ExperimentConfig(kernel=wc.validate_kernel({1: 0.7, -1: 0.3}), occupancy=occ,
-                                  master_seed=20261019, replicas=400, **shape)
-        table = wc.class_table(cfg)
-        sha = hashlib.sha256()
-        for index, batch in enumerate(wc.split_batches(cfg.replicas)):
-            rows = batch_currents(cfg, table, index, batch)
-            sha.update(np.ascontiguousarray(rows, np.int64).tobytes())
-        assert sha.hexdigest() == digest, occ.kind
+    for shape, occ, replicas, digest in STREAM_GOLDENS:
+        assert stream_digest(shape, occ, replicas) == digest, (occ.kind, replicas)
+
+
+def test_fixed_count_draws_alike_under_any_law():
+    # a law with variance 0 is a fixed count whatever its kind, so it
+    # takes the fixed layout and draws the same rows
+    fixed = wc.OccupancyModel.custom([(2, 1.0)])
+    assert fixed.v0 == 0.0
+    assert (stream_digest(FBM_SHAPE, fixed, 400)
+            == stream_digest(FBM_SHAPE, wc.OccupancyModel.deterministic(2), 400))
 
 
 def law_config(occupancy=None, kernel=None, **shape):

@@ -206,3 +206,10 @@ class TestNormalityDiagnostics:
     def test_needs_samples(self, rng):
         with pytest.raises(wc.InsufficientReplicasError):
             wc.normality_diagnostics(rng.normal(size=100), 1.0)
+
+    @pytest.mark.parametrize("var", [0.0, -1.0, float("nan")])
+    def test_needs_positive_variance(self, rng, var):
+        # a point at t = 0 has variance 0: the moments and the KS statistic
+        # would divide by it
+        with pytest.raises(ValueError, match="positive variance"):
+            wc.normality_diagnostics(rng.normal(size=10_000), var)
