@@ -33,7 +33,8 @@ print(f"  pmf mean {pmf.mean():+.6f} vs v*tau = {kernel.v * tau:+.6f}")
 
 print("\nChernoff bound vs exact two-sided tail (tau = 25):")
 sup = pmf.support()
-for delta in (10, 20, 30):
+deltas = (10, 20, 30)
+bounds = np.exp(np.minimum(wc.chernoff_log_tail(kernel, tau, deltas), 0.0))
+for delta, bound in zip(deltas, bounds):
     exact = pmf.masses[np.abs(sup - kernel.v * tau) >= delta].sum()
-    bound = wc.chernoff_tail(kernel, tau, delta)
     print(f"  delta={delta:>2}: exact {exact:.3e} <= bound {bound:.3e}")

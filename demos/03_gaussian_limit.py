@@ -25,18 +25,20 @@ for (s, q) in points:
         print(f"  ({s},{q})x({t},{r}): closed {closed:.8f}  quad {quad:.8f}  "
               f"diff {closed - quad:+.1e}")
 
-gg = wc.build_grid_gaussian(params, points)
-draws = wc.sample_limit_process(gg, np.random.default_rng(2), size=50_000)
+# on a grid the field is a Gaussian vector, which numpy samples exactly
+cov = wc.limit_cov_matrix(params, points)
+draws = np.random.default_rng(2).multivariate_normal(np.zeros(len(points)), cov,
+                                                     size=50_000, method="cholesky")
 emp = np.cov(draws.T)
-print(f"\nexact grid sampler, 5e4 draws: max |emp - analytic| = "
-      f"{np.abs(emp - gg.cov).max():.4f}")
+print(f"\nexact grid draw (Cholesky), 5e4 draws: max |emp - analytic| = "
+      f"{np.abs(emp - cov).max():.4f}")
 
 mesh = wc.default_mesh(points, params.kappa2)
 sampler = wc.StochasticIntegralSampler(params, points, mesh)
 draws2 = sampler.sample(np.random.default_rng(3), size=50_000)
 emp2 = np.cov(draws2.T)
 print(f"stochastic-integral sampler (dt={mesh.dt:.3g}, dz={mesh.dz:.3g}): "
-      f"max rel dev = {np.max(np.abs(emp2 - gg.cov) / gg.cov):.3%}")
+      f"max rel dev = {np.max(np.abs(emp2 - cov) / cov):.3%}")
 
 ts = [0.25, 0.5, 1.0, 2.0, 4.0]
 variances = [wc.limit_cov(params, (t, 0.0), (t, 0.0)) for t in ts]

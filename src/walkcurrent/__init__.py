@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     ConfigParseError,
     ConfigValidationError,
-    CovarianceNotPSDError,
     DegenerateWeightsError,
     GridMismatchError,
     InsufficientReplicasError,
@@ -35,7 +34,6 @@ from .kernel import (
     JumpKernel,
     LatticePmf,
     chernoff_log_tail,
-    chernoff_tail,
     gillespie_displacement,
     sample_displacement,
     validate_kernel,
@@ -60,11 +58,9 @@ from .simulate import (
     window_span,
 )
 from .gaussian import (
-    GridGaussian,
     LimitCovariance,
     Mesh,
     StochasticIntegralSampler,
-    build_grid_gaussian,
     covariance_table,
     default_mesh,
     dynamic_cov,
@@ -74,7 +70,6 @@ from .gaussian import (
     initial_cov_quadrature,
     limit_cov,
     limit_cov_matrix,
-    sample_limit_process,
 )
 from .normal import mean_excess
 from .stats import (

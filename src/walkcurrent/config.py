@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import ConfigParseError, ConfigValidationError
 from .kernel import JumpKernel, validate_kernel
-from .ldp import TILTED_OCCUPANCY, RateModel, check_multi_time_inputs, is_finite_number
+from .ldp import RateModel, check_multi_time_inputs, is_finite_number, tilts_exactly
 from .occupancy import OccupancyModel
 from .simulate import ExperimentConfig
 from .stats import (MIN_COV_REPLICAS, MIN_NORMALITY_SAMPLES, MIN_REPORT_REPLICAS,
@@ -42,8 +42,10 @@ DEFAULTS = {
     },
 }
 
-# limit-tables draws this many pairs, from this seed, where no pairs are given
-LIMIT_DEFAULTS = {"count": 12, "seed": 7}
+# limit-tables without these keys draws count pairs from seed, checks the first
+# identity_checks of them, and takes rho0, v0, kappa2 if no occupancy or kernel
+LIMIT_DEFAULTS = {"count": 12, "seed": 7, "identity_checks": 6,
+                  "rho0": 1.0, "v0": 1.0, "kappa2": 1.0}
 
 RUNTIME_KEYS = ("workers", "out", "format")
 
@@ -369,7 +371,7 @@ def load_config(path: str, overrides: Optional[dict] = None,
                 raise ConfigValidationError(f"limit.{key}: expected a nonnegative "
                                             f"integer, got {section[key]!r}")
         for key, positive in (("rho0", False), ("v0", False), ("kappa2", True)):
-            value = section.get(key, 1.0)
+            value = section.get(key, LIMIT_DEFAULTS[key])
             if not (is_finite_number(value) and (value > 0.0 or not positive and value == 0.0)):
                 raise ConfigValidationError(
                     f"limit.{key}: expected a {'positive' if positive else 'nonnegative'} "
@@ -431,11 +433,10 @@ def _check_tail_section(section: dict, spec: RunSpec) -> None:
     """rate-empirical's inputs: an occupancy law the tilted sampler takes,
     positive counts, strictly ascending n_values, and a point (t, r) of the
     grid whose window the truncation radius certifies."""
-    kind = spec.occupancy.kind
-    if kind not in TILTED_OCCUPANCY:
+    if not tilts_exactly(spec.occupancy):
         raise ConfigValidationError(
-            f"occupancy: rate-empirical needs {' or '.join(TILTED_OCCUPANCY)} occupancy, "
-            f"got {kind!r}")
+            f"occupancy: rate-empirical needs Poisson or fixed-count occupancy, "
+            f"got {spec.occupancy.kind!r} with variance {spec.occupancy.v0:g}")
     for key in ("t", "r", "x"):
         value = section[key]
         if not is_finite_number(value):

@@ -49,10 +49,6 @@ class QuadratureConvergenceError(WalkCurrentError):
     """Adaptive quadrature failed to reach its error target."""
 
 
-class CovarianceNotPSDError(WalkCurrentError):
-    """A covariance matrix stayed indefinite through the whole jitter ladder."""
-
-
 class MeshTooCoarseError(WalkCurrentError):
     """The stochastic-integral mesh does not resolve the heat kernel."""
 

@@ -8,21 +8,22 @@ fractional Brownian motion with Hurst exponent 1/4.
 
 This module evaluates those closed forms, cross-checks them against their
 independent Brownian-probability integral representations by a gated
-Gauss-Legendre panel rule, and samples the limit field two ways: exactly
-from a Cholesky factor on a point grid, and approximately through a
-discretized stochastic integral driven by space-time white noise plus an
-initial-noise line integral.
+Gauss-Legendre panel rule, and samples the limit field approximately
+through a discretized stochastic integral driven by space-time white noise
+plus an initial-noise line integral.  On a point grid the field is the
+Gaussian vector with covariance limit_cov_matrix, which numpy samples
+exactly: rng.multivariate_normal(zeros, cov, method="cholesky").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import CovarianceNotPSDError, MeshTooCoarseError
+from .errors import MeshTooCoarseError
 from .normal import bvn_cov, gated_rule, mean_excess, ndtr, norm_cdf
 
 Point = Tuple[float, float]  # (t, r)
@@ -189,61 +190,6 @@ def initial_cov_quadrature(s, q, t, r, kappa2: float):
     hi = np.stack([b + tail, a, np.minimum(b, a + INTEGRAL_SDS * sd_a)])
     right, left, between = _integral(f, lo, hi, "initial covariance integral")
     return _value(np.where(live, right + left - between, 0.0))
-
-
-# --------------------------------------------------------------------------
-# exact grid sampler
-# --------------------------------------------------------------------------
-
-JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
-
-
-@dataclass(frozen=True, eq=False)
-class GridGaussian:
-    """Cholesky-factored limit covariance on a fixed point grid."""
-
-    points: Tuple[Point, ...]
-    cov: np.ndarray
-    chol: np.ndarray
-    jitter_used: float
-
-
-def build_grid_gaussian(params: LimitCovariance, points: Sequence[Point]) -> GridGaussian:
-    """Factor the limit covariance on `points`, trying a small jitter ladder.
-
-    Zero-variance points (t == 0) are carried as exact zeros rather than
-    jittered, so their samples are exactly 0.
-    """
-    pts = tuple((float(t), float(r)) for t, r in points)
-    if len(set(pts)) != len(pts):
-        raise ValueError("grid points must be distinct")
-    cov = limit_cov_matrix(params, pts)
-    n = cov.shape[0]
-    chol = np.zeros_like(cov)
-    active = np.nonzero(np.diag(cov) > 0.0)[0]
-    jitter = 0.0
-    if active.size:
-        sub = cov[np.ix_(active, active)]
-        for jitter in JITTER_LADDER:
-            try:
-                sub_chol = np.linalg.cholesky(sub + jitter * np.eye(active.size))
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            raise CovarianceNotPSDError(
-                "covariance not PSD even with jitter 1e-8; formula bug likely")
-        chol[np.ix_(active, active)] = sub_chol
-    return GridGaussian(points=pts, cov=cov, chol=chol, jitter_used=jitter)
-
-
-def sample_limit_process(gg: GridGaussian, rng: np.random.Generator,
-                         size: Optional[int] = None) -> np.ndarray:
-    """Draw from the grid Gaussian: chol @ iid standard normals."""
-    if size is None:
-        return gg.chol @ rng.standard_normal(gg.chol.shape[0])
-    normals = rng.standard_normal((int(size), gg.chol.shape[0]))
-    return normals @ gg.chol.T
 
 
 # --------------------------------------------------------------------------

@@ -336,9 +336,3 @@ def chernoff_log_tail(kernel: JumpKernel, tau: float, deltas) -> np.ndarray:
     return np.logaddexp(_envelope_min(theta, base_hi, deltas),
                         _envelope_min(theta, base_lo, deltas))
 
-
-def chernoff_tail(kernel: JumpKernel, tau: float, delta: int) -> float:
-    """Rigorous upper bound on P(|X(tau) - v*tau| >= delta), capped at 1."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    return math.exp(min(float(chernoff_log_tail(kernel, tau, [float(delta)])[0]), 0.0))

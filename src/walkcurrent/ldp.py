@@ -11,7 +11,7 @@ plus a crossing-probability relative-entropy cost.  Closed forms for
 Poisson occupancy, an importance sampler for finite-n tail probabilities
 (the exact exponential tilt of the current, drawn from the point's
 path-class table with each class reweighted by e^(alpha s_c), under Poisson
-or deterministic occupancy), and the multi-time marginal rates obtained
+or fixed-count occupancy), and the multi-time marginal rates obtained
 from independent Poisson crossing counts complete the picture.
 """
 
@@ -356,10 +356,10 @@ TAIL_MIN_ESS = 100.0  # smallest effective sample size of the hits
 TAIL_DRAW_CELLS = 1 << 20
 
 
-# The occupancy laws whose tilted current the class table draws exactly: a
-# Poisson count stays Poisson under the tilt and a fixed count stays fixed,
-# so only the class weights change.
-TILTED_OCCUPANCY = ("poisson", "deterministic")
+def tilts_exactly(occ: OccupancyModel) -> bool:
+    """Whether the tilted class table is exact under occ: a Poisson count
+    stays Poisson and a fixed count (v0 = 0) stays fixed under the tilt."""
+    return occ.kind == "poisson" or occ.v0 == 0.0
 
 
 def _tilted_table(config: ExperimentConfig, t: float, r: float,
@@ -403,8 +403,8 @@ def tilted_tail_estimate(config: ExperimentConfig, t: float, r: float, x: float,
     exp(c - alpha Y) and the estimator is unbiased for any alpha.
     """
     occ = config.occupancy
-    if occ.kind not in TILTED_OCCUPANCY:
-        raise ValueError("tilted sampling supports Poisson or deterministic occupancy")
+    if not tilts_exactly(occ):
+        raise ValueError("tilted sampling supports Poisson or fixed-count occupancy")
     if alpha is None:
         alpha = tilt_for_mean(RateModel(occupancy=occ, kappa2=config.kernel.kappa2, t=t), x)
     table, log_const = _tilted_table(config, t, r, alpha)
@@ -547,7 +547,7 @@ def check_multi_time_inputs(times, rho, kappa2, x_vectors=None) -> None:
     """Raise ValueError, its message starting with the input's name, unless
     there are 1 to 3 positive ascending times, rho and kappa2 are positive,
     and x_vectors, when given, is a nonempty list of lists of one number
-    per time.  All numbers must be finite."""
+    per time, equal at equal times.  All numbers must be finite."""
     if not (isinstance(times, (list, tuple)) and 1 <= len(times) <= 3
             and all(map(is_finite_number, times))):
         raise ValueError(f"times: expected 1 to 3 numbers, got {times!r}")
@@ -563,6 +563,9 @@ def check_multi_time_inputs(times, rho, kappa2, x_vectors=None) -> None:
             for x in x_vectors)):
         raise ValueError(f"x_vectors: expected a nonempty list of vectors of "
                          f"{len(times)} numbers, got {x_vectors!r}")
+    # a repeated time is one current, which cannot take two values
+    if any(a == b and u != v for x in x_vectors for a, b, u, v in zip(times, times[1:], x, x[1:])):
+        raise ValueError(f"x_vectors: expected equal values at a repeated time, got {x_vectors!r}")
 
 
 def build_multi_time_spec(times: Sequence[float], rho: float,

@@ -4,8 +4,9 @@ Each model is a nonnegative-integer law used i.i.d. across lattice sites.
 Besides sampling, a model exposes its log-MGF, the tilted mean (the log-MGF
 derivative), and the convex dual -- the three ingredients the rate-function
 module consumes.  Models are restricted to an analytically whitelisted set
-(Poisson, deterministic, geometric, finite custom pmf) so every constraint
-the rest of the package relies on is checkable at construction time.
+(Poisson, geometric, finite custom pmf, with a fixed count its one-point
+case) so every constraint the rest of the package relies on is checkable
+at construction time.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class OccupancyModel:
     """Per-site occupancy law with mean rho0 and variance v0.
 
     Use the classmethod constructors; `kind` is one of "poisson",
-    "deterministic", "geometric", "custom".
+    "geometric", "custom".  A fixed count is the one-value custom law.
     """
 
     kind: str
@@ -74,10 +75,8 @@ class OccupancyModel:
 
     @classmethod
     def deterministic(cls, count: int) -> "OccupancyModel":
-        c = int(count)
-        if c < 0 or c != count:
-            raise ValueError("deterministic occupancy needs a nonnegative integer")
-        return cls(kind="deterministic", rho0=float(c), v0=0.0)
+        """A fixed count: the one-point law, which custom checks."""
+        return cls.custom([(count, 1.0)])
 
     @classmethod
     def geometric(cls, rho: float) -> "OccupancyModel":
@@ -134,8 +133,6 @@ class OccupancyModel:
         th = np.asarray(theta, float)
         if self.kind == "poisson":
             out = self.rho0 * np.expm1(th)
-        elif self.kind == "deterministic":
-            out = self.rho0 * th
         elif self.kind == "geometric":
             if np.any(th >= self.mgf_radius):
                 bad = float(np.max(th))
@@ -152,8 +149,6 @@ class OccupancyModel:
         th = np.asarray(theta, float)
         if self.kind == "poisson":
             out = self.rho0 * np.exp(th)
-        elif self.kind == "deterministic":
-            out = np.full(th.shape, self.rho0)
         elif self.kind == "geometric":
             if np.any(th >= self.mgf_radius):
                 raise MgfDomainError("geometric occupancy tilt beyond MGF radius")
@@ -175,7 +170,7 @@ class OccupancyModel:
         """Convex dual sup_theta {theta*x - log_mgf(theta)} for x >= 0.
 
         Returns math.inf where the dual diverges (values the law cannot
-        tilt to), e.g. any x != c for a deterministic count c.
+        tilt to), e.g. any x != c for a fixed count c.
         """
         x = np.asarray(x, float)
         if np.any(x < 0.0):
@@ -185,8 +180,6 @@ class OccupancyModel:
         if self.kind == "poisson":
             rho = self.rho0
             out = np.where(pos, xp * np.log(xp / rho) - xp + rho, rho)
-        elif self.kind == "deterministic":
-            out = np.where(x == self.rho0, 0.0, INF)
         elif self.kind == "geometric":
             s = self._s
             th = np.log(xp) - math.log(s) - np.log1p(xp)
@@ -255,8 +248,9 @@ class OccupancyModel:
         size = int(size)
         if self.kind == "poisson":
             return rng.poisson(self.rho0, size=size).astype(np.int64)
-        if self.kind == "deterministic":
-            return np.full(size, int(self.rho0), np.int64)
+        if self.v0 == 0.0:
+            # a fixed count draws nothing
+            return np.full(size, self._values[0], np.int64)
         if self.kind == "geometric":
             # numpy's geometric counts trials >= 1; subtract for support {0,1,...}
             return (rng.geometric(1.0 - self._s, size=size) - 1).astype(np.int64)

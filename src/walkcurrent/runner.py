@@ -377,9 +377,9 @@ def fidi_experiment(fidi_section: dict):
 def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None):
     """Covariance golden tables, with the quadrature identity spot-checked."""
     section = limit_section or {}
-    rho0 = section.get("rho0", occupancy.rho0 if occupancy else 1.0)
-    v0 = section.get("v0", occupancy.v0 if occupancy else 1.0)
-    kappa2 = section.get("kappa2", kernel.kappa2 if kernel else 1.0)
+    rho0 = section.get("rho0", occupancy.rho0 if occupancy else LIMIT_DEFAULTS["rho0"])
+    v0 = section.get("v0", occupancy.v0 if occupancy else LIMIT_DEFAULTS["v0"])
+    kappa2 = section.get("kappa2", kernel.kappa2 if kernel else LIMIT_DEFAULTS["kappa2"])
     params = LimitCovariance(rho0=float(rho0), v0=float(v0), kappa2=float(kappa2))
     if "pairs" in section:
         pairs = [((float(s), float(q)), (float(t), float(r)))
@@ -393,7 +393,7 @@ def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None):
             q, r = rng.uniform(-2.0, 2.0, size=2)
             pairs.append(((float(s), float(q)), (float(t), float(r))))
     rows = covariance_table(params, pairs)
-    ncheck = int(section.get("identity_checks", min(6, len(pairs))))
+    ncheck = int(section.get("identity_checks", LIMIT_DEFAULTS["identity_checks"]))
     s, q, t, r = np.asarray(pairs[:ncheck], float).reshape(-1, 4).T
     errors = [np.abs(closed(s, q, t, r, params.kappa2) - integral(s, q, t, r, params.kappa2))
               for closed, integral in ((dynamic_cov, dynamic_cov_quadrature),
@@ -468,9 +468,9 @@ def write_csv(path: str, kind: str, rows) -> int:
 
 def write_json(path: str, obj) -> None:
     tmp = path + ".tmp"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)  # no NaN or inf
     with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     os.replace(tmp, path)
 
 

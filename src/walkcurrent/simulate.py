@@ -730,12 +730,11 @@ def exact_current_pmf(config: ExperimentConfig, t: float, r: float) -> LatticePm
         means = occ.rho0 * np.array([cross[right].sum(), cross[~right].sum()])
         return marked_poisson_pmf([1, -1], means, CURRENT_TAIL_TOL)
 
-    values, probs = ((occ._values, occ._probs) if occ.kind == "custom"
-                     else (np.array([int(occ.rho0)]), np.array([1.0])))
     live = cross > 0.0
     acc = np.array([1.0])
     acc_min = 0
-    for is_right, site_pmf in zip(right[live], _finite_site_pmfs(values, probs, cross[live])):
+    for is_right, site_pmf in zip(right[live],
+                                  _finite_site_pmfs(occ._values, occ._probs, cross[live])):
         if site_pmf.size == 1:
             continue
         if is_right:

@@ -32,6 +32,11 @@ def write_cfg(tmp_path, name="cfg.json", **extra):
     return str(path)
 
 
+def _refuse(name):
+    """A strict parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 # the fbm-check of the benchmark at n = 100: one particle per site, five times
 FBM_FIXED = {"T": 4.0, "S": 0.1, "t_grid": [0.25, 0.5, 1.0, 2.0, 4.0], "r_grid": [0.0],
              "occupancy": {"type": "deterministic", "count": 1}, "replicas": 2000}
@@ -284,6 +289,26 @@ class TestCliCommands:
         report = json.loads(Path(os.path.join(out, "rate_empirical.json")).read_text())
         assert report["rows"][0]["oracle_ok"] is True
 
+    def test_rate_empirical_fixed_count_under_any_law(self, tmp_path):
+        # a fixed count is the one-point finite law, however it is written
+        ldp = {"t": 1.0, "r": 0.0, "x": 1.0, "samples": 4000, "n_values": [100]}
+        reports = []
+        for name, occupancy in (("det", {"type": "deterministic", "count": 2}),
+                                ("custom", {"type": "custom", "pmf": [[2, 1.0]]})):
+            cfg = write_cfg(tmp_path, f"{name}.json", occupancy=occupancy, ldp=ldp)
+            out = str(tmp_path / name)
+            assert main(["rate-empirical", "--config", cfg, "--out", out]) == 0
+            reports.append(Path(out, "rate_empirical.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_fidi_repeated_time_with_equal_values(self, tmp_path):
+        cfg = write_cfg(tmp_path, fidi={"times": [1.0, 1.0], "rho": 1.0, "kappa2": 1.0,
+                                        "x_vectors": [[0.5, 0.5]]})
+        out = str(tmp_path / "out")
+        assert main(["fidi", "--config", cfg, "--out", out]) == 0
+        text = Path(out, "fidi.json").read_text()
+        assert math.isfinite(json.loads(text, parse_constant=_refuse)["rows"][0]["rate"])
+
     def test_fidi_command(self, tmp_path):
         cfg = write_cfg(tmp_path,
                         fidi={"times": [1.0], "rho": 1.0,
@@ -407,6 +432,13 @@ class TestCliFailures:
         with pytest.raises(wc.ConfigValidationError, match="retain_points"):
             load_config(cfg, command="cov-check")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_report_writer_refuses_non_json_numbers(self, tmp_path, value):
+        from walkcurrent import runner
+        with pytest.raises(ValueError):
+            runner.write_json(str(tmp_path / "report.json"), {"rows": [{"rate": value}]})
+        assert os.listdir(tmp_path) == []
+
     def test_unexpected_error_exit_code(self, tmp_path, monkeypatch):
         from walkcurrent import runner
 
@@ -511,6 +543,9 @@ class TestCliFailures:
         ("fidi", {"fidi": dict(FIDI, kappa2=-1.0)}, "fidi.kappa2"),
         ("fidi", {"fidi": dict(FIDI, x_vectors=[[0.5]])}, "fidi.x_vectors"),
         ("fidi", {"fidi": dict(FIDI, x_vectors=0.5)}, "fidi.x_vectors"),
+        # one current with two values wrote "rate": Infinity, which is not JSON
+        ("fidi", {"fidi": dict(FIDI, times=[1.0, 1.0], x_vectors=[[0.5, 0.7]])},
+         "fidi.x_vectors"),
         # a bad band ran the whole ensemble, then exited 3 with a TypeError
         ("cov-check", {"bands": {"cov_z": "x"}}, "bands.cov_z"),
         ("cov-check", {"bands": {"cov_rel": True}}, "bands.cov_rel"),
@@ -554,6 +589,7 @@ class TestCliFailures:
             "fidi-no-times", "fidi-four-times",
             "fidi-times-descending", "fidi-time-zero", "fidi-rho-zero",
             "fidi-kappa2-negative", "fidi-x-length", "fidi-x-not-list",
+            "fidi-x-differs-at-repeated-time",
             "band-string", "band-bool", "band-nan", "band-negative", "band-infinite",
             "ks-p-min-above-1", "slope-band-reversed", "duality-tol-negative",
             "S-string", "T-bool", "window-tol-string", "t-grid-string", "t-grid-entry-string",

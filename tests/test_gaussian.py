@@ -272,57 +272,42 @@ class TestBivariateNormal:
 
 
 class TestGridGaussian:
+    """The limit field on a point grid: the Gaussian vector with covariance
+    limit_cov_matrix, drawn by numpy's Cholesky multivariate normal."""
+
     def test_single_point_value(self):
         params = wc.LimitCovariance(rho0=1.2, v0=0.8, kappa2=1.5)
         t = 0.6
-        gg = wc.build_grid_gaussian(params, [(t, 0.1)])
+        cov = wc.limit_cov_matrix(params, [(t, 0.1)])
         expect = (1.2 * math.sqrt(1.5 * t / math.pi)
                   + 0.8 * (2 - math.sqrt(2)) * math.sqrt(1.5 * t / (2 * math.pi)))
-        assert gg.cov[0, 0] == pytest.approx(expect, rel=1e-14)
+        assert cov[0, 0] == pytest.approx(expect, rel=1e-14)
 
     def test_fbm_matrix_on_time_line(self):
         rho, k2 = 1.0, 1.0
         params = wc.LimitCovariance(rho0=rho, v0=rho, kappa2=k2)
         times = [0.25, 0.5, 1.0, 2.0]
-        gg = wc.build_grid_gaussian(params, [(t, 0.0) for t in times])
+        cov = wc.limit_cov_matrix(params, [(t, 0.0) for t in times])
         ref = np.array([[wc.fbm_cov(s, t, rho, k2) for t in times] for s in times])
-        assert np.abs(gg.cov - ref).max() < 1e-12
+        assert np.abs(cov - ref).max() < 1e-12
 
-    def test_jitter_small_on_random_grids(self, rng):
+    def test_cholesky_on_random_grids(self, rng):
+        # positive definite as computed, with no jitter, on 200 random points
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
         pts = {(float(t), float(r)) for t, r in
                zip(rng.uniform(0.01, 3.0, 200), rng.uniform(-2.0, 2.0, 200))}
-        gg = wc.build_grid_gaussian(params, sorted(pts))
-        assert gg.jitter_used <= 1e-10
-
-    def test_duplicate_points_rejected(self):
-        params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
-        with pytest.raises(ValueError):
-            wc.build_grid_gaussian(params, [(1.0, 0.0), (1.0, 0.0)])
-
-    def test_zero_time_samples_exactly_zero(self, rng):
-        params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
-        gg = wc.build_grid_gaussian(params, [(0.0, 0.5), (1.0, 0.0)])
-        draws = wc.sample_limit_process(gg, rng, size=1000)
-        assert np.all(draws[:, 0] == 0.0)
-        assert draws[:, 1].std() > 0.5
+        chol = np.linalg.cholesky(wc.limit_cov_matrix(params, sorted(pts)))
+        assert np.all(np.diag(chol) > 0.0)
 
     def test_sampler_covariance(self, rng):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
         pts = [(0.5, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, -0.5)]
-        gg = wc.build_grid_gaussian(params, pts)
-        draws = wc.sample_limit_process(gg, rng, size=100_000)
+        c = wc.limit_cov_matrix(params, pts)
+        draws = rng.multivariate_normal(np.zeros(len(pts)), c, size=100_000,
+                                        method="cholesky")
         emp = np.cov(draws.T)
-        c = gg.cov
         se = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c ** 2) / draws.shape[0])
         assert np.max(np.abs(emp - c) / se) < 4.0
-
-    def test_sampler_reproducible(self):
-        params = wc.LimitCovariance(rho0=1.0, v0=0.5, kappa2=1.0)
-        gg = wc.build_grid_gaussian(params, [(1.0, 0.0), (2.0, 0.0)])
-        a = wc.sample_limit_process(gg, np.random.default_rng(5), size=10)
-        b = wc.sample_limit_process(gg, np.random.default_rng(5), size=10)
-        assert np.array_equal(a, b)
 
 
 class TestStochasticIntegralSampler:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -276,13 +277,22 @@ class TestLatticePmfProperties:
         check_lattice_identities(pmf, pmf.deficit)
 
 
+def chernoff_bound(kernel, tau, delta):
+    """The two-sided Chernoff bound at one distance, capped at 1, as the
+    window certification reads it."""
+    return float(np.exp(min(wc.chernoff_log_tail(kernel, tau, delta)[0], 0.0)))
+
+
 class TestChernoffTail:
     def test_delta_zero_vacuous(self, drift_kernel):
-        assert wc.chernoff_tail(drift_kernel, 10.0, 0) == 1.0
+        assert chernoff_bound(drift_kernel, 10.0, 0) == 1.0
 
     def test_log_bound_past_exp_range_is_capped(self, drift_kernel):
-        # at tau = 1e12 the log bound at delta 0 is far above log(DBL_MAX)
-        assert wc.chernoff_tail(drift_kernel, 1e12, 0) == 1.0
+        # at tau = 1e12 the log bound at delta 0 is far above log(DBL_MAX),
+        # yet finite, so the capped bound is 1 rather than inf or NaN
+        log_bound = wc.chernoff_log_tail(drift_kernel, 1e12, 0)[0]
+        assert math.log(sys.float_info.max) < log_bound < math.inf
+        assert chernoff_bound(drift_kernel, 1e12, 0) == 1.0
 
     def test_dominates_exact_tail(self, pure_right_kernel):
         tau, delta = 100.0, 60
@@ -290,7 +300,7 @@ class TestChernoffTail:
         center = pure_right_kernel.v * tau
         sup = pmf.support()
         exact = pmf.masses[np.abs(sup - center) >= delta].sum()
-        bound = wc.chernoff_tail(pure_right_kernel, tau, delta)
+        bound = chernoff_bound(pure_right_kernel, tau, delta)
         assert exact <= bound <= 0.01
 
     def test_dominates_exact_tail_drift(self, drift_kernel):
@@ -300,15 +310,11 @@ class TestChernoffTail:
         center = drift_kernel.v * tau
         for delta in (5, 15, 30, 45):
             exact = pmf.masses[np.abs(sup - center) >= delta].sum()
-            assert exact <= wc.chernoff_tail(drift_kernel, tau, delta)
+            assert exact <= chernoff_bound(drift_kernel, tau, delta)
 
     def test_monotone_in_delta(self, drift_kernel):
-        bounds = [wc.chernoff_tail(drift_kernel, 20.0, d) for d in range(0, 40, 2)]
-        assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
-
-    def test_negative_delta_rejected(self, drift_kernel):
-        with pytest.raises(ValueError):
-            wc.chernoff_tail(drift_kernel, 1.0, -1)
+        log_bounds = wc.chernoff_log_tail(drift_kernel, 20.0, range(0, 40, 2))
+        assert np.all(np.diff(log_bounds) <= 0.0)
 
     @pytest.mark.parametrize("size", [1, 32, 512, 1000])
     def test_blocked_minimum_is_bit_identical(self, wide_kernel, size):

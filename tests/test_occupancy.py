@@ -173,8 +173,6 @@ class TestInvariants:
 def _xmax(model):
     if model.kind == "custom":
         return float(model._values[-1])
-    if model.kind == "deterministic":
-        return model.rho0
     return math.inf
 
 
@@ -183,6 +181,18 @@ class TestSampling:
         counts = OccupancyModel.deterministic(1).sample_counts(rng, 11)
         assert counts.dtype == np.int64
         assert counts.tolist() == [1] * 11
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_fixed_count_is_the_one_point_law(self, count):
+        fixed = OccupancyModel.deterministic(count)
+        one_point = OccupancyModel.custom([(count, 1.0)])
+        th = np.linspace(-3.0, 3.0, 13)
+        x = np.array([0.0, 0.5, count, count + 0.5])
+        assert (fixed.kind, fixed.rho0, fixed.v0) == ("custom", float(count), 0.0)
+        for fn, arg in ((OccupancyModel.log_mgf, th), (OccupancyModel.log_mgf_prime, th),
+                        (OccupancyModel.log_mgf_dual, x)):
+            assert np.array_equal(fn(fixed, arg), fn(one_point, arg))
+        assert np.array_equal(OccupancyModel.log_mgf(fixed, th), count * th)
 
     def test_poisson_mean(self, rng):
         counts = OccupancyModel.poisson(2.0).sample_counts(rng, 100_000)
@@ -200,13 +210,15 @@ class TestSampling:
                                      [(4, 1.0)], [(0, 1e-9), (2, 0.7), (5, 0.3)]])
     def test_custom_draw_is_generator_choice(self, pmf):
         # the cdf built once at construction replays Generator.choice with
-        # p = probs draw for draw, and leaves the stream where it left it
+        # p = probs draw for draw, and leaves the stream where it left it;
+        # a fixed count (one value) draws nothing and leaves it untouched
         m = OccupancyModel.custom(pmf)
         for seed in range(20):
             for size in (0, 1, 17, 1000):
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = m.sample_counts(got_rng, size)
-                want = want_rng.choice(m._values, size=size, p=m._probs)
+                want = (np.full(size, pmf[0][0]) if len(pmf) == 1
+                        else want_rng.choice(m._values, size=size, p=m._probs))
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want)
                 assert got_rng.random() == want_rng.random()

@@ -21,6 +21,13 @@ def fill(data, nbatches=1):
     return accs
 
 
+def limit_draws(rng, params, points, size):
+    """`size` draws of the limit field on `points`: numpy's Cholesky draw
+    of the Gaussian vector with covariance limit_cov_matrix."""
+    cov = wc.limit_cov_matrix(params, points)
+    return rng.multivariate_normal(np.zeros(len(points)), cov, size=size, method="cholesky")
+
+
 class TestAccumulator:
     def test_single_field(self):
         acc = wc.EnsembleAccumulator.empty(3)
@@ -110,8 +117,7 @@ class TestCovarianceReport:
     def test_self_sampled_gaussian(self, rng):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
         pts = [(0.5, 0.0), (1.0, 0.0), (1.0, 0.5)]
-        gg = wc.build_grid_gaussian(params, pts)
-        draws = wc.sample_limit_process(gg, rng, size=100_000)
+        draws = limit_draws(rng, params, pts, 100_000)
         report = wc.covariance_report(fill(draws, 50), params, pts)
         assert report["max_abs_z"] <= 4.0
 
@@ -119,10 +125,9 @@ class TestCovarianceReport:
         # across synthetic repetitions the z-scores should be ~standard normal
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
         pts = [(0.5, 0.0), (1.0, 0.5)]
-        gg = wc.build_grid_gaussian(params, pts)
         zs = []
         for _ in range(25):
-            draws = wc.sample_limit_process(gg, rng, size=5000)
+            draws = limit_draws(rng, params, pts, 5000)
             report = wc.covariance_report(fill(draws, 50), params, pts)
             zs.extend(r["z_score"] for r in report["rows"])
         assert 0.8 <= np.std(zs) <= 1.2
@@ -162,8 +167,7 @@ class TestScalingExponent:
     def test_sampled_slope_in_band(self, rng):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
         ts = [0.25, 0.5, 1.0, 2.0, 4.0]
-        gg = wc.build_grid_gaussian(params, [(t, 0.0) for t in ts])
-        draws = wc.sample_limit_process(gg, rng, size=100_000)
+        draws = limit_draws(rng, params, [(t, 0.0) for t in ts], 100_000)
         slope, _ = wc.scaling_exponent(ts, draws.var(axis=0, ddof=1))
         assert abs(slope - 0.5) <= 0.02
 
@@ -181,9 +185,9 @@ class TestScalingExponent:
 class TestNormalityDiagnostics:
     def test_gaussian_samples_pass(self, rng):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
-        gg = wc.build_grid_gaussian(params, [(1.0, 0.0)])
-        draws = wc.sample_limit_process(gg, rng, size=50_000)[:, 0]
-        diag = wc.normality_diagnostics(draws, gg.cov[0, 0])
+        var = wc.limit_cov_matrix(params, [(1.0, 0.0)])[0, 0]
+        draws = limit_draws(rng, params, [(1.0, 0.0)], 50_000)[:, 0]
+        diag = wc.normality_diagnostics(draws, var)
         assert diag["ks_p"] > 0.01
         assert abs(diag["skewness"]) < 0.05 and abs(diag["excess_kurtosis"]) < 0.1
 
