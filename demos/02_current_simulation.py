@@ -36,10 +36,12 @@ rhs = int(np.count_nonzero(snapshots[1] <= line) - np.count_nonzero(starts <= an
 print(f"counting identity at (t=1, r=0): {lhs} == {rhs}")
 
 pmf = wc.exact_current_pmf(config, 1.0, 0.0)
+support = np.arange(pmf.offset_min, pmf.offset_min + pmf.masses.size)
+pmf_mean = np.dot(support, pmf.masses)
 values = np.array([wc.simulate_replica(config, i, window=width).values[1, 1]
                    for i in range(config.replicas)])
-print(f"\nexact distribution of Y_n(1, 0): mean {pmf.mean():+.4f}, "
-      f"var {pmf.var():.4f}")
+print(f"\nexact distribution of Y_n(1, 0): mean {pmf_mean:+.4f}, "
+      f"var {np.dot((support - pmf_mean) ** 2, pmf.masses):.4f}")
 print(f"simulated {config.replicas} replicas: mean {values.mean():+.4f}, "
       f"var {values.var():.4f}")
 scale = config.n ** 0.25

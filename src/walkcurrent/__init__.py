@@ -17,7 +17,6 @@ from .errors import (
     DegenerateWeightsError,
     GridMismatchError,
     InsufficientReplicasError,
-    MeshTooCoarseError,
     MgfDomainError,
     NegativeWeightError,
     NewtonConvergenceError,
@@ -25,7 +24,6 @@ from .errors import (
     TiltBracketError,
     TruncationBudgetError,
     UnboundedSupportError,
-    UnsortedTimesError,
     WalkCurrentError,
     WindowUnreachableError,
     ZeroMassError,
@@ -34,7 +32,6 @@ from .kernel import (
     JumpKernel,
     LatticePmf,
     chernoff_log_tail,
-    gillespie_displacement,
     sample_displacement,
     validate_kernel,
     walk_pmf,
@@ -42,15 +39,11 @@ from .kernel import (
 from .occupancy import OccupancyModel
 from .simulate import (
     ClassTable,
-    CurrentField,
     ExperimentConfig,
-    bracket,
     certified_window,
     class_table,
     exact_current_pmf,
-    replica_rng,
     run_ensemble,
-    signed_crossing_count,
     simulate_replica,
     split_batches,
     truncation_radius,
@@ -59,10 +52,7 @@ from .simulate import (
 )
 from .gaussian import (
     LimitCovariance,
-    Mesh,
-    StochasticIntegralSampler,
     covariance_table,
-    default_mesh,
     dynamic_cov,
     dynamic_cov_quadrature,
     fbm_cov,
@@ -81,14 +71,9 @@ from .stats import (
     scaling_exponent,
 )
 from .ldp import (
-    MultiTimeSpec,
     RateModel,
-    RateParts,
-    TailEstimate,
     build_multi_time_spec,
-    crossing_log_mgf,
     current_log_mgf,
-    current_log_mgf_prime,
     multi_time_rate,
     poisson_rate,
     rate_decomposed,

@@ -75,7 +75,7 @@ def _experiment(args, spec, telemetry: dict):
     cmd = args.command
     if cmd == "simulate":
         return runner.simulate_experiment(spec.experiment, workers=args.workers,
-                                          telemetry=telemetry)
+                                          telemetry=telemetry, dump=args.dump)
     if cmd == "cov-check":
         return runner.covariance_experiment(
             spec.experiment, workers=args.workers, bands=spec.bands,
@@ -104,6 +104,7 @@ def _run(args, spec, out: str, outputs: list, telemetry: dict) -> bool:
     """Run one command, appending its artifacts to `outputs` as they are
     written."""
     report, passed = _experiment(args, spec, telemetry)
+    replica_rows = report.pop("replica_rows", None)
     kind = report["kind"]
     rows_key = ROWS_KEY.get(kind, "rows")
     tables = [(kind, rows_key)] if args.format == "csv" and kind not in JSON_ONLY else []
@@ -114,10 +115,9 @@ def _run(args, spec, out: str, outputs: list, telemetry: dict) -> bool:
         path = os.path.join(out, f"{kind}.json")
         runner.write_json(path, report)
         outputs.append((path, "json", len(report[rows_key])))
-    if args.command == "simulate" and args.dump:
+    if replica_rows is not None:
         path = os.path.join(out, "replicas.csv")
-        n = runner.write_csv(path, "replica_dump", runner.replica_dump_rows(spec.experiment))
-        outputs.append((path, "csv", n))
+        outputs.append((path, "csv", runner.write_csv(path, "replica_dump", replica_rows)))
     return passed
 
 

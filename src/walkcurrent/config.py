@@ -89,13 +89,16 @@ def _check_known(obj: dict, allowed, where: str) -> None:
             f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _check_integer(value, key: str) -> None:
-    """Reject a value that is not integral ("n": 100.9 must not run as 100)."""
-    values = value if isinstance(value, list) else [value]
-    for v in values:
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or (isinstance(v, float) and not v.is_integer())):
-            raise ConfigValidationError(f"{key}: expected an integer, got {value!r}")
+def _check_integer(value, key: str, many: bool = False) -> None:
+    """Reject a value that is not integral ("n": 100.9 must not run as 100),
+    or, if `many`, that is not a list of integral values."""
+    if (many and not isinstance(value, list)) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float))
+            or (isinstance(v, float) and not v.is_integer())
+            for v in (value if many else [value])):
+        raise ConfigValidationError(
+            f"{key}: expected {'a list of integers' if many else 'an integer'}, "
+            f"got {value!r}")
 
 
 def _check_number(value, key: str, many: bool = False) -> None:
@@ -140,7 +143,8 @@ def _validate_keys(resolved: dict) -> None:
         obj = resolved if section is None else resolved.get(section, {})
         for key in keys:
             if key in obj:
-                _check_integer(obj[key], key if section is None else f"{section}.{key}")
+                _check_integer(obj[key], key if section is None else f"{section}.{key}",
+                               many=key == "n_values")
 
 
 def build_kernel(pairs) -> JumpKernel:
@@ -151,7 +155,7 @@ def build_kernel(pairs) -> JumpKernel:
         weights = [w for _, w in pairs]
     except (TypeError, ValueError) as exc:
         raise ConfigValidationError(f"kernel: expected [[offset, weight], ...]: {exc}")
-    _check_integer(offsets, "kernel")  # an offset of 1.5 must not run as 1
+    _check_integer(offsets, "kernel", many=True)  # an offset of 1.5 must not run as 1
     _check_number(weights, "kernel", many=True)
     offsets = [int(off) for off in offsets]
     repeated = [off for off in offsets if offsets.count(off) > 1]
@@ -168,6 +172,8 @@ def build_occupancy(obj) -> OccupancyModel:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ConfigValidationError("occupancy: expected {'type': ..., ...}")
     kind = obj["type"]
+    if not isinstance(kind, str):
+        raise ConfigValidationError(f"occupancy.type: expected a string, got {kind!r}")
     if kind in OCCUPANCY_KEYS:
         _check_known(obj, ("type",) + OCCUPANCY_KEYS[kind], f"occupancy '{kind}'")
     if "count" in obj:
@@ -183,7 +189,7 @@ def build_occupancy(obj) -> OccupancyModel:
             return OccupancyModel.geometric(float(obj["rho"]))
         if kind == "custom":
             pmf = obj["pmf"]
-            _check_integer([v for v, _ in pmf], "occupancy.pmf")
+            _check_integer([v for v, _ in pmf], "occupancy.pmf", many=True)
             _check_number([p for _, p in pmf], "occupancy.pmf", many=True)
             return OccupancyModel.custom([(v, float(p)) for v, p in pmf])
     except KeyError as exc:
@@ -266,8 +272,10 @@ def load_config(path: str, overrides: Optional[dict] = None,
             resolved.setdefault(key, val)
 
     quad_tol = resolved["quad_tol"]
-    if isinstance(quad_tol, bool) or not isinstance(quad_tol, (int, float)) or not quad_tol > 0:
-        raise ConfigValidationError(f"quad_tol: expected a positive number, got {quad_tol!r}")
+    if not (is_finite_number(quad_tol) and quad_tol > 0):
+        # an infinite tolerance would pass every quadrature gate
+        raise ConfigValidationError(
+            f"quad_tol: expected a positive finite number, got {quad_tol!r}")
     if resolved["master_seed"] < 0:
         raise ConfigValidationError(
             f"master_seed: expected a nonnegative integer, got {resolved['master_seed']!r}")

@@ -19,10 +19,6 @@ class UnboundedSupportError(WalkCurrentError):
     """Kernel support is not a finite set of integer offsets."""
 
 
-class UnsortedTimesError(WalkCurrentError):
-    """A time grid is not ascending or starts below zero."""
-
-
 class TruncationBudgetError(WalkCurrentError):
     """An exact pmf could not reach the requested tail mass within the memory cap."""
 
@@ -47,10 +43,6 @@ class GridMismatchError(WalkCurrentError):
 
 class QuadratureConvergenceError(WalkCurrentError):
     """Adaptive quadrature failed to reach its error target."""
-
-
-class MeshTooCoarseError(WalkCurrentError):
-    """The stochastic-integral mesh does not resolve the heat kernel."""
 
 
 class TiltBracketError(WalkCurrentError):

@@ -6,13 +6,11 @@ initial part (occupancy noise transported by the evolution), both built from
 the normal mean-excess function.  Along a fixed spatial offset the field is
 fractional Brownian motion with Hurst exponent 1/4.
 
-This module evaluates those closed forms, cross-checks them against their
-independent Brownian-probability integral representations by a gated
-Gauss-Legendre panel rule, and samples the limit field approximately
-through a discretized stochastic integral driven by space-time white noise
-plus an initial-noise line integral.  On a point grid the field is the
-Gaussian vector with covariance limit_cov_matrix, which numpy samples
-exactly: rng.multivariate_normal(zeros, cov, method="cholesky").
+This module evaluates those closed forms and cross-checks them against
+their independent Brownian-probability integral representations by a gated
+Gauss-Legendre panel rule.  On a point grid the field is the Gaussian
+vector with covariance limit_cov_matrix, which numpy samples exactly:
+rng.multivariate_normal(zeros, cov, method="cholesky").
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import MeshTooCoarseError
-from .normal import bvn_cov, gated_rule, mean_excess, ndtr, norm_cdf
+from .normal import bvn_cov, gated_rule, mean_excess, ndtr
 
 Point = Tuple[float, float]  # (t, r)
 
@@ -190,145 +187,6 @@ def initial_cov_quadrature(s, q, t, r, kappa2: float):
     hi = np.stack([b + tail, a, np.minimum(b, a + INTEGRAL_SDS * sd_a)])
     right, left, between = _integral(f, lo, hi, "initial covariance integral")
     return _value(np.where(live, right + left - between, 0.0))
-
-
-# --------------------------------------------------------------------------
-# stochastic-integral sampler
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Mesh:
-    dt: float
-    dz: float
-    z_max: float
-
-
-def default_mesh(points: Sequence[Point], kappa2: float) -> Mesh:
-    """Mesh resolving the heat kernel at the smallest positive time in `points`."""
-    ts = [t for t, _ in points if t > 0.0]
-    rs = [abs(r) for _, r in points]
-    t_min = min(ts)
-    t_max = max(ts)
-    dt = t_min / 50.0
-    dz = 0.5 * math.sqrt(kappa2 * dt)
-    z_max = max(rs) + 6.0 * math.sqrt(kappa2 * t_max)
-    return Mesh(dt=dt, dz=dz, z_max=z_max)
-
-
-class StochasticIntegralSampler:
-    """Riemann discretization of the limit field's stochastic-integral form.
-
-    The dynamical part integrates the heat kernel against space-time white
-    noise over [0, t] x R; the initial part integrates a signed crossing
-    probability against a spatial white noise.  Cell noises are independent
-    Gaussians, so their sum has the summed Gram matrix as its covariance:
-    one factor of it draws the whole dynamical part, and one the initial
-    part, with the law of drawing every cell weight individually.
-
-    Cell coefficients use the cell root-mean-square of the heat kernel, so
-    single-point variances equal the mesh-restricted integral exactly; the
-    s -> t endpoint singularity is handled by integrating in sqrt(t - s).
-    """
-
-    def __init__(self, params: LimitCovariance, points: Sequence[Point], mesh: Mesh):
-        self.params = params
-        self.points = [(float(t), float(r)) for t, r in points]
-        self.mesh = mesh
-        ts = [t for t, _ in self.points if t > 0.0]
-        if not ts:
-            raise ValueError("need at least one point with t > 0")
-        if mesh.dt > min(ts) / 50.0 + 1e-12:
-            raise MeshTooCoarseError(
-                f"dt={mesh.dt:.4g} exceeds t_min/50={min(ts)/50.0:.4g}")
-        self._build()
-
-    # -- construction ------------------------------------------------------
-
-    def _build(self):
-        params, mesh = self.params, self.mesh
-        k2 = params.kappa2
-        npts = len(self.points)
-        t_vals = np.array([t for t, _ in self.points])
-        r_vals = np.array([r for _, r in self.points])
-        t_max = float(t_vals.max())
-
-        # time-slice edges: uniform dt grid, with every point time inserted
-        edges = np.arange(0.0, t_max + mesh.dt * 0.5, mesh.dt)
-        edges = np.union1d(np.round(edges, 12), np.round(t_vals[t_vals > 0], 12))
-        if edges[0] > 0.0:
-            edges = np.concatenate(([0.0], edges))
-        if edges[-1] < t_max:
-            edges = np.concatenate((edges, [t_max]))
-        z_edges = np.arange(-mesh.z_max, mesh.z_max + mesh.dz * 0.5, mesh.dz)
-
-        gl_x, gl_w = np.polynomial.legendre.leggauss(12)
-        gram_w = np.zeros((npts, npts))
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            coeff = np.zeros((npts, z_edges.size - 1))
-            for kp, (t_k, r_k) in enumerate(self.points):
-                if t_k < hi - 1e-12:
-                    continue  # slice not yet active for this point
-                # integrate phi^2 over the slice in w = sqrt(t_k - s)
-                w_lo = math.sqrt(max(t_k - hi, 0.0))
-                w_hi = math.sqrt(t_k - lo)
-                half = 0.5 * (w_hi - w_lo)
-                mid = 0.5 * (w_hi + w_lo)
-                cell_var = np.zeros(z_edges.size - 1)
-                for xg, wg in zip(gl_x, gl_w):
-                    w = mid + half * xg
-                    sig2 = k2 * w * w
-                    if sig2 <= 0.0:
-                        continue
-                    # int phi_{sig2}(r-z)^2 dz over each z cell, in closed form
-                    cdf_half = norm_cdf(r_k - z_edges, 0.5 * sig2)
-                    inner = (cdf_half[:-1] - cdf_half[1:]) / (2.0 * math.sqrt(math.pi * sig2))
-                    cell_var += wg * half * 2.0 * w * inner
-                coeff[kp] = np.sqrt(np.maximum(cell_var, 0.0) * k2 * params.rho0)
-            gram_w += coeff @ coeff.T
-
-        # initial-noise line integral: z cells split at every r so the signed
-        # crossing profile is smooth inside each cell
-        b_edges = np.union1d(z_edges, r_vals)
-        widths = np.diff(b_edges)
-        bcoef = np.zeros((npts, widths.size))
-        for kp, (t_k, r_k) in enumerate(self.points):
-            if t_k <= 0.0:
-                continue
-            sig2 = k2 * t_k
-            left = b_edges[:-1]
-            right = b_edges[1:]
-            cell_int = np.zeros(widths.size)
-            pos = left >= r_k - 1e-15
-            neg = right <= r_k + 1e-15
-            cell_int[pos] = (mean_excess(sig2, np.maximum(left[pos] - r_k, 0.0))
-                             - mean_excess(sig2, np.maximum(right[pos] - r_k, 0.0)))
-            cell_int[neg] = -(mean_excess(sig2, np.maximum(r_k - right[neg], 0.0))
-                              - mean_excess(sig2, np.maximum(r_k - left[neg], 0.0)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bcoef[kp] = np.where(widths > 0, cell_int / np.sqrt(widths), 0.0)
-        bcoef *= math.sqrt(params.v0)
-        gram_b = bcoef @ bcoef.T
-
-        self._w_factor = self._psd_factor(gram_w)
-        self._b_factor = self._psd_factor(gram_b)
-        self.mesh_cov = gram_w + gram_b
-
-    @staticmethod
-    def _psd_factor(g: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(g)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator, size: int = 1,
-               split_parts: bool = False):
-        """Draw `size` field vectors; optionally return (dynamic, initial) parts."""
-        npts = len(self.points)
-        w_part = rng.standard_normal((size, npts)) @ self._w_factor.T
-        b_part = rng.standard_normal((size, npts)) @ self._b_factor.T
-        if split_parts:
-            return w_part, b_part
-        return w_part + b_part
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A walk jumps at unit rate; each jump displaces by an integer offset drawn
 from a finitely supported probability kernel.  This module validates
-kernels, samples displacements two independent ways (a compound-Poisson
-shortcut and an event-driven reference), computes the exact displacement
-pmf from the marking theorem, and produces rigorous Chernoff tail bounds.
+kernels, samples displacements through the marking theorem (one Poisson
+jump count per offset), computes the exact displacement pmf the same way,
+and produces rigorous Chernoff tail bounds.
 """
 
 from __future__ import annotations
@@ -102,47 +102,6 @@ def sample_displacement(kernel: JumpKernel, tau: float, rng: np.random.Generator
     return out
 
 
-def gillespie_displacement(kernel: JumpKernel, tau: float, rng: np.random.Generator,
-                           size: Optional[int] = None):
-    """Event-driven displacement: explicit Exp(1) holding times, then jumps.
-
-    Independent of the compound-Poisson shortcut in sample_displacement;
-    used as a distributional oracle in tests.
-    """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError("tau must be finite and nonnegative")
-    scalar = size is None
-    m = 1 if scalar else int(size)
-    if tau == 0.0:
-        out = np.zeros(m, np.int64)
-        return int(out[0]) if scalar else out
-
-    # enough exponential holding times to cover [0, tau] except with
-    # probability ~1e-20; stragglers are finished one event at a time
-    chunk = int(tau + 10.0 * math.sqrt(tau + 1.0) + 30.0)
-    jumps_per_draw = np.empty(m, np.int64)
-    batch = max(1, int(2e7 / chunk))
-    for lo in range(0, m, batch):
-        hi = min(m, lo + batch)
-        holds = rng.exponential(size=(hi - lo, chunk))
-        cum = np.cumsum(holds, axis=1)
-        jumps_per_draw[lo:hi] = (cum < tau).sum(axis=1)
-        for i in np.nonzero(cum[:, -1] < tau)[0]:
-            t_acc = cum[i, -1]
-            n = chunk
-            while True:
-                t_acc += rng.exponential()
-                if t_acc >= tau:
-                    break
-                n += 1
-            jumps_per_draw[lo + i] = n
-    total = int(jumps_per_draw.sum())
-    jump_values = rng.choice(kernel.offsets, size=total, p=kernel.probs)
-    owner = np.repeat(np.arange(m), jumps_per_draw)
-    disp = np.bincount(owner, weights=jump_values, minlength=m).astype(np.int64)
-    return int(disp[0]) if scalar else disp
-
-
 @dataclass(frozen=True, eq=False)
 class LatticePmf:
     """Pmf of an integer variable on offset_min .. offset_min+len(masses)-1.
@@ -150,23 +109,14 @@ class LatticePmf:
     `deficit` is the probability mass left out of `masses`, so
     masses.sum() + deficit == 1 up to rounding.  A walk pmf and a Poisson
     current pmf leave out the tails of their Poisson factors; a current pmf
-    under a finite occupancy law leaves out nothing.
+    under a finite occupancy law leaves out nothing.  The package reads two
+    sums of the masses: `cdf` gives each site's crossing probability, and
+    `tail_geq` the exact tail that the tilted estimates are checked against.
     """
 
     offset_min: int
     masses: np.ndarray
     deficit: float
-
-    def support(self) -> np.ndarray:
-        return np.arange(self.offset_min, self.offset_min + self.masses.size)
-
-    def mean(self) -> float:
-        return float(np.dot(self.support(), self.masses))
-
-    def var(self) -> float:
-        s = self.support().astype(float)
-        m = self.mean()
-        return float(np.dot((s - m) ** 2, self.masses))
 
     def cdf(self, k):
         """P(X <= k); truncated mass is excluded, making this a lower bound."""
@@ -174,13 +124,6 @@ class LatticePmf:
         cum = np.concatenate(([0.0], np.cumsum(self.masses)))
         idx = np.clip(k - self.offset_min + 1, 0, self.masses.size)
         return cum[idx][()]
-
-    def sf(self, k):
-        """P(X > k), summed from the top so small tails keep precision."""
-        k = np.asarray(k)
-        rev = np.concatenate(([0.0], np.cumsum(self.masses[::-1])))[::-1]
-        idx = np.clip(k - self.offset_min + 1, 0, self.masses.size)
-        return rev[idx][()]
 
     def tail_geq(self, k: int) -> float:
         """P(X >= k) for one k, summed over the masses from k up."""

@@ -108,7 +108,8 @@ def _batch_job(args):
 def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
                          retain_points: Sequence[Tuple[float, float]] = (),
                          telemetry: Optional[dict] = None):
-    """Run all replicas, returning per-batch accumulators and retained samples.
+    """Run all replicas, returning per-batch accumulators, retained samples
+    and the class table.
 
     The class table is built once here and shipped with the batches; the
     particle engine runs when there is none.  `telemetry`, when given,
@@ -149,7 +150,7 @@ def run_ensemble_batches(config: ExperimentConfig, workers: int = 1,
     for slot, pt in enumerate(retain_points):
         arr = np.concatenate([kept[slot] for _, kept in results]) if results else np.array([])
         retained[(float(pt[0]), float(pt[1]))] = arr[:RETAIN_CAP]
-    return accumulators, retained
+    return accumulators, retained, table
 
 
 # --------------------------------------------------------------------------
@@ -174,9 +175,9 @@ def covariance_experiment(config: ExperimentConfig, workers: int = 1,
     mean_band = bands["mean_ratio"]
     params = limit_params(config)
     points = config.grid_points()
-    batches, retained = run_ensemble_batches(config, workers=workers,
-                                             retain_points=retain_points,
-                                             telemetry=telemetry)
+    batches, retained, _ = run_ensemble_batches(config, workers=workers,
+                                                retain_points=retain_points,
+                                                telemetry=telemetry)
     cov_rep = covariance_report(batches, params, points)
     mean_rep = mean_report(batches, points)
     checked = set((float(t), float(r)) for t, r in (check_points or points))
@@ -232,7 +233,7 @@ def fbm_experiment(config: ExperimentConfig, workers: int = 1,
         raise ValueError("fbm experiment needs r = 0 in the grid")
     params = limit_params(config)
     points = config.grid_points()
-    batches, _ = run_ensemble_batches(config, workers=workers, telemetry=telemetry)
+    batches, _, _ = run_ensemble_batches(config, workers=workers, telemetry=telemetry)
     total = merge_accumulators(batches)
     cov = total.cov()
     tvals = [t for t in config.t_grid if t > 0.0]
@@ -407,9 +408,11 @@ def limit_tables_experiment(limit_section: dict, occupancy=None, kernel=None):
 
 
 def simulate_experiment(config: ExperimentConfig, workers: int = 1,
-                        telemetry: Optional[dict] = None):
-    """Plain ensemble run: summary moments per grid point."""
-    batches, _ = run_ensemble_batches(config, workers=workers, telemetry=telemetry)
+                        telemetry: Optional[dict] = None, dump: bool = False):
+    """Plain ensemble run: summary moments per grid point.  With `dump` the
+    report's "replica_rows" streams the per-replica rows, drawn from the
+    summary's class table."""
+    batches, _, table = run_ensemble_batches(config, workers=workers, telemetry=telemetry)
     total = merge_accumulators(batches)
     cov = total.cov()
     rows = []
@@ -420,14 +423,16 @@ def simulate_experiment(config: ExperimentConfig, workers: int = 1,
                      "min": float(total.low[k]), "max": float(total.high[k])})
     report = {"kind": "simulate", "schema_version": 1,
               "replicas": config.replicas, "rows": rows, "passed": True}
+    if dump:
+        report["replica_rows"] = replica_dump_rows(config, table)
     return report, True
 
 
-def replica_dump_rows(config: ExperimentConfig):
+def replica_dump_rows(config: ExperimentConfig, table: Optional[ClassTable]):
     """Per-replica CSV rows (replica, t, r, Y, Y_scaled); streams in order."""
     from .simulate import run_ensemble
     points = config.grid_points()
-    for i, fieldval in enumerate(run_ensemble(config)):
+    for i, fieldval in enumerate(run_ensemble(config, table)):
         flat = fieldval.values.ravel()
         scaled = fieldval.scaled.ravel()
         for k, (t, r) in enumerate(points):

@@ -662,10 +662,11 @@ def batch_currents(config: ExperimentConfig, table: Optional[ClassTable],
     return np.stack([simulate_replica(config, i).values.ravel() for i in batch])
 
 
-def run_ensemble(config: ExperimentConfig) -> Iterator[CurrentField]:
+def run_ensemble(config: ExperimentConfig,
+                 table: Optional[ClassTable]) -> Iterator[CurrentField]:
     """Yield all replicas in index order, batch by batch, exactly as the
-    batched runner draws them."""
-    table = class_table(config)
+    batched runner draws them from the config's class table (None on the
+    particle engine)."""
     shape = (len(config.t_grid), len(config.r_grid))
     for index, batch in enumerate(split_batches(config.replicas)):
         for i, row in zip(batch, batch_currents(config, table, index, batch)):

@@ -6,8 +6,9 @@ Skellam law.  The functions here keep the earlier route -- a Poisson(tau)
 mixture of j-fold kernel convolutions, and a convolution of one truncated
 Poisson pmf per window site -- so the tests can compare the two.  They also
 keep the Poisson window with its tail read from `scipy.stats.poisson`, the
-exact window tail from mpmath's incomplete gamma function, and a multi-time
-walk sampler built on `sample_displacement`.
+exact window tail from mpmath's incomplete gamma function, a multi-time
+walk sampler built on `sample_displacement`, and the support and moments
+of a `LatticePmf`, read from its offset and masses.
 """
 
 import math
@@ -17,6 +18,15 @@ import numpy as np
 from scipy import stats
 
 import walkcurrent as wc
+from walkcurrent.simulate import bracket
+
+
+def pmf_moments(pmf):
+    """(support, mean, variance) of a LatticePmf, from offset_min and
+    masses; the deficit, which has no position, is left out."""
+    support = np.arange(pmf.offset_min, pmf.offset_min + pmf.masses.size)
+    mean = float(np.dot(support, pmf.masses))
+    return support, mean, float(np.dot((support - mean) ** 2, pmf.masses))
 
 
 def convolution_walk_pmf(kernel, tau):
@@ -65,8 +75,8 @@ def poisson_site_current_pmf(config, t, r, window):
     """
     site_tail_tol = 1e-14
     lo, hi = wc.window_span(config, window)
-    anchor = wc.bracket(r * config.sqrt_n)
-    line = anchor + wc.bracket(config.n * config.kernel.v * t)
+    anchor = bracket(r * config.sqrt_n)
+    line = anchor + bracket(config.n * config.kernel.v * t)
     sites = np.arange(lo, hi + 1)
     p_site = np.asarray(wc.walk_pmf(config.kernel, config.n * t).cdf(line - sites), float)
     acc = np.array([1.0])
@@ -121,9 +131,9 @@ def sample_increments(kernel, times, rng, size=None):
     """
     times = np.asarray(times, float)
     if times.ndim != 1 or times.size == 0:
-        raise wc.UnsortedTimesError("times must be a nonempty 1-d array")
+        raise ValueError("times must be a nonempty 1-d array")
     if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
-        raise wc.UnsortedTimesError("times must be ascending and start at >= 0")
+        raise ValueError("times must be ascending and start at >= 0")
     scalar = size is None
     m = 1 if scalar else int(size)
     pos = np.zeros(m, np.int64)

@@ -155,6 +155,22 @@ class TestCliCommands:
         assert manifest["status"] == "ok"
         assert manifest["outputs"]
 
+    def test_dump_builds_the_class_table_once(self, tmp_path, monkeypatch):
+        # the summary and the per-replica dump draw from one table
+        from walkcurrent import runner, simulate
+        build, calls = simulate.class_table, []
+
+        def counted(config):
+            calls.append(config)
+            return build(config)
+
+        monkeypatch.setattr(runner, "class_table", counted)
+        monkeypatch.setattr(simulate, "class_table", counted)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", write_cfg(tmp_path, replicas=50),
+                     "--out", out, "--dump"]) == 0
+        assert len(calls) == 1
+
     def test_cov_check_passes_small(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
@@ -834,6 +850,23 @@ class TestStrictConfig:
             load_config(cfg, command="simulate")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, extra, key", [
+        ("simulate", {"n": [100]}, "n"),
+        ("simulate", {"replicas": [200]}, "replicas"),
+        ("simulate", {"master_seed": [3]}, "master_seed"),
+        ("rate-empirical", {"ldp": {"t": 1.0, "r": 0.0, "x": 1.0, "samples": [4000],
+                                    "n_values": [100]}}, "ldp.samples"),
+        ("limit-tables", {"limit": {"count": [3]}}, "limit.count"),
+        ("limit-tables", {"limit": {"seed": [3]}}, "limit.seed"),
+        ("simulate", {"occupancy": {"type": ["poisson"], "rho": 1.0}}, "occupancy.type"),
+    ])
+    def test_list_for_a_single_value_rejected(self, tmp_path, capsys, command, extra, key):
+        # only ldp.n_values holds a list; a list elsewhere must not reach a
+        # comparison or a dict lookup
+        cfg = write_cfg(tmp_path, **extra)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+
     def test_integral_float_accepted(self, tmp_path):
         spec = load_config(write_cfg(tmp_path, n=100.0, replicas=2000.0),
                            command="simulate")
@@ -849,7 +882,7 @@ class TestStrictConfig:
         assert spec.experiment.S == 1.0 and spec.experiment.t_grid == (1.0,)
         assert spec.occupancy.rho0 == 1.0
 
-    @pytest.mark.parametrize("quad_tol", [0.0, -1e-10, "1e-10"])
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-10, "1e-10", float("inf")])
     def test_bad_quad_tol_rejected(self, tmp_path, quad_tol):
         with pytest.raises(wc.ConfigValidationError, match="quad_tol"):
             load_config(write_cfg(tmp_path, quad_tol=quad_tol), command="simulate")

@@ -7,9 +7,10 @@ import pytest
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 # Each demo with a line its output must contain.  Together they call every
-# public layer: the walk pmf and its oracles, both replica engines and the
-# exact current pmf, the limit covariances and both limit samplers, both
-# rate routes, the tilted sampler and the multi-time spec.
+# public layer: the walk sampler, pmf and Chernoff bound, both replica
+# engines and the exact current pmf, the limit covariances and the Cholesky
+# draw of the limit field, both rate routes, the tilted sampler and the
+# multi-time spec.
 DEMOS = {
     "01_walk_and_oracles": "Chernoff bound vs exact two-sided tail",
     "02_current_simulation": "exact distribution of Y_n(1, 0)",

@@ -8,6 +8,8 @@ from scipy import stats as spstats
 
 import quad_oracles
 import walkcurrent as wc
+from sampler_oracles import (Mesh, MeshTooCoarseError, StochasticIntegralSampler,
+                             default_mesh)
 from walkcurrent.normal import bvn_cdf, mvn_cdf_3
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -314,37 +316,37 @@ class TestStochasticIntegralSampler:
     def test_mesh_cov_close_to_limit(self):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
         pts = [(0.5, 0.0), (1.0, 0.0), (1.0, 0.5)]
-        s = wc.StochasticIntegralSampler(params, pts, wc.default_mesh(pts, 1.0))
+        s = StochasticIntegralSampler(params, pts, default_mesh(pts, 1.0))
         c = wc.limit_cov_matrix(params, pts)
         assert np.max(np.abs(s.mesh_cov - c) / np.abs(c)) < 0.01
 
     def test_dynamic_only_variance(self, rng):
         params = wc.LimitCovariance(rho0=1.0, v0=0.0, kappa2=1.0)
         pts = [(1.0, 0.0)]
-        s = wc.StochasticIntegralSampler(params, pts, wc.default_mesh(pts, 1.0))
+        s = StochasticIntegralSampler(params, pts, default_mesh(pts, 1.0))
         draws = s.sample(rng, size=10_000)
         assert abs(draws.var() / math.sqrt(1.0 / math.pi) - 1.0) < 0.05
 
     def test_initial_only_variance(self, rng):
         params = wc.LimitCovariance(rho0=0.0, v0=1.0, kappa2=1.0)
         pts = [(1.0, 0.0)]
-        s = wc.StochasticIntegralSampler(params, pts, wc.default_mesh(pts, 1.0))
+        s = StochasticIntegralSampler(params, pts, default_mesh(pts, 1.0))
         draws = s.sample(rng, size=10_000)
         assert abs(draws.var() / wc.initial_cov(1.0, 0.0, 1.0, 0.0, 1.0) - 1.0) < 0.05
 
     def test_parts_independent(self, rng):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
         pts = [(1.0, 0.0)]
-        s = wc.StochasticIntegralSampler(params, pts, wc.default_mesh(pts, 1.0))
+        s = StochasticIntegralSampler(params, pts, default_mesh(pts, 1.0))
         w_part, b_part = s.sample(rng, size=20_000, split_parts=True)
         corr = np.corrcoef(w_part[:, 0], b_part[:, 0])[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(20_000)
 
     def test_coarse_mesh_rejected(self):
         params = wc.LimitCovariance(rho0=1.0, v0=1.0, kappa2=1.0)
-        with pytest.raises(wc.MeshTooCoarseError):
-            wc.StochasticIntegralSampler(params, [(0.5, 0.0)],
-                                         wc.Mesh(dt=0.05, dz=0.05, z_max=5.0))
+        with pytest.raises(MeshTooCoarseError):
+            StochasticIntegralSampler(params, [(0.5, 0.0)],
+                                      Mesh(dt=0.05, dz=0.05, z_max=5.0))
 
 
 class TestCovarianceTable:

@@ -6,9 +6,10 @@ import pytest
 import quad_oracles
 import walkcurrent as wc
 from conftest import site_class_laws
+from pmf_oracles import pmf_moments
 from walkcurrent import OccupancyModel
 from walkcurrent.kernel import LatticePmf, marked_poisson_pmf
-from walkcurrent.ldp import _tilted_table
+from walkcurrent.ldp import _tilted_table, crossing_log_mgf, current_log_mgf_prime
 from walkcurrent.simulate import _site_crossings
 
 TWO_PI = 2.0 * math.pi
@@ -30,16 +31,16 @@ def poisson_unit_model():
 class TestCrossingLogMgf:
     def test_zero_tilt(self):
         for y in (-3.0, -0.1, 0.0, 0.2, 5.0):
-            assert wc.crossing_log_mgf(0.0, y, 1.0, 1.0) == 0.0
+            assert crossing_log_mgf(0.0, y, 1.0, 1.0) == 0.0
 
     def test_far_right_vanishes(self):
-        assert abs(wc.crossing_log_mgf(2.0, 10.0, 1.0, 1.0)) < 1e-15
+        assert abs(crossing_log_mgf(2.0, 10.0, 1.0, 1.0)) < 1e-15
 
     def test_reflection_identity(self):
         for lam in (-2.0, -0.3, 0.7, 3.0):
             for y in (0.25, 1.0, 2.5):
-                lhs = wc.crossing_log_mgf(lam, -y, 1.3, 0.7)
-                rhs = wc.crossing_log_mgf(-lam, y, 1.3, 0.7)
+                lhs = crossing_log_mgf(lam, -y, 1.3, 0.7)
+                rhs = crossing_log_mgf(-lam, y, 1.3, 0.7)
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -127,11 +128,11 @@ class TestCurrentLogMgf:
 
 class TestCurrentLogMgfPrime:
     def test_zero_mean_at_zero_tilt(self, poisson_unit_model):
-        assert abs(wc.current_log_mgf_prime(poisson_unit_model, 0.0)) < 1e-10
+        assert abs(current_log_mgf_prime(poisson_unit_model, 0.0)) < 1e-10
 
     def test_poisson_closed_form(self, poisson_unit_model):
         for lam in (-2.0, -0.5, 0.5, 2.0):
-            assert wc.current_log_mgf_prime(poisson_unit_model, lam) == pytest.approx(
+            assert current_log_mgf_prime(poisson_unit_model, lam) == pytest.approx(
                 2.0 * math.sinh(lam), abs=1e-8)
 
     def test_matches_finite_differences(self):
@@ -141,11 +142,11 @@ class TestCurrentLogMgfPrime:
         for lam in (-2.0, -0.5, 0.5, 2.0):
             fd = (wc.current_log_mgf(model, lam + h)
                   - wc.current_log_mgf(model, lam - h)) / (2 * h)
-            assert wc.current_log_mgf_prime(model, lam) == pytest.approx(fd, abs=1e-6)
+            assert current_log_mgf_prime(model, lam) == pytest.approx(fd, abs=1e-6)
 
     def test_strictly_increasing(self, poisson_unit_model):
         grid = np.linspace(-3.0, 3.0, 13)
-        vals = [wc.current_log_mgf_prime(poisson_unit_model, g) for g in grid]
+        vals = [current_log_mgf_prime(poisson_unit_model, g) for g in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -159,7 +160,7 @@ class TestFixedRule:
         model = wc.RateModel(occupancy=occupancy, kappa2=1.0, t=1.0)
         for lam in self.LAMS:
             for fast, slow in ((wc.current_log_mgf, quad_oracles.current_log_mgf),
-                               (wc.current_log_mgf_prime,
+                               (current_log_mgf_prime,
                                 quad_oracles.current_log_mgf_prime)):
                 ref = slow(model, lam)
                 assert fast(model, lam) == pytest.approx(ref, rel=1e-12, abs=1e-14)
@@ -182,15 +183,15 @@ class TestFixedRule:
         with pytest.raises(wc.QuadratureConvergenceError):
             wc.current_log_mgf(model, 5.0)
         with pytest.raises(wc.QuadratureConvergenceError):
-            wc.current_log_mgf_prime(model, 5.0)
+            current_log_mgf_prime(model, 5.0)
 
     def test_array_crossing_log_mgf(self):
         y = np.array([-3.0, -0.5, 0.0, 0.25, 4.0])
-        got = wc.crossing_log_mgf(1.7, y, 1.3, 0.7)
+        got = crossing_log_mgf(1.7, y, 1.3, 0.7)
         for yi, gi in zip(y, got):
             assert gi == pytest.approx(quad_oracles.crossing_log_mgf(1.7, yi, 1.3, 0.7),
                                        rel=1e-14, abs=1e-16)
-        assert isinstance(wc.crossing_log_mgf(1.7, 0.3, 1.3, 0.7), float)
+        assert isinstance(crossing_log_mgf(1.7, 0.3, 1.3, 0.7), float)
 
 
 class TestTiltForMean:
@@ -210,7 +211,7 @@ class TestTiltForMean:
     def test_residual_contract(self, poisson_unit_model):
         x = 1.7
         alpha = wc.tilt_for_mean(poisson_unit_model, x)
-        assert abs(wc.current_log_mgf_prime(poisson_unit_model, alpha) - x) <= 1e-10
+        assert abs(current_log_mgf_prime(poisson_unit_model, alpha) - x) <= 1e-10
 
     def test_out_of_range(self, poisson_unit_model):
         with pytest.raises(wc.TiltBracketError):
@@ -263,7 +264,7 @@ class TestRateLegendre:
     def test_duality_chain(self, poisson_unit_model):
         # rate(Lambda'(lam)) attains at lam, and the rate derivative returns lam
         for lam in (-1.5, 0.7, 2.0):
-            x = wc.current_log_mgf_prime(poisson_unit_model, lam)
+            x = current_log_mgf_prime(poisson_unit_model, lam)
             rate = wc.rate_legendre(poisson_unit_model, x)
             expect = lam * x - wc.current_log_mgf(poisson_unit_model, lam)
             assert rate == pytest.approx(expect, abs=1e-8)
@@ -338,7 +339,7 @@ def assert_ratio_undoes_tilt(cfg, proposal, log_const, alpha):
                exact.offset_min + exact.masses.size) - lo
     undone = np.zeros(size)
     undone[proposal.offset_min - lo:][:proposal.masses.size] = (
-        proposal.masses * np.exp(log_const - alpha * proposal.support()))
+        proposal.masses * np.exp(log_const - alpha * pmf_moments(proposal)[0]))
     target = np.zeros(size)
     target[exact.offset_min - lo:][:exact.masses.size] = exact.masses
     assert np.max(np.abs(undone - target)) <= 1e-12

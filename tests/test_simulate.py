@@ -14,9 +14,10 @@ from scipy import stats as spstats
 
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample, site_class_laws
-from pmf_oracles import poisson_site_current_pmf
+from pmf_oracles import pmf_moments, poisson_site_current_pmf
 from walkcurrent.simulate import (BATCH_STREAM, CDF_BITS, _site_class_laws, _table_from_laws,
-                                  batch_currents)
+                                  batch_currents, bracket, replica_rng,
+                                  signed_crossing_count)
 from window_oracles import bisection_truncation_radius
 
 
@@ -31,7 +32,7 @@ def small_config(n=100, replicas=200, t_grid=(0.5, 1.0), r_grid=(0.0,),
 
 def batch_rng(cfg, index):
     """The generator that ensemble batch `index` draws from."""
-    return wc.replica_rng(cfg.master_seed, BATCH_STREAM, index)
+    return replica_rng(cfg.master_seed, BATCH_STREAM, index)
 
 
 def acceptance_config(**overrides):
@@ -45,19 +46,19 @@ def acceptance_config(**overrides):
 
 class TestBracket:
     def test_plain_floor(self):
-        assert wc.bracket(2.7) == 2
-        assert wc.bracket(-0.5) == -1
-        assert wc.bracket(3.0) == 3
+        assert bracket(2.7) == 2
+        assert bracket(-0.5) == -1
+        assert bracket(3.0) == 3
 
     def test_snaps_float_jitter(self):
         # 2500 * (0.7 - 0.3) * 1.0 lands one ulp below 1000
         v = 0.7 - 0.3
         assert 2500 * v * 1.0 < 1000.0
-        assert wc.bracket(2500 * v * 1.0) == 1000
+        assert bracket(2500 * v * 1.0) == 1000
 
     def test_does_not_snap_real_gaps(self):
-        assert wc.bracket(2.999999) == 2
-        assert wc.bracket(-1e-6) == -1
+        assert bracket(2.999999) == 2
+        assert bracket(-1e-6) == -1
 
 
 class TestConfigValidation:
@@ -166,12 +167,12 @@ class TestSignedCrossingCount:
         # one particle at start 1, anchor 0, zero drift line: current is 1
         # exactly when the particle sits at or below 0
         for pos, expect in [(-3, 1), (0, 1), (1, 0), (5, 0)]:
-            got = wc.signed_crossing_count(np.array([1]), np.array([pos]), 0, 0)
+            got = signed_crossing_count(np.array([1]), np.array([pos]), 0, 0)
             assert got == expect
 
     def test_left_particle_reading(self):
         for pos, expect in [(-3, 0), (0, 0), (1, -1), (5, -1)]:
-            got = wc.signed_crossing_count(np.array([0]), np.array([pos]), 0, 0)
+            got = signed_crossing_count(np.array([0]), np.array([pos]), 0, 0)
             assert got == expect
 
 
@@ -525,7 +526,7 @@ class TestRunEnsemble:
             table = wc.class_table(cfg)
             batches = wc.split_batches(cfg.replicas)
             assert len(batches) == 50 and batches[-1].stop == cfg.replicas
-            fields = list(wc.run_ensemble(cfg))
+            fields = list(wc.run_ensemble(cfg, table))
             assert [f.replica_seed for f in fields] == list(range(cfg.replicas))
             for index in (0, 7, 49):
                 rows = table.draw(batch_rng(cfg, index), len(batches[index]))
@@ -534,8 +535,8 @@ class TestRunEnsemble:
 
     def test_repeatable(self):
         cfg = small_config(replicas=5)
-        a = [f.values.copy() for f in wc.run_ensemble(cfg)]
-        b = [f.values.copy() for f in wc.run_ensemble(cfg)]
+        a = [f.values.copy() for f in wc.run_ensemble(cfg, wc.class_table(cfg))]
+        b = [f.values.copy() for f in wc.run_ensemble(cfg, wc.class_table(cfg))]
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -699,14 +700,14 @@ class TestExactCurrentPmf:
         w = wc.truncation_radius(cfg)
         pmf = wc.exact_current_pmf(cfg, 1.0, 0.0)
         wp = wc.walk_pmf(cfg.kernel, cfg.n * 1.0)
-        lo = wc.bracket(-cfg.S * cfg.sqrt_n) - w
-        hi = wc.bracket(cfg.S * cfg.sqrt_n) + w
+        lo = bracket(-cfg.S * cfg.sqrt_n) - w
+        hi = bracket(cfg.S * cfg.sqrt_n) + w
         sites = np.arange(lo, hi + 1)
-        line = wc.bracket(cfg.n * cfg.kernel.v * 1.0)
+        line = bracket(cfg.n * cfg.kernel.v * 1.0)
         p = np.asarray(wp.cdf(line - sites), float)
-        q = np.asarray(wp.sf(line - sites), float)
+        q = np.array([wp.tail_geq(k + 1) for k in line - sites])
         direct = cfg.occupancy.rho0 * (p[sites > 0].sum() - q[sites <= 0].sum())
-        assert abs(pmf.mean() - direct) < 1e-6
+        assert abs(pmf_moments(pmf)[1] - direct) < 1e-6
 
     def test_skellam_closed_form(self):
         # Poisson occupancy: the current is a difference of Poisson counts
@@ -714,15 +715,15 @@ class TestExactCurrentPmf:
         w = wc.truncation_radius(cfg)
         pmf = wc.exact_current_pmf(cfg, 0.5, 0.0)
         wp = wc.walk_pmf(cfg.kernel, cfg.n * 0.5)
-        lo = wc.bracket(-cfg.S * cfg.sqrt_n) - w
-        hi = wc.bracket(cfg.S * cfg.sqrt_n) + w
+        lo = bracket(-cfg.S * cfg.sqrt_n) - w
+        hi = bracket(cfg.S * cfg.sqrt_n) + w
         sites = np.arange(lo, hi + 1)
-        line = wc.bracket(cfg.n * cfg.kernel.v * 0.5)
+        line = bracket(cfg.n * cfg.kernel.v * 0.5)
         p = np.asarray(wp.cdf(line - sites), float)
-        q = np.asarray(wp.sf(line - sites), float)
+        q = np.array([wp.tail_geq(k + 1) for k in line - sites])
         mu_plus = p[sites > 0].sum()
         mu_minus = q[sites <= 0].sum()
-        ref = spstats.skellam.pmf(pmf.support(), mu_plus, mu_minus)
+        ref = spstats.skellam.pmf(pmf_moments(pmf)[0], mu_plus, mu_minus)
         assert np.abs(pmf.masses - ref).max() < 1e-11
 
     def test_deficit_tracked(self):
@@ -748,7 +749,7 @@ class TestExactCurrentPmf:
         pmf = wc.exact_current_pmf(cfg, 1.0, 0.0)
         vals = np.array([wc.simulate_replica(cfg, i, window=w).values[0, 0]
                          for i in range(cfg.replicas)])
-        p = lattice_chisquare(vals, pmf.support(), pmf.masses)
+        p = lattice_chisquare(vals, pmf_moments(pmf)[0], pmf.masses)
         assert p > 0.01
 
 
@@ -765,9 +766,9 @@ class TestCellEngine:
             mean = table.means @ table.signs
             var = table.means @ table.signs ** 2
             for k, (t, r) in enumerate(cfg.grid_points()):
-                pmf = wc.exact_current_pmf(cfg, t, r)
-                assert abs(mean[k] - pmf.mean()) < 1e-8
-                assert abs(var[k] - pmf.var()) < 1e-8
+                _, pmf_mean, pmf_var = pmf_moments(wc.exact_current_pmf(cfg, t, r))
+                assert abs(mean[k] - pmf_mean) < 1e-8
+                assert abs(var[k] - pmf_var) < 1e-8
 
     @pytest.mark.parametrize("kind", sorted(OCCUPANCIES))
     def test_exact_moments_every_law(self, kind):
@@ -776,9 +777,9 @@ class TestCellEngine:
                     acceptance_config(occupancy=occ)):
             mean, cov = wc.class_table(cfg).moments()
             for k, (t, r) in enumerate(cfg.grid_points()):
-                pmf = wc.exact_current_pmf(cfg, t, r)
-                assert abs(mean[k] - pmf.mean()) < 1e-10
-                assert abs(cov[k, k] - pmf.var()) < 1e-10
+                _, pmf_mean, pmf_var = pmf_moments(wc.exact_current_pmf(cfg, t, r))
+                assert abs(mean[k] - pmf_mean) < 1e-10
+                assert abs(cov[k, k] - pmf_var) < 1e-10
 
     def test_class_table_shape(self):
         cfg = acceptance_config()
@@ -797,7 +798,7 @@ class TestCellEngine:
         fields = table.draw(batch_rng(cfg, 0), cfg.replicas).reshape(cfg.replicas, 2, 3)
         for k, t in enumerate(cfg.t_grid):
             pmf = wc.exact_current_pmf(cfg, t, 0.4)
-            p = lattice_chisquare(fields[:, k, 2], pmf.support(), pmf.masses)
+            p = lattice_chisquare(fields[:, k, 2], pmf_moments(pmf)[0], pmf.masses)
             assert p > 0.01
 
     def test_cross_time_difference_matches_particle_engine(self):
@@ -876,7 +877,7 @@ class TestCellEngine:
                            t_grid=(0.25, 0.5, 0.75, 1.0))
         assert wc.class_table(cfg) is None
         w = wc.truncation_radius(cfg)
-        for i, fieldval in enumerate(wc.run_ensemble(cfg)):
+        for i, fieldval in enumerate(wc.run_ensemble(cfg, None)):
             assert np.array_equal(fieldval.values,
                                   wc.simulate_replica(cfg, i, window=w).values)
 
@@ -897,9 +898,9 @@ class TestCellEngine:
         assert np.all(rows[:, 0] == 0)
         mean, cov = table.moments()
         for k, (t, r) in enumerate(cfg.grid_points()):
-            pmf = wc.exact_current_pmf(cfg, t, r)
-            assert abs(mean[k] - pmf.mean()) < 1e-10
-            assert abs(cov[k, k] - pmf.var()) < 1e-10
+            _, pmf_mean, pmf_var = pmf_moments(wc.exact_current_pmf(cfg, t, r))
+            assert abs(mean[k] - pmf_mean) < 1e-10
+            assert abs(cov[k, k] - pmf_var) < 1e-10
 
     def test_dump_reproduces_summary(self, tmp_path):
         from walkcurrent.cli import main
