@@ -253,15 +253,18 @@ def chernoff_lines(kernel: JumpKernel, tau: float):
 def _envelope_min(theta: np.ndarray, base: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """min over the grid of base - theta*delta for each delta, read off the
     lower envelope of these lines.  base is convex in theta, so every line
-    lies on the envelope, between its crossings with its two neighbours; a
-    binary search over the running maximum of the crossings finds each
-    delta's line, and the minimum runs over it and ENVELOPE_REACH lines
-    either side, which absorbs the crossings' rounding."""
+    lies on the envelope, between its crossings with its two neighbours.
+    Rounded crossings fall out of order where the lines flatten, so a
+    delta's line lies between the first line whose running maximum of
+    crossings reaches delta and the first whose right-to-left running
+    minimum does; the minimum runs over those lines and ENVELOPE_REACH
+    lines either side, which absorbs the crossings' own rounding."""
     with np.errstate(invalid="ignore"):  # inf - inf where exp overflowed
-        crossings = np.maximum.accumulate(np.diff(base) / np.diff(theta))
-    near = (np.searchsorted(crossings, deltas)[:, None]
-            + np.arange(-ENVELOPE_REACH, ENVELOPE_REACH + 1))
-    np.clip(near, 0, theta.size - 1, out=near)
+        raw = np.diff(base) / np.diff(theta)
+    first = np.searchsorted(np.maximum.accumulate(raw), deltas) - ENVELOPE_REACH
+    last = np.searchsorted(np.fmin.accumulate(raw[::-1])[::-1], deltas) + ENVELOPE_REACH
+    near = first[:, None] + np.arange(int(np.max(last - first)) + 1)
+    near = np.clip(np.minimum(near, last[:, None]), 0, theta.size - 1)
     return np.min(base[near] - theta[near] * deltas[:, None], axis=1)
 
 

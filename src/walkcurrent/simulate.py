@@ -16,12 +16,12 @@ signed sum of the particle counts in path classes, and the table holds each
 start site's class law, so a batch of replicas is one draw -- independent
 Poisson class counts under Poisson occupancy, and under any other law a
 class for each particle that moves (falls in a class with a nonzero sign),
-read off its site's cumulative class law by one uniform, the others never
-drawn.  The particle engine (`simulate_replica`) draws every particle and
-its path; it is the independent check on the class engine and runs the
-ensembles whose classes outnumber the window sites.  An exact single-point
-distribution oracle (a Skellam law under Poisson occupancy) is provided for
-validation.
+the first class whose cumulative law at its site exceeds one uniform, the
+others never drawn.  The particle engine (`simulate_replica`) draws every
+particle and its path; it is the independent check on the class engine and
+runs the ensembles whose classes outnumber the window sites.  An exact
+single-point distribution oracle (a Skellam law under Poisson occupancy) is
+provided for validation.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ DRAW_CELLS = 1 << 12
 # A site whose particles move with probability above this draws one uniform
 # per particle; one at or below it draws Poisson points over its particles
 DENSE_MOVE = 0.5
-# A mover's class is read from its site's cumulative class law cut to this
-# many bits below the site index, so one sorted int64 array holds every row:
-# windows of under 2^(63 - CDF_BITS) sites, each class off by < 2^-CDF_BITS
-CDF_BITS = 40
 # Cells of one block of the guide table's build (rows x buckets): 256 rows
 # at 128 buckets, so its temporaries add well under a megabyte to peak memory
 GUIDE_CELLS = 1 << 15
@@ -367,8 +363,8 @@ class ClassTable:
     the probability that a particle started at site m moves (falls in a
     class with a nonzero sign), and cdf[m] is the cumulative sum of its
     conditional class law pi_m(c) / move[m], ending at exactly 1; the rows
-    of sites with move 0 are all 0 and never read.  guide is the rows'
-    guide table (`_guide_table`).
+    of sites with move 0 are all 0 and never read.  The mover pick reads
+    cdf itself, through guide, the rows' guide table (`_guide_table`).
     """
 
     classes: np.ndarray     # int64, shape (ncls, 1 + len(t_grid))
@@ -460,37 +456,24 @@ class ClassTable:
         tally = np.bincount(replica * ncls + cls, minlength=size * ncls)
         return tally.reshape(size, ncls) @ self.signs
 
-    @functools.cached_property
-    def _keys(self) -> np.ndarray:
-        """cdf as one sorted int64 array: entry (m, c) is (m << CDF_BITS) +
-        floor(cdf[m, c] 2^CDF_BITS), cast buffer by buffer with no float copy."""
-        keys = np.multiply(self.cdf, 2.0 ** CDF_BITS, out=np.empty(self.cdf.shape, np.int64),
-                           casting="unsafe")
-        keys += np.arange(self.cdf.shape[0], dtype=np.int64)[:, None] << CDF_BITS
-        return keys.ravel()
-
     def _pick_classes(self, site: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Class of each mover at window site `site` with uniform u in
-        [0, 1): the first class c with floor(cdf[site, c] 2^CDF_BITS) >
-        floor(u 2^CDF_BITS).  A mover's row ends at 2^CDF_BITS, so the class
-        is in its row; a class with pi_site(c) = 0 has the key before it (or
-        the row's start), so it is never picked.
+        [0, 1): the first class c with cdf[site, c] > u.  A mover's row ends
+        at 1, so the class is in its row; a class with pi_site(c) = 0 has the
+        same cdf as the one before it (or 0), so it is never picked.
 
-        The query (site << CDF_BITS) + floor(u 2^CDF_BITS), shifted right,
-        is the mover's guide cell.  A cell's first class is the pick, or the
-        class after it when the mover is at or past that class's key.  The
-        movers of a cell holding two or more class steps (guide -1) are found
-        by one search of `_keys` instead; queries in site order keep it in
-        cache.
+        floor(u B), exact as B is a power of two, is the mover's guide
+        bucket.  A bucket's first class is the pick, or the class after it
+        when u is at or past that class's cdf.  The movers of a bucket
+        holding two or more cdf steps (guide -1) count the entries of their
+        own row at or below u instead, in one pass over the gathered rows.
         """
-        query = (site << CDF_BITS) + (u * 2.0 ** CDF_BITS).astype(np.int64)
-        ncls = self.cdf.shape[1]
-        shift = CDF_BITS + 1 - self.guide.shape[1].bit_length()
-        cls = self.guide.ravel()[query >> shift].astype(np.int64)
+        ncls, buckets = self.cdf.shape[1], self.guide.shape[1]
+        bucket = site * buckets + (u * buckets).astype(np.int64)
+        cls = self.guide.ravel()[bucket].astype(np.int64)
         crowded = np.flatnonzero(cls < 0)
-        cls += self._keys[site * ncls + cls] <= query
-        cls[crowded] = (np.searchsorted(self._keys, query[crowded], side="right")
-                        - site[crowded] * ncls)
+        cls += self.cdf.ravel()[site * ncls + cls] <= u
+        cls[crowded] = np.count_nonzero(self.cdf[site[crowded]] <= u[crowded, None], axis=1)
         return cls
 
     def moments(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -592,38 +575,35 @@ def _distinct(hits: np.ndarray) -> np.ndarray:
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """The guide table of cumulative class rows (Chen and Asau, AIIE
-    Trans. 6, 1974), on the keys floor(cdf[m, c] 2^CDF_BITS).
+    """The guide table of cumulative class rows (Chen and Asau, 1974).
 
-    Each row's key range [0, 2^CDF_BITS) splits into B equal buckets, B the
-    least power of two at least 2 ncls.  guide[m, b] is the number of
-    classes whose key is at most the bucket's start b 2^CDF_BITS / B, capped
-    at ncls - 1: the first class a uniform in the bucket can take.  When two
-    or more keys fall strictly inside the bucket it holds -1 instead.  int16
-    while ncls fits, otherwise int32.  Built GUIDE_CELLS cells at a time.
+    Each row's range [0, 1) splits into B equal buckets, B the least power
+    of two at least 2 ncls, so cdf[m, c] B is exact.  guide[m, b] is the
+    number of classes with cdf at most the bucket's start b / B, capped at
+    ncls - 1: the first class a uniform in the bucket can take.  When two
+    or more cdf entries fall strictly inside the bucket it holds -1
+    instead.  int16 while ncls fits, otherwise int32.  Built GUIDE_CELLS
+    cells at a time.
     """
     nsites, ncls = cdf.shape
     buckets = 1 << (2 * ncls - 1).bit_length()
-    shift = CDF_BITS + 1 - buckets.bit_length()
     guide = np.empty((nsites, buckets),
                      np.int16 if ncls <= np.iinfo(np.int16).max else np.int32)
     step = max(1, GUIDE_CELLS // buckets)
     classes = np.tile(np.arange(ncls, dtype=guide.dtype), min(step, nsites))
     for a in range(0, nsites, step):
-        block = cdf[a:a + step]
-        keys = np.multiply(block, 2.0 ** CDF_BITS, out=np.empty(block.shape, np.int64),
-                           casting="unsafe")
-        # class c holds the buckets whose start is at or past key c - 1 and
-        # before key c, ceil(key / 2^shift) the first bucket past a key; the
-        # last class's run ends at B, so a row of move 0 holds ncls - 1
-        ends = (keys + ((1 << shift) - 1)) >> shift
+        scaled = cdf[a:a + step] * buckets
+        # class c holds the buckets whose start is at or past cdf c - 1 and
+        # before cdf c, ceil(cdf B) the first bucket past an entry; the last
+        # class's run ends at B, so a row of move 0 holds ncls - 1
+        ends = np.ceil(scaled).astype(np.int64)
         ends[:, -1] = buckets
         cells = guide[a:a + step].reshape(-1)
-        cells[:] = np.repeat(classes[:keys.size], np.diff(ends, axis=1, prepend=0).ravel())
-        # two keys strictly inside a bucket: sorted keys with the same
-        # bucket, the lower one off the bucket's start
-        inside = keys >> shift
-        crowded = (inside[:, 1:] == inside[:, :-1]) & (keys[:, :-1] & ((1 << shift) - 1) != 0)
+        cells[:] = np.repeat(classes[:scaled.size], np.diff(ends, axis=1, prepend=0).ravel())
+        # two entries strictly inside a bucket: sorted entries with the
+        # same bucket, the lower one off the bucket's start
+        inside = scaled.astype(np.int64)
+        crowded = (inside[:, 1:] == inside[:, :-1]) & (scaled[:, :-1] != inside[:, :-1])
         row, col = np.nonzero(crowded)
         cells[row * buckets + inside[row, col]] = -1
     return guide
@@ -633,9 +613,6 @@ def _table_from_laws(occ: OccupancyModel, classes: np.ndarray, signs: np.ndarray
                      probs: np.ndarray) -> ClassTable:
     """The ClassTable of `_site_class_laws`'s output under occupancy occ;
     probs is overwritten."""
-    if occ.kind != "poisson" and probs.shape[0] >= 1 << (63 - CDF_BITS):
-        raise WindowUnreachableError(
-            f"a non-Poisson class table needs fewer than 2^{63 - CDF_BITS} window sites")
     means = occ.rho0 * probs.sum(axis=0)
     site_means = probs @ signs
     move = cdf = guide = None

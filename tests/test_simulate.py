@@ -15,7 +15,7 @@ from scipy import stats as spstats
 import walkcurrent as wc
 from conftest import lattice_chisquare, lattice_two_sample, site_class_laws
 from pmf_oracles import pmf_moments, poisson_site_current_pmf
-from walkcurrent.simulate import (BATCH_STREAM, CDF_BITS, _site_class_laws, _table_from_laws,
+from walkcurrent.simulate import (BATCH_STREAM, _site_class_laws, _table_from_laws,
                                   batch_currents, bracket, replica_rng,
                                   signed_crossing_count)
 from window_oracles import bisection_truncation_radius
@@ -292,31 +292,41 @@ class TestMoverDraw:
 
     def test_pick_stays_in_row_and_skips_zero_mass(self):
         # rows whose first or last classes have no mass, read at uniforms
-        # from 0 to just below 1, the row's own steps among them: every pick
-        # is a class of positive mass in the mover's own row, the last
-        # site's included, and each class's law is off by under 2^-CDF_BITS
+        # from 0 to just below 1, the row's own steps and the points one ulp
+        # below them among them: every pick is the table's own inverse cdf,
+        # a class of positive mass in the mover's own row, the last site's
+        # included
         probs = np.array([[0.0, 0.0, 0.5, 0.25], [0.25, 0.5, 0.0, 0.0],
                           [0.0, 0.3, 0.0, 0.0], [0.1, 0.0, 0.0, 0.2]])
         classes = np.arange(8, dtype=np.int64).reshape(4, 2)
         table = _table_from_laws(wc.OccupancyModel.deterministic(1), classes,
                                  np.eye(4, dtype=np.int64), probs.copy())
-        edges = [0.0, 2.0 ** -53, 2.0 ** -41, 2.0 ** -40, 0.5, 1.0 - 2.0 ** -40,
-                 np.nextafter(1.0, 0.0)]
+        edges = [0.0, 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0)]
         for m in range(4):
-            u = np.concatenate((edges, table.cdf[m, table.cdf[m] < 1.0]))
+            steps = table.cdf[m, table.cdf[m] < 1.0]
+            u = np.concatenate((edges, steps, np.nextafter(steps, 0.0)))
             cls = table._pick_classes(np.full(u.size, m), u)
+            assert np.array_equal(cls, search_pick(table, m, u)), (m, cls)
             assert np.all((cls >= 0) & (cls < 4)) and np.all(probs[m, cls] > 0.0), (m, cls)
-        assert table._keys[-1] == 4 << CDF_BITS
-        steps = np.diff(table._keys.reshape(4, 4), axis=1,
-                        prepend=(np.arange(4) << CDF_BITS)[:, None]) / 2.0 ** CDF_BITS
-        assert np.abs(steps - probs / table.move[:, None]).max() < 2.0 ** -CDF_BITS
+        assert np.all(table.cdf[:, -1] == 1.0)
+        assert np.allclose(np.diff(table.cdf, axis=1, prepend=0.0),
+                           probs / table.move[:, None], rtol=0.0, atol=1e-15)
 
-    def test_sites_past_the_key_range_raise(self):
-        # the site index takes the key bits above CDF_BITS
-        probs = np.broadcast_to(0.5, (1 << (63 - CDF_BITS), 1))
-        with pytest.raises(wc.WindowUnreachableError, match="window sites"):
-            _table_from_laws(wc.OccupancyModel.deterministic(1), np.zeros((1, 2), np.int64),
-                             np.ones((1, 1), np.int64), probs)
+    def test_one_ulp_below_a_step_picks_its_class(self):
+        # u just below cdf[c] is still in class c, and u at cdf[c] is past
+        # it, however close the step lies to a guide bucket's edge
+        for row in ([0.3, 0.2, 0.5], [0.1, 0.0, 0.2, 0.7 - 2.0 ** -53],
+                    [0.25, 0.25, 0.125, 0.375]):
+            law = np.array([row])
+            table = _table_from_laws(wc.OccupancyModel.deterministic(1),
+                                     np.zeros((law.shape[1], 2), np.int64),
+                                     np.ones((law.shape[1], 1), np.int64), law.copy())
+            live = np.flatnonzero(law[0] > 0.0)[:-1]
+            steps = table.cdf[0, live]
+            site = np.zeros(live.size, np.int64)
+            assert np.array_equal(table._pick_classes(site, np.nextafter(steps, 0.0)), live)
+            assert np.array_equal(table._pick_classes(site, steps),
+                                  search_pick(table, 0, steps))
 
     def test_empty_law_draws_zeros(self):
         # a mean-0 law (allowed for simulate) draws no particle at all
@@ -326,28 +336,25 @@ class TestMoverDraw:
             assert rows.shape == (300, 2) and not rows.any()
 
 
-def search_pick(table, site, u):
-    """The class pick as one search of the whole key array: the reference
-    the guide table must reproduce."""
-    query = (site << CDF_BITS) + (u * 2.0 ** CDF_BITS).astype(np.int64)
-    return np.searchsorted(table._keys, query, side="right") - site * table.cdf.shape[1]
+def search_pick(table, m, u):
+    """The class pick of row m as one search of its cdf: the first class
+    whose cdf exceeds u, the reference the guide table must reproduce."""
+    return np.searchsorted(table.cdf[m], u, side="right")
 
 
 def pick_edges(table, m):
     """Uniforms at which a pick of row m can go wrong: the ends of [0, 1),
-    the bits just above CDF_BITS, every step of the row's keys and the
-    point just below it, and every guide bucket's start and the point just
-    below it."""
-    keys = table._keys.reshape(table.cdf.shape)[m] - (m << CDF_BITS)
+    every step of the row's cdf and the point one ulp below it, and every
+    guide bucket's start and the point one ulp below it."""
     buckets = np.arange(table.guide.shape[1]) / table.guide.shape[1]
-    u = np.concatenate(([0.0, 2.0 ** -53, 2.0 ** -41, 2.0 ** -40, np.nextafter(1.0, 0.0)],
-                        keys / 2.0 ** CDF_BITS, np.maximum(keys - 1, 0) / 2.0 ** CDF_BITS,
+    u = np.concatenate(([0.0, 2.0 ** -53, np.nextafter(1.0, 0.0)],
+                        table.cdf[m], np.nextafter(table.cdf[m], 0.0),
                         buckets, np.nextafter(buckets, 0.0)))
     return u[(u >= 0.0) & (u < 1.0)]
 
 
 # a class's mass: none, tiny (a cluster of them crowds one guide bucket,
-# some below 2^-CDF_BITS apart) or ordinary
+# some a few ulps apart) or ordinary
 CLASS_MASS = st.one_of(st.just(0.0), st.floats(1e-14, 1e-6), st.floats(1e-3, 1.0))
 
 
@@ -364,29 +371,28 @@ def row_laws(draw):
 
 
 class TestGuideTable:
-    """The guide pick against one search of the whole key array."""
+    """The guide pick against one search of the mover's cdf row."""
 
     @settings(max_examples=200, deadline=None)
     @given(row_laws(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
     def test_pick_matches_search(self, probs, extra):
-        nsites, ncls = probs.shape
+        ncls = probs.shape[1]
         table = _table_from_laws(wc.OccupancyModel.deterministic(1),
                                  np.zeros((ncls, 2), np.int64), np.ones((ncls, 1), np.int64),
                                  probs.copy())
         buckets = table.guide.shape[1]
         assert buckets >= 2 * ncls and buckets & (buckets - 1) == 0 and buckets < 4 * ncls
         assert table.guide.dtype == np.int16
-        keys = table._keys.reshape(nsites, ncls) - (np.arange(nsites)[:, None] << CDF_BITS)
-        starts = np.arange(buckets) << (CDF_BITS + 1 - buckets.bit_length())
+        starts = np.arange(buckets)
         for m in np.flatnonzero(table.move > 0.0):
-            # the guide's definition, bucket by bucket
-            first = np.searchsorted(keys[m], starts, side="right")
-            inside = np.searchsorted(keys[m], starts + starts[1], side="left") - first
+            # the guide's definition on cdf B, bucket by bucket
+            scaled = table.cdf[m] * buckets
+            first = np.searchsorted(scaled, starts, side="right")
+            inside = np.searchsorted(scaled, starts + 1, side="left") - first
             assert np.array_equal(table.guide[m], np.where(inside >= 2, -1, first)), m
             u = np.concatenate((pick_edges(table, m), extra))
-            site = np.full(u.size, m)
-            cls = table._pick_classes(site, u)
-            assert np.array_equal(cls, search_pick(table, site, u)), m
+            cls = table._pick_classes(np.full(u.size, m), u)
+            assert np.array_equal(cls, search_pick(table, m, u)), m
             assert np.all(probs[m, cls] > 0.0), m
 
     def test_rows_past_int16_classes(self):
@@ -403,9 +409,8 @@ class TestGuideTable:
         rng = np.random.default_rng(11)
         for m in range(2):
             u = np.concatenate((pick_edges(table, m), rng.random(5000)))
-            site = np.full(u.size, m)
-            cls = table._pick_classes(site, u)
-            assert np.array_equal(cls, search_pick(table, site, u)), m
+            cls = table._pick_classes(np.full(u.size, m), u)
+            assert np.array_equal(cls, search_pick(table, m, u)), m
             assert np.all(probs[m, cls] > 0.0) and cls.max() > np.iinfo(np.int16).max, m
 
 
