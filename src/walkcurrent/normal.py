@@ -70,19 +70,15 @@ def _horner(x: np.ndarray, pair: np.ndarray) -> np.ndarray:
 # The cell budget of every kernel block: ndtr works through its values,
 # bvn_cdf through its (Genz node, point) cells and gated_rule through its
 # (point, node) cells in blocks of at most this many, which keeps the
-# temporaries of their array passes in cache.  Block lengths are multiples
-# of BLOCK_ALIGN: a matrix-vector product (OpenBLAS dgemv) computes the
-# outputs past the last multiple of 4 in a loop of their own, which rounds
-# differently, so only blocks of whole multiples leave every value as one
-# call over all the points gives it.
+# temporaries of their array passes in cache.  Every value depends only on
+# its own inputs, so the budget sets speed and memory, never a value.
 BLOCK_CELLS = 1 << 13
-BLOCK_ALIGN = 16
 
 
 def _block_length(cells_per_item: int) -> int:
-    """Items per block: as many as BLOCK_CELLS cells hold, rounded down to
-    a multiple of BLOCK_ALIGN, and at least BLOCK_ALIGN."""
-    return max(BLOCK_CELLS // max(cells_per_item, 1) // BLOCK_ALIGN, 1) * BLOCK_ALIGN
+    """Items per block: as many as BLOCK_CELLS cells hold, but at least 16,
+    which keeps the per-block call overhead small."""
+    return max(BLOCK_CELLS // max(cells_per_item, 1), 16)
 
 
 def _ndtr_block(a: np.ndarray, out: np.ndarray) -> None:
@@ -127,9 +123,10 @@ def ndtr(x):
     x = np.asarray(x, float)
     a = (x * SQRT1_2).ravel()
     out = np.empty(a.shape)
+    step = _block_length(1)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for s in range(0, a.size, BLOCK_CELLS):
-            _ndtr_block(a[s:s + BLOCK_CELLS], out[s:s + BLOCK_CELLS])
+        for s in range(0, a.size, step):
+            _ndtr_block(a[s:s + step], out[s:s + step])
     return out.reshape(x.shape)[()]
 
 
@@ -217,7 +214,8 @@ def _bvn_moderate(h, k, r, nh, nk, x, w):
     of the density over the correlation, from 0 to r, in Genz's
     arcsine form."""
     # arrays are (node, point), so that each pass runs along the points; a
-    # scalar r gives (node, 1) node terms
+    # scalar r gives (node, 1) node terms.  Each point sums its nodes along
+    # its row of a point-major copy, in one order fixed by the node count.
     asr = 0.5 * np.arcsin(r)
     sn = np.sin(x[:, None] * asr)
     den = 1.0 - sn * sn
@@ -226,7 +224,7 @@ def _bvn_moderate(h, k, r, nh, nk, x, w):
     e = sn * (h * k)
     e -= hs
     e /= den
-    return (w @ np.exp(e)) * (asr / (2.0 * math.pi)) + nh * nk
+    return np.einsum("...n,n->...", np.exp(e).T.copy(), w) * (asr / (2.0 * math.pi)) + nh * nk
 
 
 def _bvn_strong(h, k, r, nh, nk, x, w):
@@ -234,7 +232,7 @@ def _bvn_strong(h, k, r, nh, nk, x, w):
     integrates from |r| to 1 after an asymptotic expansion of the
     singular part."""
     # arrays are (node, point), so that each pass runs along the points; a
-    # scalar r gives (node, 1) node terms
+    # scalar r gives (node, 1) node terms, summed as in _bvn_moderate
     neg = r < 0.0
     as_ = 1.0 - r * r
     a = np.sqrt(as_)
@@ -270,7 +268,7 @@ def _bvn_strong(h, k, r, nh, nk, x, w):
     expo -= 0.5 * hk * shrink
     sp -= np.exp(expo) * inv_rs
     sp[drop] = 0.0
-    bvn = (0.5 * a * (w @ sp) - bvn) / (2.0 * math.pi)
+    bvn = (0.5 * a * np.einsum("...n,n->...", sp.T.copy(), w) - bvn) / (2.0 * math.pi)
     # P(X > -h, Y > -k) for r > 0; for r < 0, the orthant with k flipped
     flip = hh < 0.0
     upper = np.where(flip, nk, nh) - ndtr(np.where(flip, -h, -k))
@@ -391,21 +389,22 @@ def panel_rule(panels: int, order: int):
 
 def rule_sum(values: np.ndarray, w_coarse: np.ndarray, w_fine: np.ndarray):
     """Fine-rule sums of values at panel_rule nodes (last axis), and their
-    gaps |fine - coarse| to the coarse-rule sums."""
+    gaps |fine - coarse| to the coarse-rule sums, each point's summed in
+    one order fixed by the node count."""
     nc = w_coarse.size
-    fine = values[..., nc:] @ w_fine
-    return fine, np.abs(fine - values[..., :nc] @ w_coarse)
+    fine = np.einsum("...n,n->...", values[..., nc:], w_fine)
+    return fine, np.abs(fine - np.einsum("...n,n->...", values[..., :nc], w_coarse))
 
 
-def quadrature_ok(err, epsabs: float, magnitude) -> bool:
-    """Whether doubling error estimates meet the quadrature gate.
+def quadrature_ok(err, epsabs: float, magnitude):
+    """Whether each doubling error estimate meets the quadrature gate, elementwise.
 
     The gate is absolute near zero but relative for huge integrals
     (extreme tilts reach magnitudes ~e^40, where absolute targets are
     meaningless).
     """
     limit = np.maximum(max(200.0 * epsabs, 1e-9), 1e-8 * np.asarray(magnitude))
-    return bool(np.all(np.asarray(err) <= limit))
+    return np.asarray(err) <= limit
 
 
 def gated_rule(values_at, shape: tuple, panels: int, order: int, epsabs: float,
@@ -414,14 +413,15 @@ def gated_rule(values_at, shape: tuple, panels: int, order: int, epsabs: float,
 
     values_at(nodes) gives the integrand at the given panel_rule nodes on
     its last axis, as an array of shape `shape + nodes.shape` (or one that
-    broadcasts to it).  It is called on blocks of at most BLOCK_CELLS
-    (point, node) cells, but at least BLOCK_ALIGN nodes, and the blocks
-    fill one array of values, so an integrand that is elementwise along
-    its nodes gives the same sums whatever the blocks.  Until the doubling
-    error estimate, times scale, meets quadrature_ok, the panels double,
-    up to max_panels; then it raises QuadratureConvergenceError.
+    broadcasts to it), for blocks of at most BLOCK_CELLS (point, node)
+    cells or of 16 nodes.  Each point keeps its value from the first panel
+    count at which its own doubling error estimate, times scale, meets
+    quadrature_ok, so an elementwise integrand gives each point a value of
+    its own inputs alone.  The panels double until every point has met it,
+    up to max_panels; then QuadratureConvergenceError gives the worst error left.
     """
     step = _block_length(math.prod(shape))
+    out, done = np.zeros(shape), np.zeros(shape, bool)
     while True:
         nodes, w_coarse, w_fine = panel_rule(panels, order)
         values = np.empty(shape + nodes.shape)
@@ -429,11 +429,13 @@ def gated_rule(values_at, shape: tuple, panels: int, order: int, epsabs: float,
             values[..., s:s + step] = values_at(nodes[s:s + step])
         val, err = rule_sum(values, w_coarse, w_fine)
         val, err = val * scale, err * scale
-        if quadrature_ok(err, epsabs, np.abs(val)):
-            return val
+        out = np.where(done, out, val)
+        done |= quadrature_ok(err, epsabs, np.abs(val))
+        if done.all():
+            return out
         if panels >= max_panels:
             raise QuadratureConvergenceError(
-                f"{what}: quadrature error {float(np.max(err)):.2e} "
+                f"{what}: quadrature error {float(np.max(err[~done])):.2e} "
                 f"at {panels} panels")
         panels *= 2
 

@@ -1,11 +1,12 @@
 """Pinned bytes of the quadrature kernels and of the reports built on them,
 the memory those reports take, and every report the benchmark writes.
 
-The kernel digests were recorded before the kernels were split into blocks
-by their cell budget (`normal.BLOCK_CELLS`).  Every kernel value is computed
-elementwise along its points and nodes, and every sum runs over the same
-terms in the same order whatever the blocks, so a change of the budget
-moves none of them; a change to any kernel's arithmetic moves one.
+Every kernel value depends only on its own inputs: it is computed
+elementwise along its points and nodes, each point sums its nodes in one
+order fixed by the node count, and each point meets the quadrature gate on
+its own.  So neither the cell budget of the kernel blocks
+(`normal.BLOCK_CELLS`) nor the other points of a call moves a digest; a
+change to any kernel's arithmetic moves one.
 
 The benchmark's reports are built from `bench/workloads.py`, loaded by path
 and only read, at three workload seeds: a change to any random stream or
@@ -41,13 +42,13 @@ def limit_section(seed):
 REPORTS = {
     "fidi-1": ("fidi", {"fidi": {"times": [1.0], "rho": 1.0, "kappa2": 1.0,
                                  "x_vectors": [[0.5], [1.0], [-1.0]]}}, "fidi.json",
-               "2a11728c276b9c82e0ea758a6b782cd38a37aac3ef3dc34d993cd6943e5d2875"),
+               "73fac911e17ec3324ed5943ba55478cf6a66b1046141706d9c545b4318db098a"),
     "fidi-2": ("fidi", {"fidi": {"times": [0.5, 1.0], "rho": 1.0, "kappa2": 1.0,
                                  "x_vectors": [[0.5, 0.5], [1.0, 0.5], [-1.0, -1.0]]}},
                "fidi.json",
-               "121171e442c44554b0a14b39bc2076cf0037d2f5c4b0e604caa9c87a850675b7"),
+               "005ee0a6d5ce5ea2423bb3b0054b51761350cb4cf15653b63bb44e4a184f39ee"),
     "fidi-3": ("fidi", {"fidi": FIDI_3}, "fidi.json",
-               "d1e969d94e5d1820b1b69571c48818e4de3cb6d3f7b97698db2291982cca617c"),
+               "816bc24e0ccab10b317d15b5d395c59d480cdf86ddb1ead2f12697892ee4fb6c"),
 }
 for _seed, _digest in ((1, "16a36f5c3e04522aa4c98fdd20abceda4734ea58fe419ad45427d263b80910ce"),
                        (3, "48395b7831d22e5be9e9a04e2ae9179d244d3c2f48c89d9c9d8e6ea4118cd132"),
@@ -71,7 +72,7 @@ def test_quadrature_reports_pinned(tmp_path, name):
 # the strong-correlation form), the degenerate +-1, and h or k at 0
 H = np.array([-9.0, -3.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5, 9.0])
 RHOS = (-1.0, -0.99, -0.93, -0.8, -0.5, -0.2, 0.0, 0.2, 0.5, 0.8, 0.93, 0.99, 1.0)
-BVN_DIGEST = "70b35e5b3f2eacfbe3e9bba43b4c8885613bddb118196aba9b29f3bd266f3cc6"
+BVN_DIGEST = "3e9b4a96cc9dc34a242ddb6e5aac3b3df7baa73f4f6e9e53ed94fb43c99e110a"
 
 
 def bvn_digest():
@@ -94,15 +95,20 @@ def test_bvn_grid_pinned():
     assert bvn_digest() == BVN_DIGEST
 
 
-@pytest.mark.parametrize("cells", [64, 1000])
+@pytest.mark.parametrize("cells", [1, 64, 1000])
 def test_block_budget_moves_no_value(monkeypatch, cells):
-    # ndtr, bvn_cdf and the covariance integrands are elementwise along
-    # their points and nodes, so a budget of any size gives the same bits
+    # every kernel value depends only on its own inputs, so a budget of any
+    # size gives the same bits; one cell leaves each block the fewest
+    # items it may hold
     from walkcurrent import normal
-    want = limit_tables_experiment(limit_section(LIMIT_SEEDS[7]))
+
+    def values():
+        return (bvn_digest(), limit_tables_experiment(limit_section(LIMIT_SEEDS[7])),
+                fidi_experiment(FIDI_3))
+
+    want = values()
     monkeypatch.setattr(normal, "BLOCK_CELLS", cells)
-    assert bvn_digest() == BVN_DIGEST
-    assert limit_tables_experiment(limit_section(LIMIT_SEEDS[7])) == want
+    assert values() == want
 
 
 def traced_peak_mb(fn, *args):
@@ -142,9 +148,9 @@ def _load_workloads():
 # the rate tables and fidi read no seed
 SEED_FREE = {
     "0 rate-table/rate_table.csv":
-        "2c2ebcf793f949746fb9ded4f2d8a626480dc5dd85a646b153b128a39d8b4861",
+        "fec66099fddffb2acaa22ac663cb9d203412f3f33cdac84931b227da06a1fab7",
     "1 rate-table/rate_table.csv":
-        "1deb385dbddda28e4f41c8b1a7d0a1f0cc9b7982411c18404d894dbd02e9f24a",
+        "dd0261b5cff13dc0ac143f71b6bc6cbdbb8eef8ce2d01626500723d77f34df11",
     "2 fidi/fidi.json": REPORTS["fidi-3"][3],
 }
 BENCH_DIGESTS = {
@@ -187,11 +193,11 @@ BENCH_DIGESTS = {
 }
 for _seed, _limit, _tail in (
         (1, "16a36f5c3e04522aa4c98fdd20abceda4734ea58fe419ad45427d263b80910ce",
-         "89a06d4509ae719512aa8d56f1703fbfd2a6d078cd22a36b8784f496e08fbf9c"),
+         "132e4af64f7fd54a061773c7d8c954d1e7ce94cad7dd9011803f7d7b2eb2264b"),
         (3, "48395b7831d22e5be9e9a04e2ae9179d244d3c2f48c89d9c9d8e6ea4118cd132",
-         "2e04014b5ae4a378f0fea17746a72c139bb0c251b368d59ff17e18d9cab435c3"),
+         "002cd10a14ba291f056f5d7b0511354ae067c5d83f0610dcf610e8aa351d9e60"),
         (7, "d4c483fdeff3275d06137a5b6ca4ceae18f75ffe34daf86510ac3df89f34993d",
-         "f7046c1579ae019b1cbca806f4d25497c626cf236a440a0d96418f710e512c5c")):
+         "21ea90ad6b5a88d98a384c3b0dbf059b3f8cb4c1752da422af7a344f803e86e5")):
     BENCH_DIGESTS[(_seed, "rates")] = dict(
         SEED_FREE, **{"3 limit-tables/limit_tables.csv": _limit,
                       "4 rate-empirical/rate_empirical.json": _tail})
